@@ -336,13 +336,7 @@ def _s_raised_divergence_dev(p: JetPoint) -> float:
     """sum_m d S^m11_i / dy_m against (2/3)(1/y_i) G111^(-2/3), via the kernel."""
 
     def s_field(m, i):
-        d = 3.0 if m == i else 0.0
-
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            y = (y1, y2, y3)
-            return dt.powf(y1 * y2 * y3, -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
-
-        return fld
+        return lambda t, x1, x2, x3, y1, y2, y3: ft.s_raised(m, i, (y1, y2, y3))
 
     g23inv = (p.y[0] * p.y[1] * p.y[2]) ** (-2.0 / 3.0)
     worst = 0.0

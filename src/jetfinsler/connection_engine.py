@@ -109,13 +109,32 @@ class RicciSet:
 
 _Y0 = 4  # slot of y1 among the seven coordinates
 
+# Slot of the first partial d/dv among the 8 coefficients of an order-1
+# series: where the seed of coordinate v carries its unit coefficient.
+_D1 = np.array(
+    [int(np.flatnonzero(dt.taylor_variable(v, 0.0, 1).c)[0]) for v in range(dt.NVARS)]
+)
+_DT, _DX, _DY = int(_D1[0]), _D1[1:_Y0], _D1[_Y0:]
+
+
+def stack_coefficients(nested) -> np.ndarray:
+    """Coefficients of a nested list of same-order series as one array, with
+    the coefficients on the last axis (8 of them at order 1)."""
+    if isinstance(nested, dt.Taylor):
+        return nested.c
+    return np.array([stack_coefficients(e) for e in nested])
+
 
 class PointContext:
     """Lazy per-point evaluation of every generic object.
 
-    Builds the 4th-order jet of F^2 once and memoizes g, its inverse and the
-    connection coefficient series, so each is computed at most once per point.
-    Instances are single-use and not shared across threads.
+    Builds the 4th-order jet of F^2 once and memoizes g, its inverse, the
+    connection coefficient series and the EM 2-form series, and the results
+    of ``torsions()`` (for the context's own L), ``curvatures()`` and
+    ``ricci()``, so each is computed at most once per point; repeated calls
+    return the same objects.  First partials of the order-1 series are read
+    as slices of their stacked coefficients.  Instances are single-use and
+    not shared across threads; no cache outlives its context.
     """
 
     def __init__(
@@ -168,6 +187,33 @@ class PointContext:
             out = out - self.M_ser[p] * dt.deriv(u, _Y0 + p)
         return out
 
+    # The values of the same first partials for stacked coefficients (see
+    # ``stack_coefficients``) of series of order >= 1, whose first-order
+    # coefficients sit in the slots of an order-1 series.  Each float comes
+    # from the operations the per-entry helpers above perform on the value
+    # coefficient: a product there is accumulated into a zero
+    # (``_backend.poly_mul``), hence the ``+ 0.0``, which turns a -0.0
+    # product into +0.0 exactly as the series path does.
+
+    @staticmethod
+    def _dy_slices(s: np.ndarray) -> np.ndarray:
+        """d/dy^k, new last axis k: ``deriv(u, 4 + k).value``."""
+        return s[..., _DY]
+
+    def _dx_slices(self, s: np.ndarray) -> np.ndarray:
+        """delta/delta x^a, new last axis a: ``_adapted_dx(u, a).value``."""
+        out = s[..., _DX]
+        for p in range(3):
+            out = out - (self.N_val[p] * s[..., _DY[p], None] + 0.0)
+        return out
+
+    def _dt_slices(self, s: np.ndarray) -> np.ndarray:
+        """delta/delta t: ``_adapted_dt(u).value``."""
+        out = s[..., _DT]
+        for p in range(3):
+            out = out - (self.M_val[p] * s[..., _DY[p]] + 0.0)
+        return out
+
     # -- nonlinear connection as order-1 series -------------------------------
 
     @cached_property
@@ -194,6 +240,14 @@ class PointContext:
     @cached_property
     def N_val(self) -> np.ndarray:
         return np.array([[n.value for n in row] for row in self.N_ser])
+
+    @cached_property
+    def M_stack(self) -> np.ndarray:
+        return stack_coefficients(self.M_ser)
+
+    @cached_property
+    def N_stack(self) -> np.ndarray:
+        return stack_coefficients(self.N_ser)
 
     # -- metric as order-2 series ----------------------------------------------
 
@@ -323,6 +377,37 @@ class PointContext:
             [[[e.value for e in row] for row in plane] for plane in self.L_ser]
         )
 
+    @cached_property
+    def C_stack(self) -> np.ndarray:
+        return stack_coefficients(self.C_ser)
+
+    @cached_property
+    def L_stack(self) -> np.ndarray:
+        return stack_coefficients(self.L_ser)
+
+    @cached_property
+    def em_form_ser(self):
+        """F^{(1)}_{(i)j} as order-1 series (enough for its first derivatives)."""
+        g = self.g_ser
+        L = self.L_ser
+        N = self.N_ser
+        y = self.seeds1[_Y0:]
+        h_up = 1.0 / self.h_ser
+        out = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                acc = None
+                for m in range(3):
+                    term = g[j][m] * N[m][i] - g[i][m] * N[m][j]
+                    acc = term if acc is None else acc + term
+                for r in range(3):
+                    for m in range(3):
+                        acc = acc + (g[i][r] * L[r][j][m] - g[j][r] * L[r][i][m]) * y[m]
+                row.append(0.5 * (h_up * acc))
+            out.append(row)
+        return out
+
     # -- assembled objects --------------------------------------------------------
 
     def cartan(self) -> CartanConnection:
@@ -338,34 +423,32 @@ class PointContext:
         )
 
     def torsions(self, L: Optional[np.ndarray] = None) -> TorsionSet:
+        """The torsions for the context's own L (computed once), or for ``L``."""
         if L is None:
-            L = self.L_val
-        p_mixed = np.empty((3, 3, 3))
-        for k in range(3):
-            for i in range(3):
-                for j in range(3):
-                    p_mixed[k, i, j] = (
-                        dt.deriv(self.N_ser[k][i], _Y0 + j).value - L[k, j, i]
-                    )
-        r_time = np.empty((3, 3))
-        for k in range(3):
-            for j in range(3):
-                dm = self._adapted_dx(self.M_ser[k], j).value
-                dn = self._adapted_dt(self.N_ser[k][j]).value
-                r_time[k, j] = dm - dn
+            return self._torsion_set
+        return self._torsions_from(L)
+
+    @cached_property
+    def _torsion_set(self) -> TorsionSet:
+        return self._torsions_from(self.L_val)
+
+    def _torsions_from(self, L: np.ndarray) -> TorsionSet:
+        # P_mixed[k, i, j] = dN^k_i/dy^j - L^k_ji
+        p_mixed = self._dy_slices(self.N_stack) - L.transpose(0, 2, 1)
+        # R_time[k, j] = delta M^k/delta x^j - delta N^k_j/delta t
+        r_time = self._dx_slices(self.M_stack) - self._dt_slices(self.N_stack)
         return TorsionSet(P_mixed=p_mixed, P_fiber=self.C_val.copy(), R_time=r_time)
 
     def curvatures(self) -> CurvatureSet:
+        return self._curvature_set
+
+    @cached_property
+    def _curvature_set(self) -> CurvatureSet:
         C0 = self.C_val
         L0 = self.L_val
         p_mixed = self.torsions().P_mixed
 
-        dC = np.empty((3, 3, 3, 3))  # [l, i, j, k] = d C^l_i(j) / dy_k
-        for l in range(3):
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        dC[l, i, j, k] = dt.deriv(self.C_ser[l][i][j], _Y0 + k).value
+        dC = self._dy_slices(self.C_stack)  # [l, i, j, k] = d C^l_i(j) / dy_k
         s_vv = (
             dC
             - dC.transpose(0, 1, 3, 2)
@@ -373,14 +456,7 @@ class PointContext:
             - np.einsum("mik,lmj->lijk", C0, C0)
         )
 
-        dCdx = np.empty((3, 3, 3, 3))  # [l, i, k, a] = delta C^l_i(k) / delta x^a
-        for l in range(3):
-            for i in range(3):
-                for k in range(3):
-                    for a in range(3):
-                        dCdx[l, i, k, a] = self._adapted_dx(
-                            self.C_ser[l][i][k], a
-                        ).value
+        dCdx = self._dx_slices(self.C_stack)  # [l, i, k, a] = delta C^l_i(k)/delta x^a
         # C^{l(1)}_{i(k)|j}
         c_bar = (
             dCdx
@@ -389,16 +465,8 @@ class PointContext:
             - np.einsum("lim,mkj->likj", C0, L0)
         )
 
-        dLdy = np.empty((3, 3, 3, 3))  # [l, i, j, k] = d L^l_ij / dy_k
-        dLdx = np.empty((3, 3, 3, 3))  # [l, i, j, a] = delta L^l_ij / delta x^a
-        for l in range(3):
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        dLdy[l, i, j, k] = dt.deriv(self.L_ser[l][i][j], _Y0 + k).value
-                        dLdx[l, i, j, k] = self._adapted_dx(
-                            self.L_ser[l][i][j], k
-                        ).value
+        dLdy = self._dy_slices(self.L_stack)  # [l, i, j, k] = d L^l_ij / dy_k
+        dLdx = self._dx_slices(self.L_stack)  # [l, i, j, a] = delta L^l_ij / delta x^a
         p_hv = (
             dLdy
             - c_bar.transpose(0, 1, 3, 2)
@@ -413,6 +481,10 @@ class PointContext:
         return CurvatureSet(R_hh=r_hh, P_hv=p_hv, S_vv=s_vv)
 
     def ricci(self) -> RicciSet:
+        return self._ricci_set
+
+    @cached_property
+    def _ricci_set(self) -> RicciSet:
         return ricci_generic(self.curvatures())
 
     def scalar_curvature(self) -> float:
@@ -488,6 +560,29 @@ def cartan_generic(
     return PointContext(cubic, tm, nlc, p, deriv_mode).cartan()
 
 
+def cartan_context(
+    cubic: CubicForm,
+    tm: TemporalMetric,
+    p: JetPoint,
+    nlc: NonlinearConnection,
+    cartan: CartanConnection,
+) -> PointContext:
+    """The context a generic Cartan connection was computed in, or a new one
+    for a connection without engine state (e.g. a closed form).
+
+    Raises ValueError if ``cartan`` belongs to another cubic, temporal
+    metric, point or nonlinear connection than the ones passed."""
+    ctx = cartan._state
+    if ctx is None:
+        return PointContext(cubic, tm, nlc, p)
+    if (cubic, tm, p, nlc) != (ctx.cubic, ctx.tm, ctx.point, ctx.nlc):
+        raise ValueError(
+            "the Cartan connection was computed for another cubic, temporal "
+            f"metric, point or nonlinear connection (its point is {ctx.point})"
+        )
+    return ctx
+
+
 def torsions_generic(
     cubic: CubicForm,
     tm: TemporalMetric,
@@ -496,8 +591,7 @@ def torsions_generic(
     cartan: CartanConnection,
 ) -> TorsionSet:
     """The three surviving torsions, from the nonlinear connection and L."""
-    ctx = cartan._state or PointContext(cubic, tm, nlc, p)
-    return ctx.torsions(L=cartan.L)
+    return cartan_context(cubic, tm, p, nlc, cartan).torsions(L=cartan.L)
 
 
 def curvatures_generic(
@@ -508,8 +602,7 @@ def curvatures_generic(
     cartan: CartanConnection,
 ) -> CurvatureSet:
     """The three surviving curvatures, from first derivatives of L and C."""
-    ctx = cartan._state or PointContext(cubic, tm, nlc, p)
-    return ctx.curvatures()
+    return cartan_context(cubic, tm, p, nlc, cartan).curvatures()
 
 
 def ricci_generic(curv: CurvatureSet) -> RicciSet:

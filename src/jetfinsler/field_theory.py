@@ -28,13 +28,12 @@ from .berwald_moor import bm_cartan, bm_metric, bm_ricci, bm_S_raised
 from .connection_engine import (
     CartanConnection,
     NonlinearConnection,
-    PointContext,
     adapted_derivative,
+    cartan_context,
+    stack_coefficients,
 )
 from .errors import ZeroEinsteinConstant
 from .jetspace import CubicForm, JetPoint, TemporalMetric
-
-_Y0 = 4  # slot of y1 among the seven coordinates
 
 
 @dataclass(frozen=True)
@@ -188,6 +187,14 @@ def stress_energy_contracted(
     )
 
 
+def s_raised(m: int, i: int, y):
+    """S^{m(1)(1)}_{(1)(i)}, the raised vertical Ricci tensor of the
+    Berwald-Moor metric, on fiber components given as floats or Taylor values
+    (0-based m, i)."""
+    d = 3.0 if m == i else 0.0
+    return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
+
+
 def _mixed_component_fields(tm: TemporalMetric, K: float):
     """Duck-typed scalar fields for every mixed stress-energy component."""
 
@@ -197,10 +204,6 @@ def _mixed_component_fields(tm: TemporalMetric, K: float):
 
     def g23inv(y1, y2, y3):
         return dt.powf(y1 * y2 * y3, -2.0 / 3.0)
-
-    def s_raised(m, i, y):
-        d = 3.0 if m == i else 0.0
-        return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
 
     zero = lambda *coords: 0.0
 
@@ -251,7 +254,13 @@ def conservation_residuals(
     closed right-hand side of the first law."""
     _check_K(K)
     p.require_positive_fiber()
-    nlc = NonlinearConnection.apriori(tm)
+    apriori = NonlinearConnection.apriori(tm)
+    # M^q and N^q_j at p, evaluated once for all the adapted derivatives below
+    m_at = [apriori.M(q + 1, p.t, p.x, p.y) for q in range(3)]
+    n_at = [[apriori.N(q + 1, j + 1, p.t, p.x, p.y) for j in range(3)] for q in range(3)]
+    nlc = NonlinearConnection(
+        M=lambda i, t, x, y: m_at[i - 1], N=lambda i, j, t, x, y: n_at[i - 1][j - 1]
+    )
     cart = bm_cartan(p, tm)
     kappa, L, C, G_t = cart.kappa, cart.L, cart.C, cart.G_time
     fields = _mixed_component_fields(tm, K)
@@ -315,29 +324,6 @@ def conservation_residuals(
     )
 
 
-def _em_form_series(ctx: PointContext):
-    """F^{(1)}_{(i)j} as order-1 series (enough for its first derivatives)."""
-    g = ctx.g_ser
-    L = ctx.L_ser
-    N = ctx.N_ser
-    y = ctx.seeds1[_Y0:]
-    h_up = 1.0 / ctx.h_ser
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = None
-            for m in range(3):
-                term = g[j][m] * N[m][i] - g[i][m] * N[m][j]
-                acc = term if acc is None else acc + term
-            for r in range(3):
-                for m in range(3):
-                    acc = acc + (g[i][r] * L[r][j][m] - g[j][r] * L[r][i][m]) * y[m]
-            row.append(0.5 * (h_up * acc))
-        out.append(row)
-    return out
-
-
 def em_two_form(
     cubic: CubicForm,
     tm: TemporalMetric,
@@ -353,19 +339,18 @@ def em_two_form(
         D^{(1)}_{(i)j} = h^11 g_ip [-N^p_j + L^p_jm y^m]
         d^{(1)(1)}_{(i)(j)} = h^11 [g_ij + g_ip C^p_m(j) y^m]
     """
-    ctx = cartan._state or PointContext(cubic, tm, nlc, p)
-    f_ser = _em_form_series(ctx)
+    ctx = cartan_context(cubic, tm, p, nlc, cartan)
+    f_ser = ctx.em_form_ser
     f_em = np.array([[f_ser[i][j].value for j in range(3)] for i in range(3)])
     y = np.asarray(p.y)
     h_up = 1.0 / ctx.h_ser.value
     g = ctx.g_val
     L = cartan.L
     C = cartan.C
+    dgdt = ctx._dt_slices(stack_coefficients(ctx.g_ser))  # delta g_im / delta t
     d_bar = np.empty(3)
     for i in range(3):
-        d_bar[i] = 0.5 * h_up * sum(
-            ctx._adapted_dt(ctx.g_ser[i][m]).value * y[m] for m in range(3)
-        )
+        d_bar[i] = 0.5 * h_up * sum(dgdt[i, m] * y[m] for m in range(3))
     D = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
@@ -391,9 +376,12 @@ def em_covariant_derivatives(
     cartan: CartanConnection,
 ) -> EMDerivatives:
     """The temporal, spatial and fiber covariant derivatives of the 2-form."""
-    ctx = cartan._state or PointContext(cubic, tm, nlc, p)
-    f_ser = _em_form_series(ctx)
-    f0 = np.array([[f_ser[i][j].value for j in range(3)] for i in range(3)])
+    ctx = cartan_context(cubic, tm, p, nlc, cartan)
+    f = stack_coefficients(ctx.em_form_ser)
+    f0 = f[..., 0]
+    f_dt = ctx._dt_slices(f)   # [i, j]
+    f_dx = ctx._dx_slices(f)   # [i, j, k]
+    f_dy = ctx._dy_slices(f)   # [i, j, k]
     kappa = cartan.kappa
     G_t, L, C = cartan.G_time, cartan.L, cartan.C
     f_time = np.empty((3, 3))
@@ -402,15 +390,15 @@ def em_covariant_derivatives(
     for i in range(3):
         for j in range(3):
             f_time[i, j] = (
-                ctx._adapted_dt(f_ser[i][j]).value
+                f_dt[i, j]
                 + f0[i, j] * kappa
                 - sum(f0[m, j] * G_t[m, i] + f0[i, m] * G_t[m, j] for m in range(3))
             )
             for k in range(3):
-                f_spatial[i, j, k] = ctx._adapted_dx(f_ser[i][j], k).value - sum(
+                f_spatial[i, j, k] = f_dx[i, j, k] - sum(
                     f0[m, j] * L[m, i, k] + f0[i, m] * L[m, j, k] for m in range(3)
                 )
-                f_fiber[i, j, k] = dt.deriv(f_ser[i][j], _Y0 + k).value - sum(
+                f_fiber[i, j, k] = f_dy[i, j, k] - sum(
                     f0[m, j] * C[m, i, k] + f0[i, m] * C[m, j, k] for m in range(3)
                 )
     return EMDerivatives(F_time=f_time, F_spatial=f_spatial, F_fiber=f_fiber)

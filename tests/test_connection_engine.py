@@ -11,6 +11,7 @@ from jetfinsler.connection_engine import (
     curvatures_generic,
     ricci_generic,
     scalar_curvature_generic,
+    stack_coefficients,
     torsions_generic,
 )
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
@@ -321,3 +322,132 @@ class TestStateReuse:
         cart = bm.bm_cartan(unit_point, tm)  # no engine state attached
         tors = torsions_generic(bm_cubic, tm, unit_point, nlc, cart)
         assert tors.R_time == pytest.approx(-0.5 * np.eye(3), abs=1e-13)
+
+
+def _varying_connection() -> NonlinearConnection:
+    """M and N that depend on t, x and y, so every adapted derivative has
+    nonzero frame corrections (the CLI's connections have constant N)."""
+
+    def M(i, t, x, y):
+        return 0.3 * t * y[i - 1] + 0.1 * x[0] * y[1] - 0.2 * x[2] * y[i - 1] * y[2]
+
+    def N(i, j, t, x, y):
+        out = 0.2 * x[j - 1] * y[i - 1] - 0.05 * t * y[j - 1] + 0.01 * (i - j)
+        return out + 0.1 * t * x[1] if i == j else out
+
+    return NonlinearConnection(M, N)
+
+
+def _same_floats(a, b) -> bool:
+    """Equal as float arrays, signed zeros included."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+class TestSliceDerivatives:
+    """The array-slice first partials are the per-entry series values."""
+
+    @pytest.fixture(params=[0, 1, 2])
+    def ctx(self, request):
+        cubic = CubicForm.from_entries(
+            {"123": "(1 + x1*x2/10)/6", "111": "0.05*x3 + 0.1", "223": 0.02}
+        )
+        tm = TemporalMetric("t**2 + 1")
+        p = sample_jet_points(seed=4711, count=3, y_box=(0.5, 2.0))[request.param]
+        return PointContext(cubic, tm, _varying_connection(), p)
+
+    def test_connection_varies(self, ctx):
+        # every component has a nonzero first partial
+        assert np.all(np.abs(ctx.M_stack[..., 1:]).max(axis=-1) > 0.0)
+        assert np.all(np.abs(ctx.N_stack[..., 1:]).max(axis=-1) > 0.0)
+
+    def test_curvature_partials(self, ctx):
+        for ser, stack in ((ctx.C_ser, ctx.C_stack), (ctx.L_ser, ctx.L_stack)):
+            dy = np.empty((3, 3, 3, 3))
+            dx = np.empty((3, 3, 3, 3))
+            for l, i, j, k in np.ndindex(3, 3, 3, 3):
+                dy[l, i, j, k] = dt.deriv(ser[l][i][j], 4 + k).value
+                dx[l, i, j, k] = ctx._adapted_dx(ser[l][i][j], k).value
+            assert _same_floats(ctx._dy_slices(stack), dy)
+            assert _same_floats(ctx._dx_slices(stack), dx)
+
+    def test_torsions(self, ctx):
+        tors = ctx.torsions()
+        p_mixed = np.empty((3, 3, 3))
+        r_time = np.empty((3, 3))
+        for k, i, j in np.ndindex(3, 3, 3):
+            p_mixed[k, i, j] = dt.deriv(ctx.N_ser[k][i], 4 + j).value - ctx.L_val[k, j, i]
+        for k, j in np.ndindex(3, 3):
+            r_time[k, j] = (
+                ctx._adapted_dx(ctx.M_ser[k], j).value
+                - ctx._adapted_dt(ctx.N_ser[k][j]).value
+            )
+        assert _same_floats(tors.P_mixed, p_mixed)
+        assert _same_floats(tors.R_time, r_time)
+
+    def test_time_partials_of_higher_order_series(self, ctx):
+        # the metric series has order 2; its first-order slots are shared
+        dgdt = np.array([[ctx._adapted_dt(e).value for e in row] for row in ctx.g_ser])
+        assert _same_floats(ctx._dt_slices(stack_coefficients(ctx.g_ser)), dgdt)
+        f = ctx.em_form_ser
+        f_dt = np.array([[ctx._adapted_dt(e).value for e in row] for row in f])
+        assert _same_floats(ctx._dt_slices(stack_coefficients(f)), f_dt)
+
+
+class TestMemoContract:
+    def _ctx(self, bm_cubic, unit_point):
+        tm = TemporalMetric("exp(2*t)")
+        return PointContext(bm_cubic, tm, NonlinearConnection.apriori(tm), unit_point)
+
+    def test_objects_computed_once(self, bm_cubic, unit_point):
+        ctx = self._ctx(bm_cubic, unit_point)
+        assert ctx.torsions() is ctx.torsions()
+        assert ctx.curvatures() is ctx.curvatures()
+        assert ctx.ricci() is ctx.ricci()
+
+    def test_explicit_L_is_not_cached(self, bm_cubic, unit_point):
+        ctx = self._ctx(bm_cubic, unit_point)
+        cached = ctx.torsions()
+        L2 = 2.0 * ctx.L_val + 1.0
+        tors = ctx.torsions(L=L2)
+        expected = np.empty((3, 3, 3))
+        for k, i, j in np.ndindex(3, 3, 3):
+            expected[k, i, j] = dt.deriv(ctx.N_ser[k][i], 4 + j).value - L2[k, j, i]
+        assert _same_floats(tors.P_mixed, expected)
+        assert not np.allclose(tors.P_mixed, cached.P_mixed)
+        assert ctx.torsions() is cached
+
+
+class TestForeignCartan:
+    """A Cartan connection from another point or setting is refused."""
+
+    def test_other_point_refused(self, bm_cubic, random_points):
+        tm = TemporalMetric("exp(2*t)")
+        nlc = NonlinearConnection.apriori(tm)
+        a, b = random_points[:2]
+        cart = cartan_generic(bm_cubic, tm, a, nlc)
+        with pytest.raises(ValueError, match="another"):
+            curvatures_generic(bm_cubic, tm, b, nlc, cart)
+        with pytest.raises(ValueError, match="another"):
+            torsions_generic(bm_cubic, tm, b, nlc, cart)
+
+    def test_other_connection_or_metric_refused(self, bm_cubic, unit_point):
+        tm = TemporalMetric("exp(2*t)")
+        nlc = NonlinearConnection.apriori(tm)
+        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
+        with pytest.raises(ValueError):
+            curvatures_generic(
+                bm_cubic, tm, unit_point, NonlinearConnection.canonical(tm), cart
+            )
+        with pytest.raises(ValueError):
+            torsions_generic(bm_cubic, TemporalMetric("exp(2*t)"), unit_point, nlc, cart)
+        with pytest.raises(ValueError):
+            curvatures_generic(CubicForm.berwald_moor(), tm, unit_point, nlc, cart)
+
+    def test_equal_point_accepted(self, bm_cubic, unit_point):
+        tm = TemporalMetric("exp(2*t)")
+        nlc = NonlinearConnection.apriori(tm)
+        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
+        same = JetPoint.of(unit_point.t, unit_point.x, unit_point.y)
+        assert curvatures_generic(bm_cubic, tm, same, nlc, cart) is cart._state.curvatures()

@@ -177,3 +177,20 @@ class TestEMTwoForm:
         cart = bm.bm_cartan(unit_point, tm)
         em = ft.em_two_form(cubic, tm, unit_point, nlc, cart)
         assert np.abs(em.F_em).max() <= 1e-12
+
+    def test_cartan_of_another_point_refused(self, random_points):
+        a, b = random_points[:2]
+        cubic, tm, nlc, cart = self._setup("exp(2*t)", a)
+        with pytest.raises(ValueError, match="another"):
+            ft.em_two_form(cubic, tm, b, nlc, cart)
+        with pytest.raises(ValueError, match="another"):
+            ft.em_covariant_derivatives(cubic, tm, b, nlc, cart)
+
+
+class TestRaisedS:
+    def test_matches_closed_form(self, random_points):
+        from jetfinsler.berwald_moor import bm_S_raised
+
+        for p in random_points[:5]:
+            got = np.array([[ft.s_raised(m, i, p.y) for i in range(3)] for m in range(3)])
+            assert got == pytest.approx(bm_S_raised(p), rel=1e-13, abs=1e-15)
