@@ -3,7 +3,7 @@ Berwald-Moor metric: a generic engine that differentiates its way from the
 defining formulas, a closed-form engine for every explicit tensor, and a
 scenario-driven cross-validation CLI."""
 
-from ._backend import available_backends, current_backend, use_backend
+from ._backend import current_backend
 from .difftools import (
     COORD_NAMES,
     MAX_ORDER,
@@ -52,11 +52,8 @@ from .connection_engine import (
     RicciSet,
     TorsionSet,
     adapted_derivative,
-    cartan_generic,
-    curvatures_generic,
     ricci_generic,
     scalar_curvature_generic,
-    torsions_generic,
 )
 from .berwald_moor import (
     A_COEFFICIENTS,

@@ -1,77 +1,21 @@
-"""Kernel backends for the truncated-polynomial arithmetic.
+"""The multiplication kernel of the truncated-polynomial arithmetic.
 
 The single hot kernel is the table-driven multiplication of truncated Taylor
-coefficient arrays.  Two implementations are provided:
-
-* ``numba`` -- an ``@njit`` scatter loop (default when numba is importable),
-* ``numpy`` -- a pure-numpy ``bincount`` accumulation.
-
-Both accumulate contributions in identical table order, so they produce
-bit-identical results.  The environment variable ``JETFINSLER_BACKEND``
-(``numba`` or ``numpy``) forces a choice at import time; ``use_backend`` can
-switch at runtime (used by the benchmark).
+coefficient arrays: ``poly_mul`` scatters the products ``a[ia] * b[ib]`` into
+the output slots ``ic`` with one ``numpy.bincount``, accumulating them in
+table order.  ``Taylor.__mul__`` calls it through this module's attribute, so
+a profiler can count products by replacing ``poly_mul`` here.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    _HAVE_NUMBA = False
-
-
-def _poly_mul_numpy(a, b, ia, ib, ic, n):
-    return np.bincount(ic, weights=a[ia] * b[ib], minlength=n)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _poly_mul_numba_kernel(a, b, ia, ib, ic, out):  # pragma: no cover - jitted
-        for k in range(ia.shape[0]):
-            out[ic[k]] += a[ia[k]] * b[ib[k]]
-
-    def _poly_mul_numba(a, b, ia, ib, ic, n):
-        out = np.zeros(n)
-        _poly_mul_numba_kernel(a, b, ia, ib, ic, out)
-        return out
-
-    _BACKENDS = {"numpy": _poly_mul_numpy, "numba": _poly_mul_numba}
-else:
-    _BACKENDS = {"numpy": _poly_mul_numpy}
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def use_backend(name: str) -> None:
-    """Select the active multiplication kernel ('numpy' or 'numba')."""
-    global _active_name, _active
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown or unavailable backend {name!r}; available: {available_backends()}"
-        )
-    _active_name = name
-    _active = _BACKENDS[name]
-
-
-def current_backend() -> str:
-    return _active_name
 
 
 def poly_mul(a, b, ia, ib, ic, n):
-    return _active(a, b, ia, ib, ic, n)
+    return np.bincount(ic, weights=a[ia] * b[ib], minlength=n)
 
 
-_env = os.environ.get("JETFINSLER_BACKEND", "").strip().lower()
-if _env:
-    use_backend(_env)
-else:
-    use_backend("numba" if _HAVE_NUMBA else "numpy")
+def current_backend() -> str:
+    """The kernel's name, as recorded in a report's ``generator.backend``."""
+    return "numpy"

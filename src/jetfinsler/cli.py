@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -130,6 +131,30 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _numbers(value, length: int, what: str) -> list[float]:
+    """``value`` as floats; it must be a list of ``length`` finite numbers."""
+    _require(
+        isinstance(value, (list, tuple))
+        and len(value) == length
+        and all(_is_finite_number(v) for v in value),
+        f"{what} must be a list of {length} finite numbers, got {value!r}",
+    )
+    return [float(v) for v in value]
+
+
 def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
     _require(isinstance(doc, dict), "scenario must be a JSON object")
     known = {
@@ -192,50 +217,40 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
             isinstance(entry, dict) and set(entry) == {"t", "x", "y"},
             f"explicit point must have exactly t, x, y: {entry!r}",
         )
-        x = entry["x"]
-        y = entry["y"]
         _require(
-            len(x) == 3 and len(y) == 3, f"x and y must have 3 components: {entry!r}"
+            _is_finite_number(entry["t"]),
+            f"explicit point t must be a finite number: {entry!r}",
         )
+        x = _numbers(entry["x"], 3, "explicit point x")
+        y = _numbers(entry["y"], 3, "explicit point y")
         _require(min(y) > 0, f"explicit point fiber must be positive: {entry!r}")
-        norm_explicit.append(
-            {
-                "t": float(entry["t"]),
-                "x": [float(v) for v in x],
-                "y": [float(v) for v in y],
-            }
-        )
+        norm_explicit.append({"t": float(entry["t"]), "x": x, "y": y})
     sampler = points_doc.get("sampler")
     if sampler is not None:
         _require(isinstance(sampler, dict), "points.sampler must be an object")
         unknown = set(sampler) - {"count", "seed", "y_box", "t_range", "x_range"}
         _require(not unknown, f"unknown sampler fields: {sorted(unknown)}")
         count = sampler.get("count", 0)
-        _require(
-            isinstance(count, int) and count >= 1, "sampler.count must be an int >= 1"
-        )
+        _require(_is_int(count) and count >= 1, "sampler.count must be an int >= 1")
         seed = sampler.get("seed", 0)
-        _require(isinstance(seed, int), "sampler.seed must be an int")
         if seed_override is not None:
             seed = int(seed_override)
-        y_box = sampler.get("y_box", [0.2, 5.0])
+        _require(_is_int(seed) and seed >= 0, "sampler.seed must be an int >= 0")
+        y_box = _numbers(sampler.get("y_box", [0.2, 5.0]), 2, "sampler.y_box")
         _require(
-            len(y_box) == 2 and float(y_box[0]) > 0 and float(y_box[0]) < float(y_box[1]),
+            0 < y_box[0] < y_box[1],
             "sampler.y_box must be [y_min, y_max] with 0 < y_min < y_max",
         )
-        t_range = sampler.get("t_range", [-1.0, 1.0])
-        x_range = sampler.get("x_range", [-1.0, 1.0])
+        t_range = _numbers(sampler.get("t_range", [-1.0, 1.0]), 2, "sampler.t_range")
+        x_range = _numbers(sampler.get("x_range", [-1.0, 1.0]), 2, "sampler.x_range")
         for rng_ in (t_range, x_range):
-            _require(
-                len(rng_) == 2 and float(rng_[0]) <= float(rng_[1]),
-                "ranges must be [lo, hi] with lo <= hi",
-            )
+            _require(rng_[0] <= rng_[1], "ranges must be [lo, hi] with lo <= hi")
         sampler = {
             "count": count,
             "seed": seed,
-            "y_box": [float(y_box[0]), float(y_box[1])],
-            "t_range": [float(t_range[0]), float(t_range[1])],
-            "x_range": [float(x_range[0]), float(x_range[1])],
+            "y_box": y_box,
+            "t_range": t_range,
+            "x_range": x_range,
         }
     _require(
         norm_explicit or sampler, "points must define explicit entries or a sampler"
@@ -264,7 +279,8 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
 
     outputs = doc.get("outputs", ["all"])
     _require(
-        isinstance(outputs, list) and outputs, "outputs must be a non-empty list"
+        isinstance(outputs, list) and outputs and all(isinstance(o, str) for o in outputs),
+        "outputs must be a non-empty list of names",
     )
     valid = set(COMPARISON_NAMES) | set(GROUP_NAMES) | {"all"}
     unknown = set(outputs) - valid
@@ -359,7 +375,6 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
     tol_ad = scenario.tolerances["ad_rel"]
 
     ctx = PointContext(cubic, tm, nlc, p, deriv_mode=scenario.derivative_mode)
-    cart = ctx.cartan()
     bundle = ctx.tensor_bundle()
     generic = {name: bundle.array(name) for name in COMPARISON_NAMES}
     closed = bm.closed_form_bundle(p, tm, scenario.connection) if is_bm else None
@@ -430,8 +445,10 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
             "S_raised_divergence", _s_raised_divergence_dev(p), S_DIVERGENCE_TOL
         )
 
-    if is_bm and "einstein" in scenario.outputs:
+    if is_bm and {"einstein", "stress_energy"} & set(scenario.outputs):
         blocks = ft.einstein_blocks(p, tm, scenario.einstein_constant)
+
+    if is_bm and "einstein" in scenario.outputs:
         record["einstein"] = {
             "xi11": blocks.xi11,
             "T_11": blocks.T_11,
@@ -450,7 +467,6 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
 
     if is_bm and "stress_energy" in scenario.outputs:
         se = ft.stress_energy_mixed(p, tm, scenario.einstein_constant)
-        blocks = ft.einstein_blocks(p, tm, scenario.einstein_constant)
         sec = ft.stress_energy_contracted(blocks, p, tm)
         two_path = max(
             rel_dev(getattr(se, name), getattr(sec, name))
@@ -482,7 +498,7 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
         identity("conservation_law3", identity_dev(cons.law3_lhs, 1.0), tol_ad)
 
     if "em" in scenario.outputs:
-        em = ft.em_two_form(cubic, tm, p, nlc, cart)
+        em = ft.em_two_form(ctx)
         record["em"] = {
             "F_em": _listify(em.F_em),
             "D_bar": _listify(em.D_bar),
@@ -494,7 +510,7 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
         )
         if is_bm:
             identity("em_triviality", identity_dev(em.F_em, 1.0), tol_id)
-            emd = ft.em_covariant_derivatives(cubic, tm, p, nlc, cart)
+            emd = ft.em_covariant_derivatives(ctx)
             dev = max(
                 identity_dev(emd.F_time, 1.0),
                 identity_dev(emd.F_spatial, 1.0),

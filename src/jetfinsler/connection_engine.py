@@ -22,9 +22,9 @@ finite-difference tables; downstream algebra is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class CartanConnection:
     G_time: np.ndarray        # (3, 3)  G^k_j1 as [k, j]
     L: np.ndarray             # (3, 3, 3)  L^i_jk as [i, j, k]
     C: np.ndarray             # (3, 3, 3)  C^{i(1)}_{j(k)} as [i, j, k]
-    _state: Optional["PointContext"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,11 @@ class PointContext:
 
     Builds the 4th-order jet of F^2 once and memoizes g, its inverse, the
     connection coefficient series and the EM 2-form series, and the results
-    of ``torsions()`` (for the context's own L), ``curvatures()`` and
-    ``ricci()``, so each is computed at most once per point; repeated calls
-    return the same objects.  First partials of the order-1 series are read
-    as slices of their stacked coefficients.  Instances are single-use and
-    not shared across threads; no cache outlives its context.
+    of ``cartan()``, ``torsions()``, ``curvatures()`` and ``ricci()``, so
+    each is computed at most once per point; repeated calls return the same
+    objects.  First partials of the order-1 series are read as slices of
+    their stacked coefficients.  Instances are single-use and not shared
+    across threads; no cache outlives its context.
     """
 
     def __init__(
@@ -366,6 +365,14 @@ class PointContext:
         return out
 
     @cached_property
+    def kappa(self) -> float:
+        return self.tm.kappa(self.point.t)
+
+    @cached_property
+    def G_time_val(self) -> np.ndarray:
+        return np.array([[e.value for e in row] for row in self.G_time_ser])
+
+    @cached_property
     def C_val(self) -> np.ndarray:
         return np.array(
             [[[e.value for e in row] for row in plane] for plane in self.C_ser]
@@ -392,7 +399,7 @@ class PointContext:
         L = self.L_ser
         N = self.N_ser
         y = self.seeds1[_Y0:]
-        h_up = 1.0 / self.h_ser
+        h_up = 1.0 / self.h_ser.truncate(1)
         out = []
         for i in range(3):
             row = []
@@ -410,31 +417,26 @@ class PointContext:
 
     # -- assembled objects --------------------------------------------------------
 
+    # Each public method returns a private cached property, so that it stays a
+    # plain method that can be wrapped on the class (as perfbench's tracer does).
+
     def cartan(self) -> CartanConnection:
-        g_time = np.array(
-            [[e.value for e in row] for row in self.G_time_ser]
-        )
+        return self._cartan
+
+    @cached_property
+    def _cartan(self) -> CartanConnection:
+        g_time = self.G_time_val  # a degenerate metric raises before kappa is read
         return CartanConnection(
-            kappa=self.tm.kappa(self.point.t),
-            G_time=g_time,
-            L=self.L_val,
-            C=self.C_val,
-            _state=self,
+            kappa=self.kappa, G_time=g_time, L=self.L_val, C=self.C_val
         )
 
-    def torsions(self, L: Optional[np.ndarray] = None) -> TorsionSet:
-        """The torsions for the context's own L (computed once), or for ``L``."""
-        if L is None:
-            return self._torsion_set
-        return self._torsions_from(L)
+    def torsions(self) -> TorsionSet:
+        return self._torsion_set
 
     @cached_property
     def _torsion_set(self) -> TorsionSet:
-        return self._torsions_from(self.L_val)
-
-    def _torsions_from(self, L: np.ndarray) -> TorsionSet:
         # P_mixed[k, i, j] = dN^k_i/dy^j - L^k_ji
-        p_mixed = self._dy_slices(self.N_stack) - L.transpose(0, 2, 1)
+        p_mixed = self._dy_slices(self.N_stack) - self.L_val.transpose(0, 2, 1)
         # R_time[k, j] = delta M^k/delta x^j - delta N^k_j/delta t
         r_time = self._dx_slices(self.M_stack) - self._dt_slices(self.N_stack)
         return TorsionSet(P_mixed=p_mixed, P_fiber=self.C_val.copy(), R_time=r_time)
@@ -547,62 +549,6 @@ def adapted_derivative(field: Callable, p: JetPoint, nlc: NonlinearConnection, d
     if kind == "fiber":
         return table.partial(f"y{i}")
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def cartan_generic(
-    cubic: CubicForm,
-    tm: TemporalMetric,
-    p: JetPoint,
-    nlc: NonlinearConnection,
-    deriv_mode: str = "exact",
-) -> CartanConnection:
-    """Cartan canonical connection from the defining adapted-derivative formulas."""
-    return PointContext(cubic, tm, nlc, p, deriv_mode).cartan()
-
-
-def cartan_context(
-    cubic: CubicForm,
-    tm: TemporalMetric,
-    p: JetPoint,
-    nlc: NonlinearConnection,
-    cartan: CartanConnection,
-) -> PointContext:
-    """The context a generic Cartan connection was computed in, or a new one
-    for a connection without engine state (e.g. a closed form).
-
-    Raises ValueError if ``cartan`` belongs to another cubic, temporal
-    metric, point or nonlinear connection than the ones passed."""
-    ctx = cartan._state
-    if ctx is None:
-        return PointContext(cubic, tm, nlc, p)
-    if (cubic, tm, p, nlc) != (ctx.cubic, ctx.tm, ctx.point, ctx.nlc):
-        raise ValueError(
-            "the Cartan connection was computed for another cubic, temporal "
-            f"metric, point or nonlinear connection (its point is {ctx.point})"
-        )
-    return ctx
-
-
-def torsions_generic(
-    cubic: CubicForm,
-    tm: TemporalMetric,
-    p: JetPoint,
-    nlc: NonlinearConnection,
-    cartan: CartanConnection,
-) -> TorsionSet:
-    """The three surviving torsions, from the nonlinear connection and L."""
-    return cartan_context(cubic, tm, p, nlc, cartan).torsions(L=cartan.L)
-
-
-def curvatures_generic(
-    cubic: CubicForm,
-    tm: TemporalMetric,
-    p: JetPoint,
-    nlc: NonlinearConnection,
-    cartan: CartanConnection,
-) -> CurvatureSet:
-    """The three surviving curvatures, from first derivatives of L and C."""
-    return cartan_context(cubic, tm, p, nlc, cartan).curvatures()
 
 
 def ricci_generic(curv: CurvatureSet) -> RicciSet:

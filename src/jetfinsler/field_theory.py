@@ -26,14 +26,13 @@ import numpy as np
 from . import difftools as dt
 from .berwald_moor import bm_cartan, bm_metric, bm_ricci, bm_S_raised
 from .connection_engine import (
-    CartanConnection,
     NonlinearConnection,
+    PointContext,
     adapted_derivative,
-    cartan_context,
     stack_coefficients,
 )
 from .errors import ZeroEinsteinConstant
-from .jetspace import CubicForm, JetPoint, TemporalMetric
+from .jetspace import JetPoint, TemporalMetric
 
 
 @dataclass(frozen=True)
@@ -324,14 +323,9 @@ def conservation_residuals(
     )
 
 
-def em_two_form(
-    cubic: CubicForm,
-    tm: TemporalMetric,
-    p: JetPoint,
-    nlc: NonlinearConnection,
-    cartan: CartanConnection,
-) -> EMSet:
-    """The electromagnetic 2-form and its auxiliary tensors for any cubic:
+def em_two_form(ctx: PointContext) -> EMSet:
+    """The electromagnetic 2-form and its auxiliary tensors at the context's
+    point, for any cubic:
 
         F^{(1)}_{(i)j} = (h^11/2)[g_jm N^m_i - g_im N^m_j
                                   + (g_ir L^r_jm - g_jr L^r_im) y^m]
@@ -339,14 +333,13 @@ def em_two_form(
         D^{(1)}_{(i)j} = h^11 g_ip [-N^p_j + L^p_jm y^m]
         d^{(1)(1)}_{(i)(j)} = h^11 [g_ij + g_ip C^p_m(j) y^m]
     """
-    ctx = cartan_context(cubic, tm, p, nlc, cartan)
     f_ser = ctx.em_form_ser
     f_em = np.array([[f_ser[i][j].value for j in range(3)] for i in range(3)])
-    y = np.asarray(p.y)
+    y = np.asarray(ctx.point.y)
     h_up = 1.0 / ctx.h_ser.value
     g = ctx.g_val
-    L = cartan.L
-    C = cartan.C
+    L = ctx.L_val
+    C = ctx.C_val
     dgdt = ctx._dt_slices(stack_coefficients(ctx.g_ser))  # delta g_im / delta t
     d_bar = np.empty(3)
     for i in range(3):
@@ -368,22 +361,16 @@ def em_two_form(
     return EMSet(F_em=f_em, D_bar=d_bar, D=D, d_em=d_em)
 
 
-def em_covariant_derivatives(
-    cubic: CubicForm,
-    tm: TemporalMetric,
-    p: JetPoint,
-    nlc: NonlinearConnection,
-    cartan: CartanConnection,
-) -> EMDerivatives:
-    """The temporal, spatial and fiber covariant derivatives of the 2-form."""
-    ctx = cartan_context(cubic, tm, p, nlc, cartan)
+def em_covariant_derivatives(ctx: PointContext) -> EMDerivatives:
+    """The temporal, spatial and fiber covariant derivatives of the 2-form at
+    the context's point."""
     f = stack_coefficients(ctx.em_form_ser)
     f0 = f[..., 0]
     f_dt = ctx._dt_slices(f)   # [i, j]
     f_dx = ctx._dx_slices(f)   # [i, j, k]
     f_dy = ctx._dy_slices(f)   # [i, j, k]
-    kappa = cartan.kappa
-    G_t, L, C = cartan.G_time, cartan.L, cartan.C
+    kappa = ctx.kappa
+    G_t, L, C = ctx.G_time_val, ctx.L_val, ctx.C_val
     f_time = np.empty((3, 3))
     f_spatial = np.empty((3, 3, 3))
     f_fiber = np.empty((3, 3, 3))

@@ -225,14 +225,12 @@ def test_criterion_4_field_theory_anchors(acceptance_log):
 
 
 def test_criterion_5_electromagnetic_triviality(cross_grid, acceptance_log):
-    cubic = cross_grid["cubic"]
     worst_f = 0.0
     worst_d = 0.0
     for tm, nlc, p, ctx, ref in cross_grid["entries"]:
-        cart = ctx.cartan()
-        em = ft.em_two_form(cubic, tm, p, nlc, cart)
+        em = ft.em_two_form(ctx)
         worst_f = max(worst_f, np.abs(em.F_em).max())
-        emd = ft.em_covariant_derivatives(cubic, tm, p, nlc, cart)
+        emd = ft.em_covariant_derivatives(ctx)
         worst_d = max(
             worst_d,
             np.abs(emd.F_time).max(),

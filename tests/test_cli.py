@@ -9,6 +9,7 @@ from jetfinsler.cli import (
     COMPARISON_NAMES,
     FORMULA_TABLE,
     load_scenario,
+    main,
     parse_scenario,
     print_formula_table,
     run_scenario,
@@ -125,6 +126,34 @@ class TestScenarioValidation:
         doc["cubic"] = {"entries": {"123": "1/6", "111": 0.05}}
         sc = parse_scenario(doc)
         assert not sc.cubic.is_berwald_moor()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("points", "explicit"), [{"t": 0, "x": 5, "y": [1, 1, 1]}]),
+            (("points", "explicit"), [{"t": 0, "x": [0, 0, 0], "y": "abc"}]),
+            (("points", "explicit"), [{"t": "0", "x": [0, 0, 0], "y": [1, 1, 1]}]),
+            (("points", "explicit"), [{"t": 0, "x": [0, 0, 0], "y": [1, float("nan"), 1]}]),
+            (("points", "sampler", "y_box"), "ab"),
+            (("points", "sampler", "t_range"), [False, 1.0]),
+            (("points", "sampler", "count"), True),
+            (("points", "sampler", "seed"), True),
+            (("points", "sampler", "seed"), -1),
+            (("outputs",), [["x"]]),
+        ],
+        ids=[
+            "x_scalar", "y_string", "t_string", "y_nan", "y_box_string",
+            "t_range_bool", "count_bool", "seed_bool", "seed_negative", "output_list",
+        ],
+    )
+    def test_malformed_value_exits_two(self, tmp_path, capsys, path, value):
+        doc = base_scenario()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
 
 
 class TestSampling:

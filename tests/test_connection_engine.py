@@ -7,12 +7,9 @@ from jetfinsler.connection_engine import (
     NonlinearConnection,
     PointContext,
     adapted_derivative,
-    cartan_generic,
-    curvatures_generic,
     ricci_generic,
     scalar_curvature_generic,
     stack_coefficients,
-    torsions_generic,
 )
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 
@@ -81,21 +78,23 @@ class TestAdaptedDerivative:
 class TestCartanGeneric:
     def test_flat_time(self, bm_cubic, unit_point):
         tm = TemporalMetric("1")
-        cart = cartan_generic(bm_cubic, tm, unit_point, NonlinearConnection.apriori(tm))
+        nlc = NonlinearConnection.apriori(tm)
+        cart = PointContext(bm_cubic, tm, nlc, unit_point).cartan()
         assert np.abs(cart.G_time).max() < 1e-14
         assert np.abs(cart.L).max() < 1e-14
         assert cart.C == pytest.approx(bm.bm_C(unit_point), abs=1e-13)
 
     def test_L_is_half_A_at_unit(self, bm_cubic, unit_point):
         tm = TemporalMetric("exp(2*t)")
-        cart = cartan_generic(bm_cubic, tm, unit_point, NonlinearConnection.apriori(tm))
+        nlc = NonlinearConnection.apriori(tm)
+        cart = PointContext(bm_cubic, tm, nlc, unit_point).cartan()
         assert cart.L == pytest.approx(0.5 * bm.A_COEFFICIENTS, abs=1e-13)
 
     def test_C_traces_vanish(self, bm_cubic, random_points):
         tm = TemporalMetric("t**2 + 1")
         nlc = NonlinearConnection.apriori(tm)
         for p in random_points[:5]:
-            c = cartan_generic(bm_cubic, tm, p, nlc).C
+            c = PointContext(bm_cubic, tm, nlc, p).cartan().C
             assert np.abs(np.einsum("mjm->j", c)).max() < 1e-13
             assert np.abs(np.einsum("ijm,m->ij", c, np.asarray(p.y))).max() < 1e-13
 
@@ -104,8 +103,8 @@ class TestTorsionsGeneric:
     def test_flat_time(self, bm_cubic, unit_point):
         tm = TemporalMetric("1")
         nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        tors = torsions_generic(bm_cubic, tm, unit_point, nlc, cart)
+        ctx = PointContext(bm_cubic, tm, nlc, unit_point)
+        cart, tors = ctx.cartan(), ctx.torsions()
         assert np.abs(tors.P_mixed).max() < 1e-14
         assert np.abs(tors.R_time).max() < 1e-14
         assert tors.P_fiber == pytest.approx(cart.C, abs=1e-15)
@@ -113,15 +112,13 @@ class TestTorsionsGeneric:
     def test_exponential_R_time(self, bm_cubic, unit_point):
         tm = TemporalMetric("exp(2*t)")
         nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        tors = torsions_generic(bm_cubic, tm, unit_point, nlc, cart)
+        tors = PointContext(bm_cubic, tm, nlc, unit_point).torsions()
         assert tors.R_time == pytest.approx(-0.5 * np.eye(3), abs=1e-13)
 
     def test_P_mixed_at_unit(self, bm_cubic, unit_point):
         tm = TemporalMetric("exp(2*t)")
         nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        tors = torsions_generic(bm_cubic, tm, unit_point, nlc, cart)
+        tors = PointContext(bm_cubic, tm, nlc, unit_point).torsions()
         assert tors.P_mixed == pytest.approx(-0.5 * bm.A_COEFFICIENTS, abs=1e-13)
 
 
@@ -129,8 +126,7 @@ class TestCurvaturesGeneric:
     def test_flat_time_kills_horizontal(self, bm_cubic, unit_point):
         tm = TemporalMetric("1")
         nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        curv = curvatures_generic(bm_cubic, tm, unit_point, nlc, cart)
+        curv = PointContext(bm_cubic, tm, nlc, unit_point).curvatures()
         assert np.abs(curv.R_hh).max() < 1e-14
         assert np.abs(curv.P_hv).max() < 1e-14
         assert np.abs(curv.S_vv).max() > 0.01
@@ -138,16 +134,14 @@ class TestCurvaturesGeneric:
     def test_kappa_one_prefactors(self, bm_cubic, unit_point):
         tm = TemporalMetric("exp(2*t)")
         nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        curv = curvatures_generic(bm_cubic, tm, unit_point, nlc, cart)
+        curv = PointContext(bm_cubic, tm, nlc, unit_point).curvatures()
         assert curv.R_hh == pytest.approx(curv.S_vv / 4.0, abs=1e-13)
 
     def test_S_case_value(self, unit_point, bm_cubic):
         # S^1_2(1)(2) = -1/(9 y_2^2) at the unit point
         tm = TemporalMetric("1")
         nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        curv = curvatures_generic(bm_cubic, tm, unit_point, nlc, cart)
+        curv = PointContext(bm_cubic, tm, nlc, unit_point).curvatures()
         assert curv.S_vv[0, 1, 0, 1] == pytest.approx(-1.0 / 9.0, abs=1e-13)
 
     def test_S_antisymmetry(self, bm_cubic, random_points):
@@ -306,24 +300,6 @@ class TestTensorBundle:
         assert np.array_equal(bundle["ricci_S"], ctx.ricci().S)
 
 
-class TestStateReuse:
-    def test_cartan_state_is_reused(self, bm_cubic, unit_point):
-        tm = TemporalMetric("exp(2*t)")
-        nlc = NonlinearConnection.apriori(tm)
-        ctx = PointContext(bm_cubic, tm, nlc, unit_point)
-        cart = ctx.cartan()
-        assert cart._state is ctx
-        tors = torsions_generic(bm_cubic, tm, unit_point, nlc, cart)
-        assert tors.P_fiber == pytest.approx(cart.C, abs=0)
-
-    def test_detached_cartan_still_works(self, bm_cubic, unit_point):
-        tm = TemporalMetric("exp(2*t)")
-        nlc = NonlinearConnection.apriori(tm)
-        cart = bm.bm_cartan(unit_point, tm)  # no engine state attached
-        tors = torsions_generic(bm_cubic, tm, unit_point, nlc, cart)
-        assert tors.R_time == pytest.approx(-0.5 * np.eye(3), abs=1e-13)
-
-
 def _varying_connection() -> NonlinearConnection:
     """M and N that depend on t, x and y, so every adapted derivative has
     nonzero frame corrections (the CLI's connections have constant N)."""
@@ -396,58 +372,10 @@ class TestSliceDerivatives:
 
 
 class TestMemoContract:
-    def _ctx(self, bm_cubic, unit_point):
-        tm = TemporalMetric("exp(2*t)")
-        return PointContext(bm_cubic, tm, NonlinearConnection.apriori(tm), unit_point)
-
     def test_objects_computed_once(self, bm_cubic, unit_point):
-        ctx = self._ctx(bm_cubic, unit_point)
+        tm = TemporalMetric("exp(2*t)")
+        ctx = PointContext(bm_cubic, tm, NonlinearConnection.apriori(tm), unit_point)
+        assert ctx.cartan() is ctx.cartan()
         assert ctx.torsions() is ctx.torsions()
         assert ctx.curvatures() is ctx.curvatures()
         assert ctx.ricci() is ctx.ricci()
-
-    def test_explicit_L_is_not_cached(self, bm_cubic, unit_point):
-        ctx = self._ctx(bm_cubic, unit_point)
-        cached = ctx.torsions()
-        L2 = 2.0 * ctx.L_val + 1.0
-        tors = ctx.torsions(L=L2)
-        expected = np.empty((3, 3, 3))
-        for k, i, j in np.ndindex(3, 3, 3):
-            expected[k, i, j] = dt.deriv(ctx.N_ser[k][i], 4 + j).value - L2[k, j, i]
-        assert _same_floats(tors.P_mixed, expected)
-        assert not np.allclose(tors.P_mixed, cached.P_mixed)
-        assert ctx.torsions() is cached
-
-
-class TestForeignCartan:
-    """A Cartan connection from another point or setting is refused."""
-
-    def test_other_point_refused(self, bm_cubic, random_points):
-        tm = TemporalMetric("exp(2*t)")
-        nlc = NonlinearConnection.apriori(tm)
-        a, b = random_points[:2]
-        cart = cartan_generic(bm_cubic, tm, a, nlc)
-        with pytest.raises(ValueError, match="another"):
-            curvatures_generic(bm_cubic, tm, b, nlc, cart)
-        with pytest.raises(ValueError, match="another"):
-            torsions_generic(bm_cubic, tm, b, nlc, cart)
-
-    def test_other_connection_or_metric_refused(self, bm_cubic, unit_point):
-        tm = TemporalMetric("exp(2*t)")
-        nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        with pytest.raises(ValueError):
-            curvatures_generic(
-                bm_cubic, tm, unit_point, NonlinearConnection.canonical(tm), cart
-            )
-        with pytest.raises(ValueError):
-            torsions_generic(bm_cubic, TemporalMetric("exp(2*t)"), unit_point, nlc, cart)
-        with pytest.raises(ValueError):
-            curvatures_generic(CubicForm.berwald_moor(), tm, unit_point, nlc, cart)
-
-    def test_equal_point_accepted(self, bm_cubic, unit_point):
-        tm = TemporalMetric("exp(2*t)")
-        nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(bm_cubic, tm, unit_point, nlc)
-        same = JetPoint.of(unit_point.t, unit_point.x, unit_point.y)
-        assert curvatures_generic(bm_cubic, tm, same, nlc, cart) is cart._state.curvatures()

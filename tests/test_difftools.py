@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetfinsler import _backend
 from jetfinsler import difftools as dt
 from jetfinsler.errors import DomainError, OrderTooHigh
 from jetfinsler.jetspace import JetPoint
@@ -187,22 +186,6 @@ def test_evaluation_is_deterministic():
     first = dt.jet_eval(f, p, 4)
     second = dt.jet_eval(f, p, 4)
     assert np.array_equal(first._c, second._c)
-
-
-def test_backends_bit_identical():
-    pytest.importorskip("numba")
-    rng = np.random.default_rng(3)
-    a = dt.Taylor(rng.standard_normal(dt.NCOEF[4]), 4)
-    b = dt.Taylor(rng.standard_normal(dt.NCOEF[4]), 4)
-    previous = _backend.current_backend()
-    try:
-        _backend.use_backend("numpy")
-        via_numpy = (a * b).c
-        _backend.use_backend("numba")
-        via_numba = (a * b).c
-    finally:
-        _backend.use_backend(previous)
-    assert np.array_equal(via_numpy, via_numba)
 
 
 def test_fd_jet_tracks_exact_jet():

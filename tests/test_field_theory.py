@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jetfinsler import field_theory as ft
-from jetfinsler.connection_engine import NonlinearConnection, PointContext, cartan_generic
+from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.errors import DomainError, ZeroEinsteinConstant
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 
@@ -118,73 +118,46 @@ class TestConservationLaws:
 
 
 class TestEMTwoForm:
-    def _setup(self, metric_src, p, cubic=None):
+    def _ctx(self, metric_src, p, cubic=None):
         tm = TemporalMetric(metric_src)
         cubic = cubic or CubicForm.berwald_moor()
-        nlc = NonlinearConnection.apriori(tm)
-        cart = cartan_generic(cubic, tm, p, nlc)
-        return cubic, tm, nlc, cart
+        return PointContext(cubic, tm, NonlinearConnection.apriori(tm), p)
 
     def test_triviality_berwald_moor(self, random_points):
         for src in ("1", "exp(2*t)", "t**2 + 1"):
             for p in random_points[:5]:
-                cubic, tm, nlc, cart = self._setup(src, p)
-                em = ft.em_two_form(cubic, tm, p, nlc, cart)
+                em = ft.em_two_form(self._ctx(src, p))
                 assert np.abs(em.F_em).max() <= 1e-12
 
     def test_D_vanishes_flat(self, random_points):
         # kappa = 0 makes both N and L vanish
         for p in random_points[:4]:
-            cubic, tm, nlc, cart = self._setup("1", p)
-            em = ft.em_two_form(cubic, tm, p, nlc, cart)
+            em = ft.em_two_form(self._ctx("1", p))
             assert np.abs(em.D).max() <= 1e-14
             assert np.abs(em.D_bar).max() <= 1e-14
 
     def test_d_reduces_to_metric(self, unit_point):
         # C . y = 0 kills the second term, so d = h^11 g = g at h11 = 1
-        cubic, tm, nlc, cart = self._setup("1", unit_point)
-        em = ft.em_two_form(cubic, tm, unit_point, nlc, cart)
-        ctx = cart._state
+        ctx = self._ctx("1", unit_point)
+        em = ft.em_two_form(ctx)
         assert em.d_em == pytest.approx(ctx.g_val, abs=1e-14)
 
     def test_antisymmetry_generic_cubic(self):
         cubic = CubicForm.from_entries(
             {"123": "(1 + x1**2/10)/6", "111": 0.05, "222": 0.05, "333": 0.05}
         )
-        tm = TemporalMetric("exp(2*t)")
-        nlc = NonlinearConnection.apriori(tm)
         for p in sample_jet_points(seed=31, count=6, y_box=(0.5, 2.0)):
-            cart = cartan_generic(cubic, tm, p, nlc)
-            em = ft.em_two_form(cubic, tm, p, nlc, cart)
+            em = ft.em_two_form(self._ctx("exp(2*t)", p, cubic))
             scale = max(np.abs(em.d_em).max(), 1.0)
             assert np.abs(em.F_em + em.F_em.T).max() <= 1e-12 * scale
 
     def test_covariant_derivatives_vanish_berwald_moor(self, random_points):
         for src in ("exp(2*t)", "t**2 + 1"):
             for p in random_points[:4]:
-                cubic, tm, nlc, cart = self._setup(src, p)
-                emd = ft.em_covariant_derivatives(cubic, tm, p, nlc, cart)
+                emd = ft.em_covariant_derivatives(self._ctx(src, p))
                 assert np.abs(emd.F_time).max() <= 1e-9
                 assert np.abs(emd.F_spatial).max() <= 1e-9
                 assert np.abs(emd.F_fiber).max() <= 1e-9
-
-    def test_works_without_engine_state(self, unit_point):
-        from jetfinsler import berwald_moor as bm
-
-        tm = TemporalMetric("exp(2*t)")
-        cubic = CubicForm.berwald_moor()
-        nlc = NonlinearConnection.apriori(tm)
-        cart = bm.bm_cartan(unit_point, tm)
-        em = ft.em_two_form(cubic, tm, unit_point, nlc, cart)
-        assert np.abs(em.F_em).max() <= 1e-12
-
-    def test_cartan_of_another_point_refused(self, random_points):
-        a, b = random_points[:2]
-        cubic, tm, nlc, cart = self._setup("exp(2*t)", a)
-        with pytest.raises(ValueError, match="another"):
-            ft.em_two_form(cubic, tm, b, nlc, cart)
-        with pytest.raises(ValueError, match="another"):
-            ft.em_covariant_derivatives(cubic, tm, b, nlc, cart)
 
 
 class TestRaisedS:
