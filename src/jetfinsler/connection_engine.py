@@ -13,7 +13,8 @@ the frame d/dt + kappa y^p d/dy_p and d/dx^j + (kappa/2) d/dy_j.
 Per point, everything is derived from a single 4th-order jet of F^2: the
 metric g_ij = (h11/2) d^2(F^2)/dy_i dy_j is carried as an order-2 truncated
 series, its inverse by cofactor expansion over series, the connection
-coefficients as order-1 series, and the curvature components as their first
+coefficients as stacked order-1 series (one array per tensor, the Taylor
+coefficients on the last axis), and the curvature components as their first
 formal derivatives.  The series coefficients are exactly the adapted-frame
 partials that the defining formulas call for, so the whole chain is exact up
 to rounding.  ``deriv_mode="fd"`` swaps the two base jets (F^2 and h11) for
@@ -108,12 +109,8 @@ class RicciSet:
 
 _Y0 = 4  # slot of y1 among the seven coordinates
 
-# Slot of the first partial d/dv among the 8 coefficients of an order-1
-# series: where the seed of coordinate v carries its unit coefficient.
-_D1 = np.array(
-    [int(np.flatnonzero(dt.taylor_variable(v, 0.0, 1).c)[0]) for v in range(dt.NVARS)]
-)
-_DT, _DX, _DY = int(_D1[0]), _D1[1:_Y0], _D1[_Y0:]
+# Slots of the first partials d/dt, d/dx^a and d/dy^a among the coefficients.
+_DT, _DX, _DY = int(dt.D1_SLOTS[0]), dt.D1_SLOTS[1:_Y0], dt.D1_SLOTS[_Y0:]
 
 
 def stack_coefficients(nested) -> np.ndarray:
@@ -124,15 +121,25 @@ def stack_coefficients(nested) -> np.ndarray:
     return np.array([stack_coefficients(e) for e in nested])
 
 
+def _accumulate(terms: np.ndarray, acc=None) -> np.ndarray:
+    """Sum of stacked series over the axis before the coefficients, adding
+    one index at a time onto ``acc`` as the per-entry loops do."""
+    for k in range(terms.shape[-2]):
+        term = terms[..., k, :]
+        acc = term if acc is None else acc + term
+    return acc
+
+
 class PointContext:
     """Lazy per-point evaluation of every generic object.
 
     Builds the 4th-order jet of F^2 once and memoizes g, its inverse, the
-    connection coefficient series and the EM 2-form series, and the results
-    of ``cartan()``, ``torsions()``, ``curvatures()`` and ``ricci()``, so
-    each is computed at most once per point; repeated calls return the same
-    objects.  First partials of the order-1 series are read as slices of
-    their stacked coefficients.  Instances are single-use and not shared
+    connection coefficients and the EM 2-form as stacked order-1 series
+    (``C_stack``, ``L_stack``, ``G_time_stack``, ``em_form_stack``), and the
+    results of ``cartan()``, ``torsions()``, ``curvatures()`` and
+    ``ricci()``, so each is computed at most once per point; repeated calls
+    return the same objects.  Values and first partials are read as slices
+    of the stacks.  Instances are single-use and not shared
     across threads; no cache outlives its context.
     """
 
@@ -172,42 +179,30 @@ class PointContext:
     def seeds1(self):
         return dt.seed_point(self.point.coords(), 1)
 
-    # -- adapted frame helpers -------------------------------------------------
+    # -- adapted first partials of stacked series --------------------------------
 
-    def _adapted_dx(self, u: dt.Taylor, a: int) -> dt.Taylor:
-        out = dt.deriv(u, 1 + a)
-        for p in range(3):
-            out = out - self.N_ser[p][a] * dt.deriv(u, _Y0 + p)
-        return out
-
-    def _adapted_dt(self, u: dt.Taylor) -> dt.Taylor:
-        out = dt.deriv(u, 0)
-        for p in range(3):
-            out = out - self.M_ser[p] * dt.deriv(u, _Y0 + p)
-        return out
-
-    # The values of the same first partials for stacked coefficients (see
-    # ``stack_coefficients``) of series of order >= 1, whose first-order
-    # coefficients sit in the slots of an order-1 series.  Each float comes
-    # from the operations the per-entry helpers above perform on the value
-    # coefficient: a product there is accumulated into a zero
-    # (``_backend.poly_mul``), hence the ``+ 0.0``, which turns a -0.0
+    # The values of delta/delta x^a, delta/delta t and d/dy^k for stacked
+    # coefficients (see ``stack_coefficients``) of series of order >= 1, read
+    # from their first-order slots.  Each float comes from the operations the
+    # per-entry series path ``deriv(u, 1 + a) - N^p_a * deriv(u, 4 + p)``
+    # performs on the value coefficient: a product there is accumulated into a
+    # zero (``_backend.poly_mul``), hence the ``+ 0.0``, which turns a -0.0
     # product into +0.0 exactly as the series path does.
 
     @staticmethod
     def _dy_slices(s: np.ndarray) -> np.ndarray:
-        """d/dy^k, new last axis k: ``deriv(u, 4 + k).value``."""
+        """d/dy^k, new last axis k."""
         return s[..., _DY]
 
     def _dx_slices(self, s: np.ndarray) -> np.ndarray:
-        """delta/delta x^a, new last axis a: ``_adapted_dx(u, a).value``."""
+        """delta/delta x^a, new last axis a."""
         out = s[..., _DX]
         for p in range(3):
             out = out - (self.N_val[p] * s[..., _DY[p], None] + 0.0)
         return out
 
     def _dt_slices(self, s: np.ndarray) -> np.ndarray:
-        """delta/delta t: ``_adapted_dt(u).value``."""
+        """delta/delta t."""
         out = s[..., _DT]
         for p in range(3):
             out = out - (self.M_val[p] * s[..., _DY[p]] + 0.0)
@@ -295,74 +290,62 @@ class PointContext:
     def ginv_val(self) -> np.ndarray:
         return np.array([[e.value for e in row] for row in self.ginv_ser])
 
-    # -- Cartan coefficients as order-1 series ----------------------------------
+    # -- Cartan coefficients and the EM 2-form as stacked order-1 series ------
+
+    # Each stack is the array expression of the per-entry series formula, with
+    # the same operations in the same order (``dt.mul_order1`` for a product
+    # of series, ``_accumulate`` for a sum over an index), so every float
+    # equals the one of the nested-loop ``Taylor`` evaluation.
 
     @cached_property
-    def C_ser(self):
-        """C^{i(1)}_{j(k)} = (g^im / 2) dg_jk/dy^m."""
-        dg = [
-            [[dt.deriv(self.g_ser[j][k], _Y0 + m) for m in range(3)] for k in range(3)]
-            for j in range(3)
-        ]
-        out = []
-        for i in range(3):
-            plane = []
-            for j in range(3):
-                row = []
-                for k in range(3):
-                    acc = self.ginv_ser[i][0] * dg[j][k][0]
-                    for m in range(1, 3):
-                        acc = acc + self.ginv_ser[i][m] * dg[j][k][m]
-                    row.append(0.5 * acc)
-                plane.append(row)
-            out.append(plane)
-        return out
+    def g_stack(self) -> np.ndarray:
+        """The order-2 metric series, (3, 3, 36)."""
+        return stack_coefficients(self.g_ser)
 
     @cached_property
-    def dgdx_ser(self):
-        """delta g_ij / delta x^a (adapted), indexed [a][i][j]."""
-        return [
-            [[self._adapted_dx(self.g_ser[i][j], a) for j in range(3)] for i in range(3)]
-            for a in range(3)
-        ]
+    def _ginv1(self) -> np.ndarray:
+        """The inverse metric series truncated to order 1, (3, 3, 8)."""
+        return stack_coefficients(self.ginv_ser)[..., : dt.NCOEF[1]]
 
     @cached_property
-    def L_ser(self):
+    def _dg(self) -> np.ndarray:
+        """dg_ij/dv as order-1 series, [i, j, v] over the seven coordinates."""
+        return dt.first_partials(self.g_stack)
+
+    @cached_property
+    def C_stack(self) -> np.ndarray:
+        """C^{i(1)}_{j(k)} = (g^im / 2) dg_jk/dy^m, [i, j, k]."""
+        dgdy = self._dg[:, :, _Y0:]  # [j, k, m]
+        terms = dt.mul_order1(self._ginv1[:, None, None], dgdy[None])
+        return 0.5 * _accumulate(terms)
+
+    @cached_property
+    def dgdx_stack(self) -> np.ndarray:
+        """delta g_ij / delta x^a (adapted), [a, i, j]."""
+        dg = self._dg
+        out = dg[:, :, 1:_Y0]  # [i, j, a]
+        for p in range(3):
+            out = out - dt.mul_order1(self.N_stack[p], dg[:, :, None, _Y0 + p])
+        return out.transpose(2, 0, 1, 3)
+
+    @cached_property
+    def L_stack(self) -> np.ndarray:
         """L^i_jk = (g^im / 2)(delta g_jm/dx^k + delta g_km/dx^j - delta g_jk/dx^m)."""
-        dg = self.dgdx_ser
-        out = []
-        for i in range(3):
-            plane = []
-            for j in range(3):
-                row = []
-                for k in range(3):
-                    acc = None
-                    for m in range(3):
-                        term = self.ginv_ser[i][m] * (
-                            dg[k][j][m] + dg[j][k][m] - dg[m][j][k]
-                        )
-                        acc = term if acc is None else acc + term
-                    row.append(0.5 * acc)
-                plane.append(row)
-            out.append(plane)
-        return out
+        dg = self.dgdx_stack
+        # [j, k, m]: dg[k][j][m] + dg[j][k][m] - dg[m][j][k]
+        brackets = dg.transpose(1, 0, 2, 3) + dg - dg.transpose(1, 2, 0, 3)
+        terms = dt.mul_order1(self._ginv1[:, None, None], brackets[None])
+        return 0.5 * _accumulate(terms)
 
     @cached_property
-    def G_time_ser(self):
-        """G^k_j1 = (g^km / 2) delta g_mj / delta t."""
-        dgt = [
-            [self._adapted_dt(self.g_ser[m][j]) for j in range(3)] for m in range(3)
-        ]
-        out = []
-        for k in range(3):
-            row = []
-            for j in range(3):
-                acc = self.ginv_ser[k][0] * dgt[0][j]
-                for m in range(1, 3):
-                    acc = acc + self.ginv_ser[k][m] * dgt[m][j]
-                row.append(0.5 * acc)
-            out.append(row)
-        return out
+    def G_time_stack(self) -> np.ndarray:
+        """G^k_j1 = (g^km / 2) delta g_mj / delta t, [k, j]."""
+        dg = self._dg
+        dgdt = dg[:, :, 0]  # [m, j]
+        for p in range(3):
+            dgdt = dgdt - dt.mul_order1(self.M_stack[p], dg[:, :, _Y0 + p])
+        terms = dt.mul_order1(self._ginv1[:, None], dgdt.transpose(1, 0, 2)[None])
+        return 0.5 * _accumulate(terms)
 
     @cached_property
     def kappa(self) -> float:
@@ -370,50 +353,34 @@ class PointContext:
 
     @cached_property
     def G_time_val(self) -> np.ndarray:
-        return np.array([[e.value for e in row] for row in self.G_time_ser])
+        return self.G_time_stack[..., 0]
 
     @cached_property
     def C_val(self) -> np.ndarray:
-        return np.array(
-            [[[e.value for e in row] for row in plane] for plane in self.C_ser]
-        )
+        return self.C_stack[..., 0]
 
     @cached_property
     def L_val(self) -> np.ndarray:
-        return np.array(
-            [[[e.value for e in row] for row in plane] for plane in self.L_ser]
+        return self.L_stack[..., 0]
+
+    @cached_property
+    def em_form_stack(self) -> np.ndarray:
+        """F^{(1)}_{(i)j} as order-1 series (enough for its first derivatives):
+        (h^11/2)[g_jm N^m_i - g_im N^m_j + (g_ir L^r_jm - g_jr L^r_im) y^m]."""
+        g = self.g_stack[..., : dt.NCOEF[1]]  # [i, j]
+        n_t = self.N_stack.transpose(1, 0, 2)  # [i, m] = N^m_i
+        l_t = self.L_stack.transpose(1, 0, 2, 3)  # [j, r, m] = L^r_jm
+        y = stack_coefficients(self.seeds1[_Y0:])
+        h_up = (1.0 / self.h_ser.truncate(1)).c
+        # [i, j, m]
+        gn = dt.mul_order1(g[None], n_t[:, None]) - dt.mul_order1(g[:, None], n_t[None])
+        # [i, j, r, m]
+        gl = dt.mul_order1(g[:, None, :, None], l_t[None]) - dt.mul_order1(
+            g[None, :, :, None], l_t[:, None]
         )
-
-    @cached_property
-    def C_stack(self) -> np.ndarray:
-        return stack_coefficients(self.C_ser)
-
-    @cached_property
-    def L_stack(self) -> np.ndarray:
-        return stack_coefficients(self.L_ser)
-
-    @cached_property
-    def em_form_ser(self):
-        """F^{(1)}_{(i)j} as order-1 series (enough for its first derivatives)."""
-        g = self.g_ser
-        L = self.L_ser
-        N = self.N_ser
-        y = self.seeds1[_Y0:]
-        h_up = 1.0 / self.h_ser.truncate(1)
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = None
-                for m in range(3):
-                    term = g[j][m] * N[m][i] - g[i][m] * N[m][j]
-                    acc = term if acc is None else acc + term
-                for r in range(3):
-                    for m in range(3):
-                        acc = acc + (g[i][r] * L[r][j][m] - g[j][r] * L[r][i][m]) * y[m]
-                row.append(0.5 * (h_up * acc))
-            out.append(row)
-        return out
+        acc = _accumulate(gn)
+        acc = _accumulate(dt.mul_order1(gl, y).reshape(3, 3, 9, -1), acc)
+        return 0.5 * dt.mul_order1(h_up, acc)
 
     # -- assembled objects --------------------------------------------------------
 

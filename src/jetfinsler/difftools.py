@@ -102,6 +102,12 @@ def _build_diff_tables():
 
 _DIFF = _build_diff_tables()
 
+#: Slot of the first partial d/dv among the coefficients of a series of any
+#: order >= 1 (the graded order puts the seven first-order monomials first).
+D1_SLOTS = np.array(
+    [_POS[tuple(int(i == v) for i in range(NVARS))] for v in range(NVARS)]
+)
+
 
 class Taylor:
     """Truncated Taylor polynomial in the 7 jet coordinates.
@@ -201,7 +207,10 @@ class Taylor:
         u0 = float(self.c[0])
         if u0 == 0.0:
             raise DomainError("division by a field whose value is zero")
-        cs = [(-1.0) ** n / u0 ** (n + 1) for n in range(self.order + 1)]
+        try:
+            cs = [(-1.0) ** n / u0 ** (n + 1) for n in range(self.order + 1)]
+        except ArithmeticError:  # a power of u0 beyond the double range
+            raise DomainError(f"the reciprocal series of {u0!r} overflows") from None
         return compose_univariate(self, cs)
 
 
@@ -247,6 +256,45 @@ def deriv(u: Taylor, var: Union[int, str]) -> Taylor:
         raise ValueError("cannot differentiate an order-0 series")
     src, fac = _DIFF[(idx, u.order)]
     return Taylor(u.c[src] * fac, u.order - 1)
+
+
+# -- stacked order-1 series ---------------------------------------------------
+#
+# Arrays whose last axis holds the NCOEF[1] = 8 coefficients of an order-1
+# series (the other axes index tensor entries) evaluate many series with one
+# numpy operation each.  Sums, differences and scalings of such stacks are the
+# elementwise operations of ``Taylor``; the two helpers below give products
+# and first partials with the same float operations as the per-entry path.
+
+
+def mul_order1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of stacked order-1 series, broadcast over the leading axes.
+
+    Every float equals ``(Taylor(a_e, 1) * Taylor(b_e, 1)).c`` for the
+    entries a_e, b_e: ``_backend.poly_mul`` accumulates its table into zeros,
+    so the value is ``a0*b0 + 0.0`` and slot v is ``(a0*b_v + 0.0) + a_v*b0``.
+    """
+    a0 = a[..., :1]
+    out = a0 * b + 0.0
+    out[..., 1:] += a[..., 1:] * b[..., :1]
+    return out
+
+
+def first_partials(c: np.ndarray) -> np.ndarray:
+    """First partials of stacked same-order series, as stacked series of one
+    order less on a new axis of the seven coordinates before the coefficients:
+    ``out[..., v, :]`` is ``deriv(Taylor(c[...], k), v).c``."""
+    src, fac = _FIRST_PARTIALS[NCOEF.index(c.shape[-1])]
+    return c[..., src] * fac
+
+
+_FIRST_PARTIALS = {
+    k: (
+        np.stack([_DIFF[(v, k)][0] for v in range(NVARS)]),
+        np.stack([_DIFF[(v, k)][1] for v in range(NVARS)]),
+    )
+    for k in range(1, MAX_ORDER + 1)
+}
 
 
 def compose_univariate(u: Taylor, cs: Sequence[float]) -> Taylor:
@@ -323,9 +371,12 @@ def powf(u, alpha: float):
             raise DomainError("fractional power of a non-positive field value")
         cs = []
         coeff = 1.0
-        for n in range(u.order + 1):
-            cs.append(coeff * u0 ** (alpha - n))
-            coeff *= (alpha - n) / (n + 1)
+        try:
+            for n in range(u.order + 1):
+                cs.append(coeff * u0 ** (alpha - n))
+                coeff *= (alpha - n) / (n + 1)
+        except OverflowError:
+            raise DomainError(f"the series of {u0!r} ** {alpha!r} overflows") from None
         return compose_univariate(u, cs)
     if u <= 0.0:
         raise DomainError("fractional power of a non-positive value")

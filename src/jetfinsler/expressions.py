@@ -13,7 +13,7 @@ import ast
 from dataclasses import dataclass, field
 
 from . import difftools as dt
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 _FUNCTIONS = {"exp": dt.exp, "sin": dt.sin, "cos": dt.cos}
 
@@ -41,6 +41,8 @@ class Expression:
             raise ConfigError(
                 f"missing value for a variable of {self.source!r}: {exc}"
             ) from None
+        except OverflowError as exc:  # e.g. exp of a large argument
+            raise DomainError(f"{self.source!r} overflows: {exc}") from None
 
     def __call__(self, **env):
         return self.evaluate(env)

@@ -25,12 +25,7 @@ import numpy as np
 
 from . import difftools as dt
 from .berwald_moor import bm_cartan, bm_metric, bm_ricci, bm_S_raised
-from .connection_engine import (
-    NonlinearConnection,
-    PointContext,
-    adapted_derivative,
-    stack_coefficients,
-)
+from .connection_engine import NonlinearConnection, PointContext, stack_coefficients
 from .errors import ZeroEinsteinConstant
 from .jetspace import JetPoint, TemporalMetric
 
@@ -194,91 +189,71 @@ def s_raised(m: int, i: int, y):
     return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
 
 
-def _mixed_component_fields(tm: TemporalMetric, K: float):
-    """Duck-typed scalar fields for every mixed stress-energy component."""
-
-    def xi11(t):
-        kap = tm.kappa_eval(t)
-        return (4.0 * tm.h11_eval(t) + kap * kap) / (4.0 * K)
-
-    def g23inv(y1, y2, y3):
-        return dt.powf(y1 * y2 * y3, -2.0 / 3.0)
-
-    zero = lambda *coords: 0.0
-
-    def tt(t, x1, x2, x3, y1, y2, y3):
-        return xi11(t) * g23inv(y1, y2, y3)
-
-    def ss(m, i):
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            kap = tm.kappa_eval(t)
-            out = 0.25 * kap * kap / K * s_raised(m, i, (y1, y2, y3))
-            if m == i:
-                out = out + xi11(t) * g23inv(y1, y2, y3)
-            return out
-
-        return fld
-
-    def fs(m, i):
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            kap = tm.kappa_eval(t)
-            return 0.5 * tm.h11_eval(t) * kap / K * s_raised(m, i, (y1, y2, y3))
-
-        return fld
-
-    def sf(m, i):
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            return 0.5 * tm.kappa_eval(t) / K * s_raised(m, i, (y1, y2, y3))
-
-        return fld
-
-    def ff(m, i):
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            out = tm.h11_eval(t) / K * s_raised(m, i, (y1, y2, y3))
-            if m == i:
-                out = out + xi11(t) * g23inv(y1, y2, y3)
-            return out
-
-        return fld
-
-    return {"tt": tt, "st": zero, "ft": zero, "ts": zero, "ss": ss, "fs": fs,
-            "tf": zero, "sf": sf, "ff": ff}
+def _adapted_partials(c: np.ndarray, m_at: np.ndarray, n_at: np.ndarray):
+    """delta/delta t, delta/delta x^a and d/dy^a (last axis a) of stacked
+    order-1 series, by ``adapted_derivative``'s float operations on the
+    frame components M^q = ``m_at[q]`` and N^q_a = ``n_at[q, a]``."""
+    d = dt.D1_SLOTS  # of d/dt, d/dx^a, d/dy^a
+    d_t = c[..., d[0]]
+    d_x = c[..., d[1:4]]
+    for q in range(3):
+        d_t = d_t - m_at[q] * c[..., d[4 + q]]
+        d_x = d_x - n_at[q] * c[..., d[4 + q], None]
+    return d_t, d_x, c[..., d[4:]]
 
 
 def conservation_residuals(
-    p: JetPoint, tm: TemporalMetric, K: float = 1.0
+    se: StressEnergyMixed, p: JetPoint, tm: TemporalMetric, K: float = 1.0
 ) -> ConservationReport:
     """Left-hand sides of the three conservation laws (each a sum of three
     covariant-divergence terms with their connection corrections) plus the
-    closed right-hand side of the first law."""
+    closed right-hand side of the first law, for the components ``se`` of
+    ``stress_energy_mixed(p, tm, K)``."""
     _check_K(K)
     p.require_positive_fiber()
     apriori = NonlinearConnection.apriori(tm)
     # M^q and N^q_j at p, evaluated once for all the adapted derivatives below
-    m_at = [apriori.M(q + 1, p.t, p.x, p.y) for q in range(3)]
-    n_at = [[apriori.N(q + 1, j + 1, p.t, p.x, p.y) for j in range(3)] for q in range(3)]
-    nlc = NonlinearConnection(
-        M=lambda i, t, x, y: m_at[i - 1], N=lambda i, j, t, x, y: n_at[i - 1][j - 1]
+    m_at = np.array([apriori.M(q + 1, p.t, p.x, p.y) for q in range(3)])
+    n_at = np.array(
+        [[apriori.N(q + 1, j + 1, p.t, p.x, p.y) for j in range(3)] for q in range(3)]
     )
     cart = bm_cartan(p, tm)
     kappa, L, C, G_t = cart.kappa, cart.L, cart.C, cart.G_time
-    fields = _mixed_component_fields(tm, K)
-    se = stress_energy_mixed(p, tm, K)
 
-    def d_t(fld):
-        return adapted_derivative(fld, p, nlc, "time")
+    # The mixed components as order-1 series on one seed set; the nonzero
+    # ones are products of kappa, h11, xi11 G111^(-2/3) and S^m11_i.
+    t, _, _, _, *y = dt.seed_point(p.coords(), 1)
+    kap = tm.kappa_eval(t)
+    h11 = tm.h11_eval(t)
+    g23inv_ser = dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0)
+    xi_g = (4.0 * h11 + kap * kap) / (4.0 * K) * g23inv_ser
+    s_up = [[s_raised(m, i, y) for i in range(3)] for m in range(3)]
 
-    def d_x(fld, a):
-        return adapted_derivative(fld, p, nlc, ("spatial", a + 1))
+    def field(coef, diagonal=False):
+        """coef S^m11_i (+ xi11 G111^(-2/3) where m = i), stacked [m, i]."""
+        rows = []
+        for m in range(3):
+            row = [coef * s_up[m][i] for i in range(3)]
+            if diagonal:
+                row[m] = row[m] + xi_g
+            rows.append(row)
+        return stack_coefficients(rows)
 
-    def d_y(fld, a):
-        return adapted_derivative(fld, p, nlc, ("fiber", a + 1))
+    # T^m_1, T^(m)_(1)1, T^1_i and T^1(1)_(i) vanish; their derivatives still
+    # enter the sums, as the (signed) zeros the frame operations give.
+    zero = np.zeros(dt.NCOEF[1])
+    tt_t, _, _ = _adapted_partials(xi_g.c, m_at, n_at)
+    zero_t, zero_x, zero_y = _adapted_partials(zero, m_at, n_at)
+    _, ss_x, _ = _adapted_partials(field(0.25 * kap * kap / K, True), m_at, n_at)
+    _, _, fs_y = _adapted_partials(field(0.5 * h11 * kap / K), m_at, n_at)
+    _, sf_x, _ = _adapted_partials(field(0.5 * kap / K), m_at, n_at)
+    _, _, ff_y = _adapted_partials(field(h11 / K, True), m_at, n_at)
 
     # Law 1: T^1_1/1 + T^m_1|m + T^(m)_(1)1 |^(1)_(m)
-    law1 = d_t(fields["tt"]) + se.tt * kappa - se.tt * kappa
+    law1 = tt_t + se.tt * kappa - se.tt * kappa
     for m in range(3):
-        law1 += d_x(fields["st"], m)
-        law1 += d_y(fields["ft"], m)
+        law1 += zero_x[m]
+        law1 += zero_y[m]
         for r in range(3):
             law1 += se.st[r] * L[m, r, m]
             law1 += se.ft[r] * C[m, r, m]
@@ -295,12 +270,12 @@ def conservation_residuals(
     # Law 2: T^1_i/1 + T^m_i|m + T^(m)_(1)i |^(1)_(m)
     law2 = np.zeros(3)
     for i in range(3):
-        acc = d_t(fields["ts"]) + se.ts[i] * kappa
+        acc = zero_t + se.ts[i] * kappa
         for r in range(3):
             acc -= se.ts[r] * G_t[r, i]
         for m in range(3):
-            acc += d_x(fields["ss"](m, i), m)
-            acc += d_y(fields["fs"](m, i), m)
+            acc += ss_x[m, i, m]
+            acc += fs_y[m, i, m]
             for r in range(3):
                 acc += se.ss[r, i] * L[m, r, m] - se.ss[m, r] * L[r, i, m]
                 acc += se.fs[r, i] * C[m, r, m] - se.fs[m, r] * C[r, i, m]
@@ -309,10 +284,10 @@ def conservation_residuals(
     # Law 3: T^1(1)_(i)/1 + T^m(1)_(i)|m + T^(m)(1)_(1)(i) |^(1)_(m)
     law3 = np.zeros(3)
     for i in range(3):
-        acc = d_t(fields["tf"]) + 2.0 * se.tf[i] * kappa
+        acc = zero_t + 2.0 * se.tf[i] * kappa
         for m in range(3):
-            acc += d_x(fields["sf"](m, i), m)
-            acc += d_y(fields["ff"](m, i), m)
+            acc += sf_x[m, i, m]
+            acc += ff_y[m, i, m]
             for r in range(3):
                 acc += se.sf[r, i] * L[m, r, m] - se.sf[m, r] * L[r, i, m]
                 acc += se.ff[r, i] * C[m, r, m] - se.ff[m, r] * C[r, i, m]
@@ -333,14 +308,13 @@ def em_two_form(ctx: PointContext) -> EMSet:
         D^{(1)}_{(i)j} = h^11 g_ip [-N^p_j + L^p_jm y^m]
         d^{(1)(1)}_{(i)(j)} = h^11 [g_ij + g_ip C^p_m(j) y^m]
     """
-    f_ser = ctx.em_form_ser
-    f_em = np.array([[f_ser[i][j].value for j in range(3)] for i in range(3)])
+    f_em = ctx.em_form_stack[..., 0]
     y = np.asarray(ctx.point.y)
     h_up = 1.0 / ctx.h_ser.value
     g = ctx.g_val
     L = ctx.L_val
     C = ctx.C_val
-    dgdt = ctx._dt_slices(stack_coefficients(ctx.g_ser))  # delta g_im / delta t
+    dgdt = ctx._dt_slices(ctx.g_stack)  # delta g_im / delta t
     d_bar = np.empty(3)
     for i in range(3):
         d_bar[i] = 0.5 * h_up * sum(dgdt[i, m] * y[m] for m in range(3))
@@ -364,7 +338,7 @@ def em_two_form(ctx: PointContext) -> EMSet:
 def em_covariant_derivatives(ctx: PointContext) -> EMDerivatives:
     """The temporal, spatial and fiber covariant derivatives of the 2-form at
     the context's point."""
-    f = stack_coefficients(ctx.em_form_ser)
+    f = ctx.em_form_stack
     f0 = f[..., 0]
     f_dt = ctx._dt_slices(f)   # [i, j]
     f_dx = ctx._dx_slices(f)   # [i, j, k]

@@ -211,7 +211,7 @@ def test_criterion_4_field_theory_anchors(acceptance_log):
     want_R = np.eye(3) / 18.0 - (1 - np.eye(3)) / 36.0
     checks.append(np.abs(ric.R - want_R).max() <= 1e-12)
 
-    cons = ft.conservation_residuals(p0, tme, 1.0)
+    cons = ft.conservation_residuals(ft.stress_energy_mixed(p0, tme, 1.0), p0, tme, 1.0)
     checks.append(abs(cons.law1_rhs - (-0.5)) <= 1e-12)
     checks.append(cons.law1_residual <= 1e-9)
     checks.append(np.abs(cons.law2_lhs).max() <= 1e-9)

@@ -140,10 +140,17 @@ class TestScenarioValidation:
             (("points", "sampler", "seed"), True),
             (("points", "sampler", "seed"), -1),
             (("outputs",), [["x"]]),
+            (("tolerances",), {"identity": True}),
+            (("tolerances",), {"ad_rel": float("inf")}),
+            (("einstein_constant",), True),
+            (("einstein_constant",), float("nan")),
+            (("cubic",), {"entries": {"123": True}}),
         ],
         ids=[
             "x_scalar", "y_string", "t_string", "y_nan", "y_box_string",
             "t_range_bool", "count_bool", "seed_bool", "seed_negative", "output_list",
+            "tolerance_bool", "tolerance_inf", "einstein_bool", "einstein_nan",
+            "cubic_entry_bool",
         ],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, path, value):
@@ -259,6 +266,25 @@ class TestCliProcess:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "scenario.report.json").exists()
 
+    def test_overflow_recorded_on_points(self, tmp_path):
+        # h11 = exp(1000 t) leaves the double range for most sampled t, and
+        # so do the closed forms' powers of y1 = 1e200
+        doc = base_scenario(count=6, seed=3)
+        doc["temporal_metric"] = "exp(1000*t)"
+        doc["points"]["explicit"] = [
+            {"t": 1.0, "x": [0, 0, 0], "y": [1, 1, 1]},
+            {"t": 0.0, "x": [0, 0, 0], "y": [1e200, 1, 1]},
+        ]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads(out.read_text())
+        assert report["summary"]["points_errored"] > 1
+        assert report["points"][0]["error"].startswith("DomainError: ")
+        assert report["points"][1]["error"] is not None
+
     def test_seed_override(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario(count=2, seed=3))
         out_a = tmp_path / "a.json"
@@ -288,6 +314,16 @@ class TestDeterminism:
         assert ok
         golden = json.loads((DATA / "golden_report.json").read_text())
         assert strip_volatile(report) == strip_volatile(golden)
+
+    def test_golden_generic_report(self):
+        # a position-dependent cubic, t**2 + 1: pins the generic connection
+        # and a nonzero EM 2-form bit for bit; one point has G111 <= 0
+        sc = load_scenario(str(DATA / "golden_generic_scenario.json"))
+        report, _ = run_scenario(sc)
+        golden = json.loads((DATA / "golden_generic_report.json").read_text())
+        assert strip_volatile(report) == strip_volatile(golden)
+        assert report["summary"]["points_errored"] == 1
+        assert max(abs(v) for row in report["points"][0]["em"]["F_em"] for v in row) > 0.1
 
 
 class TestFormulaTable:

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -321,6 +324,26 @@ def _same_floats(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+def _adapted_dx(ctx, u: dt.Taylor, a: int) -> dt.Taylor:
+    """delta u/delta x^a by per-entry series arithmetic."""
+    out = dt.deriv(u, 1 + a)
+    for p in range(3):
+        out = out - ctx.N_ser[p][a] * dt.deriv(u, 4 + p)
+    return out
+
+
+def _adapted_dt(ctx, u: dt.Taylor) -> dt.Taylor:
+    """delta u/delta t by per-entry series arithmetic."""
+    out = dt.deriv(u, 0)
+    for p in range(3):
+        out = out - ctx.M_ser[p] * dt.deriv(u, 4 + p)
+    return out
+
+
+def _series(stack: np.ndarray, index) -> dt.Taylor:
+    return dt.Taylor(stack[index], 1)
+
+
 class TestSliceDerivatives:
     """The array-slice first partials are the per-entry series values."""
 
@@ -339,12 +362,13 @@ class TestSliceDerivatives:
         assert np.all(np.abs(ctx.N_stack[..., 1:]).max(axis=-1) > 0.0)
 
     def test_curvature_partials(self, ctx):
-        for ser, stack in ((ctx.C_ser, ctx.C_stack), (ctx.L_ser, ctx.L_stack)):
+        for stack in (ctx.C_stack, ctx.L_stack):
             dy = np.empty((3, 3, 3, 3))
             dx = np.empty((3, 3, 3, 3))
             for l, i, j, k in np.ndindex(3, 3, 3, 3):
-                dy[l, i, j, k] = dt.deriv(ser[l][i][j], 4 + k).value
-                dx[l, i, j, k] = ctx._adapted_dx(ser[l][i][j], k).value
+                u = _series(stack, (l, i, j))
+                dy[l, i, j, k] = dt.deriv(u, 4 + k).value
+                dx[l, i, j, k] = _adapted_dx(ctx, u, k).value
             assert _same_floats(ctx._dy_slices(stack), dy)
             assert _same_floats(ctx._dx_slices(stack), dx)
 
@@ -356,19 +380,90 @@ class TestSliceDerivatives:
             p_mixed[k, i, j] = dt.deriv(ctx.N_ser[k][i], 4 + j).value - ctx.L_val[k, j, i]
         for k, j in np.ndindex(3, 3):
             r_time[k, j] = (
-                ctx._adapted_dx(ctx.M_ser[k], j).value
-                - ctx._adapted_dt(ctx.N_ser[k][j]).value
+                _adapted_dx(ctx, ctx.M_ser[k], j).value
+                - _adapted_dt(ctx, ctx.N_ser[k][j]).value
             )
         assert _same_floats(tors.P_mixed, p_mixed)
         assert _same_floats(tors.R_time, r_time)
 
     def test_time_partials_of_higher_order_series(self, ctx):
         # the metric series has order 2; its first-order slots are shared
-        dgdt = np.array([[ctx._adapted_dt(e).value for e in row] for row in ctx.g_ser])
-        assert _same_floats(ctx._dt_slices(stack_coefficients(ctx.g_ser)), dgdt)
-        f = ctx.em_form_ser
-        f_dt = np.array([[ctx._adapted_dt(e).value for e in row] for row in f])
-        assert _same_floats(ctx._dt_slices(stack_coefficients(f)), f_dt)
+        dgdt = np.array([[_adapted_dt(ctx, e).value for e in row] for row in ctx.g_ser])
+        assert _same_floats(ctx._dt_slices(ctx.g_stack), dgdt)
+        f = ctx.em_form_stack
+        f_dt = np.empty((3, 3))
+        for i, j in np.ndindex(3, 3):
+            f_dt[i, j] = _adapted_dt(ctx, _series(f, (i, j))).value
+        assert _same_floats(ctx._dt_slices(f), f_dt)
+
+
+def _sum(terms):
+    """Left-to-right sum of series, as the per-entry loops accumulate."""
+    return functools.reduce(operator.add, terms)
+
+
+def _reference_series(ctx) -> dict:
+    """The connection and EM coefficients by nested loops over per-entry
+    ``Taylor`` arithmetic, the definitions the stacks must reproduce."""
+    g, ginv, N = ctx.g_ser, ctx.ginv_ser, ctx.N_ser
+    r3 = range(3)
+    dgy = [[[dt.deriv(g[j][k], 4 + m) for m in r3] for k in r3] for j in r3]
+    C = [
+        [[0.5 * _sum(ginv[i][m] * dgy[j][k][m] for m in r3) for k in r3] for j in r3]
+        for i in r3
+    ]
+    dgx = [[[_adapted_dx(ctx, g[i][j], a) for j in r3] for i in r3] for a in r3]
+
+    def L_entry(i, j, k):
+        return 0.5 * _sum(
+            ginv[i][m] * (dgx[k][j][m] + dgx[j][k][m] - dgx[m][j][k]) for m in r3
+        )
+
+    L = [[[L_entry(i, j, k) for k in r3] for j in r3] for i in r3]
+    dgt = [[_adapted_dt(ctx, g[m][j]) for j in r3] for m in r3]
+    G = [[0.5 * _sum(ginv[k][m] * dgt[m][j] for m in r3) for j in r3] for k in r3]
+    y = ctx.seeds1[4:]
+    h_up = 1.0 / ctx.h_ser.truncate(1)
+    F = []
+    for i in r3:
+        row = []
+        for j in r3:
+            acc = _sum(g[j][m] * N[m][i] - g[i][m] * N[m][j] for m in r3)
+            for r in r3:
+                for m in r3:
+                    acc = acc + (g[i][r] * L[r][j][m] - g[j][r] * L[r][i][m]) * y[m]
+            row.append(0.5 * (h_up * acc))
+        F.append(row)
+    return {"C": C, "dgdx": dgx, "L": L, "G_time": G, "em_form": F}
+
+
+class TestStacksMatchSeries:
+    """Each stacked coefficient array is bit for bit its per-entry series."""
+
+    @pytest.fixture(params=["varying", "apriori", "canonical"])
+    def ctx(self, request):
+        tm = TemporalMetric("t**2 + 1")
+        nlc = {
+            "varying": _varying_connection(),
+            "apriori": NonlinearConnection.apriori(tm),
+            "canonical": NonlinearConnection.canonical(tm),
+        }[request.param]
+        cubic = CubicForm.from_entries(
+            {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1 + 0.4", "223": "0.1*sin(x3)"}
+        )
+        p = sample_jet_points(seed=815, count=1, y_box=(0.5, 2.0))[0]
+        return PointContext(cubic, tm, nlc, p)
+
+    def test_stacks_equal_series(self, ctx):
+        for name, series in _reference_series(ctx).items():
+            stack = getattr(ctx, f"{name}_stack")
+            assert _same_floats(stack, stack_coefficients(series)), name
+            assert not np.all(stack[..., 1:] == 0.0), name
+
+    def test_values_are_slices(self, ctx):
+        assert _same_floats(ctx.C_val, ctx.C_stack[..., 0])
+        assert _same_floats(ctx.L_val, ctx.L_stack[..., 0])
+        assert _same_floats(ctx.G_time_val, ctx.G_time_stack[..., 0])
 
 
 class TestMemoContract:

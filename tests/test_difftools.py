@@ -203,3 +203,47 @@ def test_fd_partial_matches_hand_value():
     f = lambda t, x1, x2, x3, y1, y2, y3: t**4
     got = dt.fd_partial(f, (1.0, 0, 0, 0, 1, 1, 1), ("t", "t", "t", "t"))
     assert got == pytest.approx(24.0, rel=1e-6)
+
+
+_COEFF = st.one_of(
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+)
+_SERIES = st.lists(_COEFF, min_size=dt.NCOEF[1], max_size=dt.NCOEF[1])
+
+
+@given(
+    a=st.lists(_SERIES, min_size=1, max_size=3),
+    b=st.lists(_SERIES, min_size=1, max_size=3),
+    flat_a=st.booleans(),
+    flat_b=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mul_order1_matches_taylor_product(a, b, flat_a, flat_b):
+    a, b = np.array(a), np.array(b)
+    if flat_a:  # zero first-order slots
+        a[0, 1:] = 0.0
+    if flat_b:
+        b[-1, 1:] = 0.0
+    outer = dt.mul_order1(a[:, None], b)  # broadcast to (len(a), len(b), 8)
+    first = dt.mul_order1(a[0], b)  # one series against a stack
+    assert outer.shape == (len(a), len(b), dt.NCOEF[1])
+    for i, j in np.ndindex(len(a), len(b)):
+        ref = (dt.Taylor(a[i], 1) * dt.Taylor(b[j], 1)).c
+        assert outer[i, j].tobytes() == ref.tobytes()
+        if i == 0:
+            assert first[j].tobytes() == ref.tobytes()
+
+
+def test_first_partials_match_deriv():
+    f = lambda t, x1, x2, x3, y1, y2, y3: dt.exp(t * x1) * y1 / (y2 + x3 * y3)
+    p = JetPoint.of(0.3, (0.5, -1.0, 2.0), (1.5, 2.0, 0.7))
+    for order in (1, 2, 4):
+        u = dt.jet_eval(f, p, order).taylor()
+        stack = np.stack([u.c, -u.c])
+        got = dt.first_partials(stack)
+        assert got.shape == (2, dt.NVARS, dt.NCOEF[order - 1])
+        for v in range(dt.NVARS):
+            assert got[0, v].tobytes() == dt.deriv(u, v).c.tobytes()
+            assert got[1, v].tobytes() == (-dt.deriv(u, v).c).tobytes()
+            assert got[0, v, 0] == u.c[dt.D1_SLOTS[v]] * 1.0

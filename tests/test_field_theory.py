@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,16 +89,20 @@ class TestStressEnergyMixed:
                     assert np.abs(a - b).max() <= 1e-10 * scale, name
 
 
+def _conservation(p, tm, K):
+    return ft.conservation_residuals(ft.stress_energy_mixed(p, tm, K), p, tm, K)
+
+
 class TestConservationLaws:
     def test_flat_rhs_zero(self, unit_point):
-        cons = ft.conservation_residuals(unit_point, TemporalMetric("1"), 1.0)
+        cons = _conservation(unit_point, TemporalMetric("1"), 1.0)
         assert cons.law1_rhs == 0.0
         assert cons.law1_lhs == pytest.approx(0.0, abs=1e-14)
 
     def test_exponential_anchor(self, unit_point):
         # by hand: prefactor e^{-4t} * 2 e^{2t}/16, bracket 8 e^{2t} - 12 e^{2t},
         # product -1/2 at t = 0 with G111 = 1
-        cons = ft.conservation_residuals(unit_point, TemporalMetric("exp(2*t)"), 1.0)
+        cons = _conservation(unit_point, TemporalMetric("exp(2*t)"), 1.0)
         assert cons.law1_rhs == pytest.approx(-0.5, abs=1e-14)
         assert cons.law1_residual <= 1e-9
         assert np.abs(cons.law2_lhs).max() <= 1e-9
@@ -106,13 +112,24 @@ class TestConservationLaws:
         for src in ("1", "exp(2*t)", "t**2 + 1"):
             tm = TemporalMetric(src)
             for p in random_points[:6]:
-                cons = ft.conservation_residuals(p, tm, 1.0)
+                cons = _conservation(p, tm, 1.0)
                 assert cons.law1_residual <= 1e-9
                 assert np.abs(cons.law2_lhs).max() <= 1e-9
                 assert np.abs(cons.law3_lhs).max() <= 1e-9
 
+    def test_reads_the_given_components(self, random_points):
+        # the connection corrections use the components handed in
+        p, tm = random_points[0], TemporalMetric("exp(2*t)")
+        se = ft.stress_energy_mixed(p, tm, 1.0)
+        moved = dataclasses.replace(se, ss=se.ss + np.diag([1.0, 2.0, 3.0]))
+        base = ft.conservation_residuals(se, p, tm, 1.0)
+        other = ft.conservation_residuals(moved, p, tm, 1.0)
+        assert base.law1_lhs == other.law1_lhs
+        assert np.abs(other.law2_lhs - base.law2_lhs).max() > 1e-3
+        assert np.array_equal(other.law3_lhs, base.law3_lhs)
+
     def test_nontrivial_einstein_constant(self, unit_point):
-        cons = ft.conservation_residuals(unit_point, TemporalMetric("exp(2*t)"), 4.0)
+        cons = _conservation(unit_point, TemporalMetric("exp(2*t)"), 4.0)
         assert cons.law1_rhs == pytest.approx(-0.125, abs=1e-14)
         assert cons.law1_residual <= 1e-9
 
