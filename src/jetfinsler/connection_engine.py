@@ -12,7 +12,7 @@ the frame d/dt + kappa y^p d/dy_p and d/dx^j + (kappa/2) d/dy_j.
 
 Per point, everything is derived from a single 4th-order jet of F^2: the
 metric g_ij = (h11/2) d^2(F^2)/dy_i dy_j is carried as an order-2 truncated
-series, its inverse by cofactor expansion over series, the connection
+series, its inverse by cofactor expansion over order-1 series, the connection
 coefficients as stacked order-1 series (one array per tensor, the Taylor
 coefficients on the last axis), and the curvature components as their first
 formal derivatives.  The series coefficients are exactly the adapted-frame
@@ -108,6 +108,13 @@ class RicciSet:
 
 
 _Y0 = 4  # slot of y1 among the seven coordinates
+
+# Cofactor signs (-1)^(i+j), and the rows (_R0 < _R1) and columns (_C0 < _C1)
+# that remain of a 3x3 matrix without row r and column c, indexed [r, c].
+_SIGNS = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+_OTHER = np.array([(1, 2), (0, 2), (0, 1)])
+_R0, _R1 = _OTHER[:, 0, None], _OTHER[:, 1, None]
+_C0, _C1 = _OTHER[None, :, 0], _OTHER[None, :, 1]
 
 # Slots of the first partials d/dt, d/dx^a and d/dy^a among the coefficients.
 _DT, _DX, _DY = int(dt.D1_SLOTS[0]), dt.D1_SLOTS[1:_Y0], dt.D1_SLOTS[_Y0:]
@@ -267,28 +274,30 @@ class PointContext:
         return g
 
     @cached_property
-    def ginv_ser(self):
+    def ginv_stack(self) -> np.ndarray:
+        """The inverse metric as order-1 series by cofactor expansion, (3, 3, 8).
+
+        Only its values and first partials are read, so it is built from the
+        order-1 truncation of g: the order-1 coefficients of a product depend
+        on those of its factors alone, and ``dt.mul_order1`` accumulates them
+        in the order of any higher-order product.
+        """
         self.g_val  # degeneracy check
-        g = self.g_ser
-
-        def minor(r, c):
-            rows = [i for i in range(3) if i != r]
-            cols = [j for j in range(3) if j != c]
-            return (
-                g[rows[0]][cols[0]] * g[rows[1]][cols[1]]
-                - g[rows[0]][cols[1]] * g[rows[1]][cols[0]]
-            )
-
-        det = sum((-1.0) ** c * g[0][c] * minor(0, c) for c in range(3))
-        inv_det = 1.0 / det
-        return [
-            [(-1.0) ** (i + j) * minor(j, i) * inv_det for j in range(3)]
-            for i in range(3)
-        ]
+        g = self.g_stack[..., : dt.NCOEF[1]]
+        mul = dt.mul_order1
+        # minor[r, c]: the 2x2 determinant without row r and column c
+        minor = mul(g[_R0, _C0], g[_R1, _C1]) - mul(g[_R0, _C1], g[_R1, _C0])
+        terms = mul(_SIGNS[0, :, None] * g[0], minor[0])
+        det = terms[0].copy()
+        det[0] += 0.0  # a sum over series starts from 0, added to the value
+        det = det + terms[1] + terms[2]
+        inv_det = (1.0 / dt.Taylor(det, 1)).c
+        return mul((_SIGNS[..., None] * minor).transpose(1, 0, 2), inv_det)
 
     @cached_property
     def ginv_val(self) -> np.ndarray:
-        return np.array([[e.value for e in row] for row in self.ginv_ser])
+        # contiguous: einsum may sum a strided slice in another order
+        return np.ascontiguousarray(self.ginv_stack[..., 0])
 
     # -- Cartan coefficients and the EM 2-form as stacked order-1 series ------
 
@@ -303,11 +312,6 @@ class PointContext:
         return stack_coefficients(self.g_ser)
 
     @cached_property
-    def _ginv1(self) -> np.ndarray:
-        """The inverse metric series truncated to order 1, (3, 3, 8)."""
-        return stack_coefficients(self.ginv_ser)[..., : dt.NCOEF[1]]
-
-    @cached_property
     def _dg(self) -> np.ndarray:
         """dg_ij/dv as order-1 series, [i, j, v] over the seven coordinates."""
         return dt.first_partials(self.g_stack)
@@ -316,7 +320,7 @@ class PointContext:
     def C_stack(self) -> np.ndarray:
         """C^{i(1)}_{j(k)} = (g^im / 2) dg_jk/dy^m, [i, j, k]."""
         dgdy = self._dg[:, :, _Y0:]  # [j, k, m]
-        terms = dt.mul_order1(self._ginv1[:, None, None], dgdy[None])
+        terms = dt.mul_order1(self.ginv_stack[:, None, None], dgdy[None])
         return 0.5 * _accumulate(terms)
 
     @cached_property
@@ -334,7 +338,7 @@ class PointContext:
         dg = self.dgdx_stack
         # [j, k, m]: dg[k][j][m] + dg[j][k][m] - dg[m][j][k]
         brackets = dg.transpose(1, 0, 2, 3) + dg - dg.transpose(1, 2, 0, 3)
-        terms = dt.mul_order1(self._ginv1[:, None, None], brackets[None])
+        terms = dt.mul_order1(self.ginv_stack[:, None, None], brackets[None])
         return 0.5 * _accumulate(terms)
 
     @cached_property
@@ -344,7 +348,7 @@ class PointContext:
         dgdt = dg[:, :, 0]  # [m, j]
         for p in range(3):
             dgdt = dgdt - dt.mul_order1(self.M_stack[p], dg[:, :, _Y0 + p])
-        terms = dt.mul_order1(self._ginv1[:, None], dgdt.transpose(1, 0, 2)[None])
+        terms = dt.mul_order1(self.ginv_stack[:, None], dgdt.transpose(1, 0, 2)[None])
         return 0.5 * _accumulate(terms)
 
     @cached_property

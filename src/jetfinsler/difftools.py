@@ -15,8 +15,14 @@ to floating-point rounding.  The truncation order is capped at
 :data:`MAX_ORDER` = 4, the deepest derivative needed anywhere downstream.
 
 Finite differences appear only in :func:`fd_partial` / :func:`fd_jet`, an
-optional slower path used to cross-check the exact kernel; they are never the
-default.
+optional path used to cross-check the exact kernel; they are never the
+default.  A finite-difference stencil is evaluated with one call of the field
+on :class:`NodeArray` coordinates, one element per stencil node.  numpy's
+``+ - * /`` round each element as Python's float operations do, but its
+array powers and transcendental functions do not, so ``**`` on a
+:class:`NodeArray` and the helpers below apply Python's ``**`` and
+:mod:`math` element by element: every node value, and so every stencil sum,
+is bit-identical to evaluating the field node by node on floats.
 """
 
 from __future__ import annotations
@@ -321,7 +327,34 @@ def univariate_coefficients(u: Taylor, var: Union[int, str], count: int):
     return out
 
 
-# -- analytic helpers usable on floats and Taylor values ---------------------
+# -- stencil node arrays --------------------------------------------------------
+
+
+class NodeArray(np.ndarray):
+    """Float64 values at finite-difference stencil nodes (see :func:`fd_partial`).
+
+    numpy's ``+ - * /`` round each element as Python's float operations do,
+    but array ``**`` does not (it differs from Python's in a few percent of
+    cases), so ``**`` takes the power of each element as a Python float.
+    """
+
+    def __pow__(self, e):
+        return _elementwise(pow, self, e)
+
+    def __rpow__(self, b):
+        return _elementwise(lambda v: b**v, self)
+
+
+def _elementwise(fn, u: np.ndarray, *args) -> NodeArray:
+    """``fn(v, *args)`` for each element v of ``u`` taken as a Python float."""
+    values = map(fn, u.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, u.size).reshape(u.shape).view(NodeArray)
+
+
+# -- analytic helpers usable on floats, Taylor values and node arrays ---------
+#
+# On arrays each helper calls ``math`` (or Python's ``**``) element by
+# element: numpy's own exp, log and fractional powers round differently.
 
 
 def exp(u):
@@ -329,6 +362,8 @@ def exp(u):
         v = math.exp(float(u.c[0]))
         cs = [v / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
+    if isinstance(u, np.ndarray):
+        return _elementwise(math.exp, u)
     return math.exp(u)
 
 
@@ -340,6 +375,10 @@ def log(u):
         cs = [math.log(u0)]
         cs += [(-1.0) ** (n - 1) / (n * u0**n) for n in range(1, u.order + 1)]
         return compose_univariate(u, cs)
+    if isinstance(u, np.ndarray):
+        if (u <= 0.0).any():
+            raise DomainError("log of a non-positive value")
+        return _elementwise(math.log, u)
     if u <= 0.0:
         raise DomainError("log of a non-positive value")
     return math.log(u)
@@ -351,6 +390,8 @@ def sin(u):
         cycle = (math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0))
         cs = [cycle[n % 4] / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
+    if isinstance(u, np.ndarray):
+        return _elementwise(math.sin, u)
     return math.sin(u)
 
 
@@ -360,6 +401,8 @@ def cos(u):
         cycle = (math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0))
         cs = [cycle[n % 4] / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
+    if isinstance(u, np.ndarray):
+        return _elementwise(math.cos, u)
     return math.cos(u)
 
 
@@ -378,6 +421,11 @@ def powf(u, alpha: float):
         except OverflowError:
             raise DomainError(f"the series of {u0!r} ** {alpha!r} overflows") from None
         return compose_univariate(u, cs)
+    if isinstance(u, np.ndarray):
+        if (u <= 0.0).any():
+            raise DomainError("fractional power of a non-positive value")
+        # math.pow calls C pow, as float ** float does for positive bases
+        return _elementwise(math.pow, u, alpha)
     if u <= 0.0:
         raise DomainError("fractional power of a non-positive value")
     return float(u) ** alpha
@@ -504,14 +552,17 @@ _FD_SCALE_FLOOR = 0.1
 
 @lru_cache(maxsize=None)
 def _fd_stencil(m: int):
-    """Symmetric nodes and weights for the m-th derivative, 6th-order accurate."""
+    """Symmetric nodes and weights for the m-th derivative, 6th-order accurate;
+    nodes whose weight is zero are dropped."""
     r = (m + 5) // 2
     nodes = np.arange(-r, r + 1, dtype=float)
     npts = nodes.size
     v = np.vander(nodes, npts, increasing=True).T
     rhs = np.zeros(npts)
     rhs[m] = math.factorial(m)
-    return nodes, np.linalg.solve(v, rhs)
+    weights = np.linalg.solve(v, rhs)
+    keep = weights != 0.0
+    return nodes[keep], weights[keep]
 
 
 def fd_partial(field: Callable, point, spec) -> float:
@@ -519,40 +570,60 @@ def fd_partial(field: Callable, point, spec) -> float:
 
     Far less accurate than :func:`partial`; relative error is about 1e-6 on
     smooth O(1) fields, degrading with the derivative order.
+
+    The value is the sum over the stencil nodes, in ``itertools.product``
+    order of the per-variable stencils, of the product of the per-variable
+    weights, taken left to right from 1.0, times the field at the node; the
+    sum runs from 0.0 one node at a time and is divided by the product of the
+    steps last.
     """
     spec = PartialSpec.coerce(spec)
     coords = list(_coords_of(point))
     if spec.order == 0:
         return float(field(*coords))
-    exps = spec.exponents
-    active = [(v, m) for v, m in enumerate(exps) if m > 0]
     rel = _FD_REL_STEP[spec.order]
-    # per-variable lists of (weight, shifted coordinate), zero weights dropped
-    columns = []
+    stencils = [(v, m, *_fd_stencil(m)) for v, m in enumerate(spec.exponents) if m]
+    k = len(stencils)
+    # node coordinates of the active variables, [variable, node 1, ..., node k]
+    grids = np.empty((k, *(nodes.size for _, _, nodes, _ in stencils)))
+    weight = np.array(1.0)
     denom = 1.0
-    for v, m in active:
+    for i, (v, m, nodes, weights) in enumerate(stencils):
         step = rel * max(abs(coords[v]), _FD_SCALE_FLOOR)
         denom *= step**m
-        nodes, weights = _fd_stencil(m)
-        columns.append(
-            (
-                v,
-                [
-                    (w, coords[v] + n * step)
-                    for n, w in zip(nodes, weights)
-                    if w != 0.0
-                ],
-            )
-        )
-    acc = 0.0
-    for picks in itertools.product(*(col for _, col in columns)):
-        w = 1.0
-        shifted = coords.copy()
-        for (v, _col), (wj, cj) in zip(columns, picks):
-            w *= wj
-            shifted[v] = cj
-        acc += w * field(*shifted)
-    return acc / denom
+        grids[i] = (coords[v] + nodes * step).reshape((-1,) + (1,) * (k - 1 - i))
+        weight = np.multiply.outer(weight, weights)
+    active = [v for v, *_ in stencils]
+    values = _stencil_values(field, coords, active, grids.reshape(k, -1))
+    terms = weight.ravel() * values
+    return np.add.accumulate(np.concatenate(([0.0], terms)))[-1] / denom
+
+
+def _stencil_values(field: Callable, coords, active, grids) -> np.ndarray:
+    """The field at every stencil node: coordinate ``active[i]`` takes the
+    values ``grids[i]``, the others stay the point's floats.
+
+    One call on :class:`NodeArray` coordinates evaluates all nodes.  If it
+    raises or gives a non-finite value, the nodes are evaluated again one at
+    a time on ``np.float64`` coordinates, in node order, so that the first
+    failing node raises its own exception, or the per-node values stand.
+    """
+    args = list(coords)
+    for v, g in zip(active, grids):
+        args[v] = g.view(NodeArray).copy()  # the field may update it in place
+    try:
+        with np.errstate(all="ignore"):
+            values = np.asarray(field(*args), dtype=float)
+        if values.shape in ((), grids[0].shape) and np.isfinite(values).all():
+            return values
+    except Exception:  # re-raised below by the node that fails on its own
+        pass
+    values = np.empty(grids[0].size)
+    for k in range(values.size):
+        for v, g in zip(active, grids):
+            args[v] = g[k]
+        values[k] = field(*args)
+    return values
 
 
 def fd_jet(field: Callable, point, order: int, active=None) -> Taylor:

@@ -54,10 +54,12 @@ def parse_expression(source: str, variables=("t", "x1", "x2", "x3")) -> Expressi
         source = repr(float(source))
     try:
         tree = ast.parse(source, mode="eval")
+        _validate(tree.body, tuple(variables), source)
+        code = compile(tree, "<jetfinsler-expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {source!r}: {exc}") from None
-    _validate(tree.body, tuple(variables), source)
-    code = compile(tree, "<jetfinsler-expression>", "eval")
+    except (MemoryError, RecursionError):  # the parser's and compiler's depth limits
+        raise ConfigError(f"expression {source!r} is nested too deeply") from None
     return Expression(source=source, variables=tuple(variables), _code=code)
 
 

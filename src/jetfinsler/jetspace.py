@@ -72,8 +72,14 @@ class TemporalMetric:
         return v
 
     def h11_eval(self, t_any):
-        """Duck-typed evaluation; checks positivity of the (constant) value."""
+        """Duck-typed evaluation; checks positivity of the (constant) value,
+        or of every value of an array of stencil nodes."""
         v = self.expression.evaluate({"t": t_any})
+        if isinstance(v, np.ndarray):
+            bad = v[v <= 0.0]
+            if bad.size:
+                raise NonPositiveMetric(f"h11 = {bad[0]} is not positive")
+            return v
         v0 = v.value if isinstance(v, dt.Taylor) else float(v)
         if v0 <= 0.0:
             raise NonPositiveMetric(f"h11 = {v0} is not positive")

@@ -285,6 +285,17 @@ class TestCliProcess:
         assert report["points"][0]["error"].startswith("DomainError: ")
         assert report["points"][1]["error"] is not None
 
+    def test_fd_mode_exits_zero(self, tmp_path):
+        doc = base_scenario(count=2, seed=1)
+        doc["derivative_mode"] = "fd"
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(out.read_text())
+        assert report["summary"]["all_pass"] is True
+        assert report["summary"]["worst_identities"]["C_trace"]["tolerance"] == 1e-5
+
     def test_seed_override(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario(count=2, seed=3))
         out_a = tmp_path / "a.json"
@@ -324,6 +335,44 @@ class TestDeterminism:
         assert strip_volatile(report) == strip_volatile(golden)
         assert report["summary"]["points_errored"] == 1
         assert max(abs(v) for row in report["points"][0]["em"]["F_em"] for v in row) > 0.1
+
+    # Identity rows that read the base jets; fd mode gates them at fd_rel.
+    JET_ROWS = {
+        "metric_inverse", "C_symmetry", "C_y_contraction", "C_trace",
+        "S_antisymmetry", "S_equal_fiber_zero",
+        "em_antisymmetry", "em_triviality", "em_derivatives",
+    }
+    GATE_KEYS = {"tolerance", "pass", "points_failed", "all_pass"}
+
+    @pytest.mark.parametrize("name", ["golden_fd", "golden_fd_generic"])
+    def test_golden_fd_report(self, name):
+        # Pinned before fd mode gated its jet rows at fd_rel: every value is
+        # unchanged, and only the gate fields differ, as the rule says.
+        sc = load_scenario(str(DATA / f"{name}_scenario.json"))
+        report, ok = run_scenario(sc)
+        golden = json.loads((DATA / f"{name}_report.json").read_text())
+
+        def gate_free(doc):
+            if isinstance(doc, dict):
+                return {
+                    k: gate_free(v) for k, v in doc.items() if k not in self.GATE_KEYS
+                }
+            if isinstance(doc, list):
+                return [gate_free(v) for v in doc]
+            return doc
+
+        assert json.dumps(gate_free(strip_volatile(report))) == json.dumps(
+            gate_free(strip_volatile(golden))
+        )
+        assert ok and report["summary"]["points_failed"] == 0
+        for got, old in zip(report["points"], golden["points"]):
+            for row, entry in got["identities"].items():
+                expected = (
+                    sc.tolerances["fd_rel"]
+                    if row in self.JET_ROWS
+                    else old["identities"][row]["tolerance"]
+                )
+                assert entry["tolerance"] == expected, row
 
 
 class TestFormulaTable:

@@ -402,10 +402,28 @@ def _sum(terms):
     return functools.reduce(operator.add, terms)
 
 
+def _inverse_series(g):
+    """g^-1 by cofactor expansion over the order-2 entries of g."""
+
+    def minor(r, c):
+        rows = [i for i in range(3) if i != r]
+        cols = [j for j in range(3) if j != c]
+        return (
+            g[rows[0]][cols[0]] * g[rows[1]][cols[1]]
+            - g[rows[0]][cols[1]] * g[rows[1]][cols[0]]
+        )
+
+    det = sum((-1.0) ** c * g[0][c] * minor(0, c) for c in range(3))
+    inv_det = 1.0 / det
+    return [
+        [(-1.0) ** (i + j) * minor(j, i) * inv_det for j in range(3)] for i in range(3)
+    ]
+
+
 def _reference_series(ctx) -> dict:
-    """The connection and EM coefficients by nested loops over per-entry
-    ``Taylor`` arithmetic, the definitions the stacks must reproduce."""
-    g, ginv, N = ctx.g_ser, ctx.ginv_ser, ctx.N_ser
+    """The inverse metric, connection and EM coefficients by nested loops over
+    per-entry ``Taylor`` arithmetic, the definitions the stacks must reproduce."""
+    g, ginv, N = ctx.g_ser, _inverse_series(ctx.g_ser), ctx.N_ser
     r3 = range(3)
     dgy = [[[dt.deriv(g[j][k], 4 + m) for m in r3] for k in r3] for j in r3]
     C = [
@@ -434,7 +452,8 @@ def _reference_series(ctx) -> dict:
                     acc = acc + (g[i][r] * L[r][j][m] - g[j][r] * L[r][i][m]) * y[m]
             row.append(0.5 * (h_up * acc))
         F.append(row)
-    return {"C": C, "dgdx": dgx, "L": L, "G_time": G, "em_form": F}
+    ginv1 = [[e.truncate(1) for e in row] for row in ginv]
+    return {"ginv": ginv1, "C": C, "dgdx": dgx, "L": L, "G_time": G, "em_form": F}
 
 
 class TestStacksMatchSeries:
@@ -461,6 +480,7 @@ class TestStacksMatchSeries:
             assert not np.all(stack[..., 1:] == 0.0), name
 
     def test_values_are_slices(self, ctx):
+        assert _same_floats(ctx.ginv_val, ctx.ginv_stack[..., 0])
         assert _same_floats(ctx.C_val, ctx.C_stack[..., 0])
         assert _same_floats(ctx.L_val, ctx.L_stack[..., 0])
         assert _same_floats(ctx.G_time_val, ctx.G_time_stack[..., 0])
