@@ -172,7 +172,9 @@ class PointContext:
     def f2_ser(self) -> dt.Taylor:
         fld = finsler_F_squared_field(self.cubic, self.tm)
         if self.deriv_mode == "fd":
-            return dt.fd_jet(fld, self.point, 4)
+            # only ``g_ser`` reads this jet, through two y-derivatives, so the
+            # coefficients of y-degree below 2 are never sampled
+            return dt.fd_jet(fld, self.point, 4, min_fiber_degree=2)
         return dt.jet_eval(fld, self.point, 4).taylor()
 
     @cached_property

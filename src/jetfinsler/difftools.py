@@ -42,6 +42,7 @@ NVARS = 7
 MAX_ORDER = 4
 COORD_NAMES = ("t", "x1", "x2", "x3", "y1", "y2", "y3")
 _COORD_INDEX = {name: i for i, name in enumerate(COORD_NAMES)}
+_FIBER = slice(4, NVARS)  # the slots of y1, y2, y3
 
 
 def _graded_exponents() -> list[tuple[int, ...]]:
@@ -407,11 +408,13 @@ def cos(u):
 
 
 def powf(u, alpha: float):
-    """Real power u**alpha, defined only for positive u (single branch)."""
+    """Real power u**alpha, defined only for positive finite u (single branch)."""
     if isinstance(u, Taylor):
         u0 = float(u.c[0])
         if u0 <= 0.0:
             raise DomainError("fractional power of a non-positive field value")
+        if not math.isfinite(u0):
+            raise DomainError("fractional power of a non-finite field value")
         cs = []
         coeff = 1.0
         try:
@@ -424,10 +427,14 @@ def powf(u, alpha: float):
     if isinstance(u, np.ndarray):
         if (u <= 0.0).any():
             raise DomainError("fractional power of a non-positive value")
+        if not np.isfinite(u).all():
+            raise DomainError("fractional power of a non-finite value")
         # math.pow calls C pow, as float ** float does for positive bases
         return _elementwise(math.pow, u, alpha)
     if u <= 0.0:
         raise DomainError("fractional power of a non-positive value")
+    if not math.isfinite(u):
+        raise DomainError("fractional power of a non-finite value")
     return float(u) ** alpha
 
 
@@ -626,13 +633,20 @@ def _stencil_values(field: Callable, coords, active, grids) -> np.ndarray:
     return values
 
 
-def fd_jet(field: Callable, point, order: int, active=None) -> Taylor:
+def fd_jet(
+    field: Callable, point, order: int, active=None, min_fiber_degree: int = 0
+) -> Taylor:
     """Taylor coefficients assembled from finite differences (drop-in for the
     exact jet; used by the engine's ``fd`` derivative mode).
 
     ``active`` optionally lists the coordinate slots the field depends on;
     coefficients of monomials touching other slots are zero without being
-    sampled.
+    sampled.  Likewise coefficients of monomials whose degree in the fiber
+    coordinates y1..y3 is below ``min_fiber_degree`` are zero without being
+    sampled: a caller that only reads k-th y-derivatives of the jet (the
+    metric takes two of F^2) needs no lower ones, since ``deriv`` only
+    gathers coefficients.  The value ``c[0]`` is always sampled, so the
+    point's own domain check comes before any stencil's.
     """
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the maximum {MAX_ORDER}")
@@ -643,6 +657,8 @@ def fd_jet(field: Callable, point, order: int, active=None) -> Taylor:
     for pos in range(1, NCOEF[order]):
         exps = _EXPONENTS[pos]
         if any(m > 0 and v not in active for v, m in enumerate(exps)):
+            continue
+        if sum(exps[_FIBER]) < min_fiber_degree:
             continue
         spec = PartialSpec.coerce([v for v, m in enumerate(exps) for _ in range(m)])
         c[pos] = fd_partial(field, coords, spec) / _FACT[pos]

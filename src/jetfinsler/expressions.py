@@ -1,15 +1,17 @@
 """Tiny arithmetic expression grammar for scenario inputs.
 
-Grammar: numeric literals, named variables, ``+ - * /``, integer powers via
-``**``, and the functions ``exp``, ``sin``, ``cos``.  Anything else is
-rejected with :class:`ConfigError`.  Expressions evaluate on floats or on
-:class:`~jetfinsler.difftools.Taylor` values interchangeably, which is what
-makes the scenario-defined metrics differentiable by the exact kernel.
+Grammar: numeric literals that are finite as floats, named variables,
+``+ - * /``, integer powers via ``**``, and the functions ``exp``, ``sin``,
+``cos``.  Anything else is rejected with :class:`ConfigError`.  Expressions
+evaluate on floats or on :class:`~jetfinsler.difftools.Taylor` values
+interchangeably, which is what makes the scenario-defined metrics
+differentiable by the exact kernel.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 
 from . import difftools as dt
@@ -67,6 +69,8 @@ def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric literal in {source!r}")
+        if not _finite_float(node.value):
+            raise ConfigError(f"non-finite literal in {source!r}")
         return
     if isinstance(node, ast.Name):
         if node.id not in variables:
@@ -103,6 +107,13 @@ def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
             f"only exp/sin/cos calls with one argument are allowed in {source!r}"
         )
     raise ConfigError(f"construct {type(node).__name__} not in grammar in {source!r}")
+
+
+def _finite_float(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an integer beyond the double range
+        return False
 
 
 def _int_exponent(node: ast.AST):

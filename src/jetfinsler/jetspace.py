@@ -12,6 +12,7 @@ tensor notation; dense numpy arrays store component (i) at slot i-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -67,22 +68,19 @@ class TemporalMetric:
 
     def h11(self, t: float) -> float:
         v = float(self.expression.evaluate({"t": float(t)}))
-        if v <= 0.0:
-            raise NonPositiveMetric(f"h11({t}) = {v} is not positive")
+        _check_h11(v, f"h11({t})")
         return v
 
     def h11_eval(self, t_any):
-        """Duck-typed evaluation; checks positivity of the (constant) value,
-        or of every value of an array of stencil nodes."""
+        """Duck-typed evaluation; checks that the (constant) value, or every
+        value of an array of stencil nodes, is positive and finite."""
         v = self.expression.evaluate({"t": t_any})
         if isinstance(v, np.ndarray):
-            bad = v[v <= 0.0]
+            bad = v[~((v > 0.0) & np.isfinite(v))]
             if bad.size:
-                raise NonPositiveMetric(f"h11 = {bad[0]} is not positive")
+                _check_h11(float(bad[0]))
             return v
-        v0 = v.value if isinstance(v, dt.Taylor) else float(v)
-        if v0 <= 0.0:
-            raise NonPositiveMetric(f"h11 = {v0} is not positive")
+        _check_h11(v.value if isinstance(v, dt.Taylor) else float(v))
         return v
 
     def h_upper(self, t: float) -> float:
@@ -116,6 +114,13 @@ class TemporalMetric:
         kser = dt.deriv(js, "t") / (js.truncate(k) * 2.0)
         cs = dt.univariate_coefficients(kser, "t", k + 1)
         return dt.compose_univariate(t_any, cs)
+
+
+def _check_h11(v: float, name: str = "h11") -> None:
+    if v <= 0.0:
+        raise NonPositiveMetric(f"{name} = {v} is not positive")
+    if not math.isfinite(v):
+        raise DomainError(f"{name} = {v} is not finite")
 
 
 def kappa(tm: TemporalMetric, t: float) -> float:

@@ -19,6 +19,7 @@ G111 > 0 (positive orthant for the Berwald-Moor instance):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,18 @@ def contract_cubic(cubic: CubicForm, p: JetPoint) -> CubicContractions:
     )
 
 
+def _check_g111(g111: float, where: str = "") -> None:
+    """G111 must be positive and finite before its fractional powers are taken."""
+    if g111 <= 0.0:
+        raise DomainError(f"G111 = {g111} is not positive{where}")
+    if not math.isfinite(g111):
+        raise DomainError(f"G111 = {g111} is not finite{where}")
+
+
 def finsler_F(cubic: CubicForm, tm: TemporalMetric, p: JetPoint) -> float:
     """F = G111^(1/3) * h11^(-1/2); requires G111 > 0 and h11 > 0."""
     g111 = cubic.g111(p.x, p.y)
-    if g111 <= 0.0:
-        raise DomainError(f"G111 = {g111} is not positive at {p}")
+    _check_g111(g111, f" at {p}")
     return float(g111 ** (1.0 / 3.0) * tm.h11(p.t) ** -0.5)
 
 
@@ -103,8 +111,7 @@ def metric_lower_generic(
     """
     if mode == "formula":
         cc = contract_cubic(cubic, p)
-        if cc.G111 <= 0.0:
-            raise DomainError(f"G111 = {cc.G111} is not positive")
+        _check_g111(cc.G111)
         g = (cc.G111 ** (-1.0 / 3.0) / 3.0) * (
             cc.Gij1 - np.outer(cc.Gi11, cc.Gi11) / (3.0 * cc.G111)
         )
@@ -128,8 +135,7 @@ def metric_upper_generic(
 ) -> np.ndarray:
     """Inverse metric g^jk from the closed contraction formula."""
     cc = contract_cubic(cubic, p)
-    if cc.G111 <= 0.0:
-        raise DomainError(f"G111 = {cc.G111} is not positive")
+    _check_g111(cc.G111)
     denom = cc.G111 - cc.script_G111
     if abs(denom) < 1e-12 * abs(cc.G111):
         raise SingularDenominator(

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jetfinsler.cli import (
@@ -145,12 +146,14 @@ class TestScenarioValidation:
             (("einstein_constant",), True),
             (("einstein_constant",), float("nan")),
             (("cubic",), {"entries": {"123": True}}),
+            (("temporal_metric",), "1e400"),
+            (("cubic",), {"entries": {"123": "1/6 + 1e999*x1"}}),
         ],
         ids=[
             "x_scalar", "y_string", "t_string", "y_nan", "y_box_string",
             "t_range_bool", "count_bool", "seed_bool", "seed_negative", "output_list",
             "tolerance_bool", "tolerance_inf", "einstein_bool", "einstein_nan",
-            "cubic_entry_bool",
+            "cubic_entry_bool", "metric_literal_inf", "cubic_literal_inf",
         ],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, path, value):
@@ -284,6 +287,57 @@ class TestCliProcess:
         assert report["summary"]["points_errored"] > 1
         assert report["points"][0]["error"].startswith("DomainError: ")
         assert report["points"][1]["error"] is not None
+
+    @pytest.mark.parametrize(
+        "metric, cubic, error",
+        [
+            ("1e300*1e300", "berwald_moor", "DomainError: h11 = inf is not finite"),
+            (
+                "1",
+                {"entries": {"123": "1e300*1e300"}},
+                "DomainError: fractional power of a non-finite",
+            ),
+        ],
+        ids=["h11", "g111"],
+    )
+    def test_non_finite_value_recorded_on_points(self, tmp_path, metric, cubic, error):
+        # finite literals whose product leaves the double range
+        for mode in ("exact", "fd"):
+            doc = base_scenario(count=2)
+            doc.update(temporal_metric=metric, cubic=cubic, derivative_mode=mode)
+            out = tmp_path / f"report_{mode}.json"
+            proc = run_cli("run", str(write_scenario(tmp_path, doc)), "--out", str(out))
+            assert proc.returncode in (0, 1), proc.stderr
+            assert "Traceback" not in proc.stderr
+            text = out.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+            report = json.loads(text)
+            assert len(report["points"]) == 2
+            assert all(pt["error"].startswith(error) for pt in report["points"])
+
+    def test_fd_reads_no_stencil_past_the_domain_edge(self, tmp_path):
+        # G111 = 6 x1 y1 y2 y3 > 0 at x1 = 0.014, but the 4th-order x1
+        # stencil of F^2 reaches x1 = -0.002; the metric reads only
+        # y-derivatives of F^2, so fd mode never samples that stencil
+        reports = {}
+        for mode in ("exact", "fd"):
+            doc = base_scenario(outputs=("g_lower",))
+            doc.update(
+                temporal_metric="exp(2*t)",
+                cubic={"entries": {"123": "x1"}},
+                derivative_mode=mode,
+            )
+            doc["points"] = {
+                "explicit": [{"t": 0.2, "x": [0.014, 0.3, -0.2], "y": [1.1, 0.9, 1.3]}]
+            }
+            out = tmp_path / f"report_{mode}.json"
+            proc = run_cli("run", str(write_scenario(tmp_path, doc)), "--out", str(out))
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            reports[mode] = json.loads(out.read_text())["points"][0]
+        assert reports["fd"]["error"] is None
+        fd = np.array(reports["fd"]["generic"]["g_lower"])
+        exact = np.array(reports["exact"]["generic"]["g_lower"])
+        assert np.abs(fd - exact).max() <= 1e-5 * np.abs(exact).max()
 
     def test_fd_mode_exits_zero(self, tmp_path):
         doc = base_scenario(count=2, seed=1)

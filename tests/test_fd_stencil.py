@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
 from jetfinsler.cli import parse_scenario, run_scenario
+from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 from jetfinsler.metric_engine import finsler_F_squared_field
 
@@ -108,6 +109,47 @@ class TestAgainstPerNode:
             assert str(info.value) == str(exc)
             return
         assert _same_bytes(dt.fd_partial(fld, p, spec), ref)
+
+
+POINTS = [
+    JetPoint.of(0.35, (0.1, -0.2, 0.3), (0.7, 1.9, 3.1)),
+    JetPoint.of(-0.74, (0.9, 0.24, -0.26), (2.65, 3.38, 1.52)),
+    JetPoint.of(-0.72, (0.58, 0.34, 0.02), (4.12, 2.84, 4.91)),
+    JetPoint.of(-0.59, (0.11, -0.03, -0.29), (3.04, 1.33, 4.05)),
+    JetPoint.of(0.6, (-0.3, 0.5, 0.8), (1.2, 0.4, 2.5)),
+]
+
+
+class TestUnreadCoefficients:
+    """fd mode samples only the F^2 coefficients of y-degree >= 2; the others
+    are never read, so the metric is the one built from the full jet."""
+
+    def test_low_fiber_degree_slots_are_zero(self):
+        fld = finsler_F_squared_field(GENERIC, TemporalMetric("exp(2*t)"))
+        p = POINTS[0]
+        full = dt.fd_jet(fld, p, 4)
+        part = dt.fd_jet(fld, p, 4, min_fiber_degree=2)
+        assert _same_bytes(part.c[0], full.c[0])
+        for pos in range(1, dt.NCOEF[4]):
+            if sum(dt._EXPONENTS[pos][4:]) < 2:
+                assert _same_bytes(part.c[pos], 0.0), dt._EXPONENTS[pos]
+            else:
+                assert _same_bytes(part.c[pos], full.c[pos]), dt._EXPONENTS[pos]
+
+    @pytest.mark.parametrize("metric", ["1", "exp(2*t)", "t**2 + 1"])
+    @pytest.mark.parametrize("generic", [False, True], ids=["berwald_moor", "generic"])
+    def test_metric_matches_full_jet(self, generic, metric):
+        cubic = GENERIC if generic else CubicForm.berwald_moor()
+        tm = TemporalMetric(metric)
+        nlc = NonlinearConnection.apriori(tm)
+        for p in POINTS:
+            assert cubic.g111(p.x, p.y) > 0.1
+            ctx = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
+            ref = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
+            ref.f2_ser = dt.fd_jet(finsler_F_squared_field(cubic, tm), p, 4)
+            for name in ("g_stack", "g_val", "ginv_stack"):
+                got, want = getattr(ctx, name), getattr(ref, name)
+                assert got.tobytes() == want.tobytes(), (p, name)
 
 
 class TestNodeArrays:

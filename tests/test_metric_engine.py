@@ -78,6 +78,21 @@ class TestFinslerF:
                 bm_cubic, TemporalMetric("1"), JetPoint.of(0, (0, 0, 0), (-1, 1, 1))
             )
 
+    def test_non_finite_g111_rejected(self):
+        # 1e300 * 1e300 is inf without an exception
+        cubic = CubicForm.from_entries({"123": "1e300*1e300"})
+        p = JetPoint.of(0, (0, 0, 0), (1, 1, 1))
+        tm = TemporalMetric("1")
+        for call in (
+            lambda: finsler_F(cubic, tm, p),
+            lambda: metric_lower_generic(cubic, tm, p),
+            lambda: metric_upper_generic(cubic, tm, p),
+        ):
+            with np.errstate(all="ignore"), pytest.raises(
+                DomainError, match="G111 = inf is not finite"
+            ):
+                call()
+
 
 class TestMetricLower:
     def test_unit_point_values(self, bm_cubic):
