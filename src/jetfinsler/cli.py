@@ -76,6 +76,12 @@ DEFAULT_TOLERANCES = {"ad_rel": 1e-9, "fd_rel": 1e-5, "identity": 1e-12}
 TWO_PATH_TOL = 1e-10
 S_DIVERGENCE_TOL = 1e-10
 
+# The residual g g^-1 - I of any computed inverse grows like cond(g) eps
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14), so the
+# metric_inverse row is gated at max(tolerance, 100 cond(g) eps): the plain
+# tolerance while cond(g) <= 45, the conditioning bound beyond.
+INVERSE_COND_FACTOR = 100.0
+
 
 def rel_dev(value, ref) -> float:
     """Max entrywise deviation over max(|value|, |ref|, 1)."""
@@ -360,12 +366,12 @@ def _listify(value):
 
 def _s_raised_divergence_dev(p: JetPoint) -> float:
     """sum_m d S^m11_i / dy_m against (2/3)(1/y_i) G111^(-2/3), via the kernel."""
-    y = dt.seed_point(p.coords(), 1)[4:]
+    s_up = ft.s_raised_stack(dt.seed_point(p.coords(), 1)[4:])
     d_y = dt.D1_SLOTS[4:]
     g23inv = (p.y[0] * p.y[1] * p.y[2]) ** (-2.0 / 3.0)
     worst = 0.0
     for i in range(3):
-        total = sum(float(ft.s_raised(m, i, y).c[d_y[m]]) for m in range(3))
+        total = sum(float(s_up[m, i, d_y[m]]) for m in range(3))
         ref = (2.0 / 3.0) / p.y[i] * g23inv
         worst = max(worst, abs(total - ref) / max(abs(ref), 1.0))
     return worst
@@ -428,10 +434,12 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
         identity_dev(y @ cc.Gij1 @ y - 6.0 * cc.G111, 6.0 * cc.G111),
     )
     identity("euler_chain", euler, tol_id)
+    g = generic["g_lower"]
+    cond_tol = INVERSE_COND_FACTOR * float(np.linalg.cond(g)) * sys.float_info.epsilon
     identity(
         "metric_inverse",
-        identity_dev(generic["g_lower"] @ generic["g_upper"] - np.eye(3), np.eye(3)),
-        tol_jet_id,
+        identity_dev(g @ generic["g_upper"] - np.eye(3), np.eye(3)),
+        max(tol_jet_id, cond_tol),
     )
     C = generic["C"]
     identity("C_symmetry", identity_dev(C - C.transpose(0, 2, 1), C), tol_jet_id)

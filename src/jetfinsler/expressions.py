@@ -1,7 +1,8 @@
 """Tiny arithmetic expression grammar for scenario inputs.
 
 Grammar: numeric literals that are finite as floats, named variables,
-``+ - * /``, integer powers via ``**``, and the functions ``exp``, ``sin``,
+``+ - * /``, integer powers via ``**`` with an exponent literal of at most
+:data:`MAX_INT_POWER` in magnitude, and the functions ``exp``, ``sin``,
 ``cos``.  Anything else is rejected with :class:`ConfigError`.  Expressions
 evaluate on floats or on :class:`~jetfinsler.difftools.Taylor` values
 interchangeably, which is what makes the scenario-defined metrics
@@ -21,6 +22,10 @@ _FUNCTIONS = {"exp": dt.exp, "sin": dt.sin, "cos": dt.cos}
 
 
 _EVAL_GLOBALS = {"__builtins__": {}, **_FUNCTIONS}
+
+#: Bound on |n| in ``u**n``: a series power costs |n| - 1 products, so an
+#: unbounded exponent would let a scenario run for hours.
+MAX_INT_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,15 @@ def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
             return
         if isinstance(node.op, ast.Pow):
             _validate(node.left, variables, source)
-            if _int_exponent(node.right) is None:
+            n = _int_exponent(node.right)
+            if n is None:
                 raise ConfigError(
                     f"only integer powers are allowed in {source!r}"
+                )
+            if abs(n) > MAX_INT_POWER:
+                raise ConfigError(
+                    f"integer powers are bounded by {MAX_INT_POWER} in magnitude "
+                    f"in {source!r}"
                 )
             return
         raise ConfigError(f"operator not in grammar in {source!r}")

@@ -189,6 +189,28 @@ def s_raised(m: int, i: int, y):
     return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
 
 
+#: ``s_raised``'s constant factor (1 - 3 delta^m_i) / 3, [m, i].
+_S_RAISED_COEF = np.array(
+    [[(1.0 - (3.0 if m == i else 0.0)) / 3.0 for i in range(3)] for m in range(3)]
+)
+
+
+def s_raised_stack(y) -> np.ndarray:
+    """All nine ``s_raised(m, i, y)`` for order-1 fiber series y, stacked
+    [m, i] with the coefficients on the last axis, (3, 3, 8).
+
+    The power of G111 and the reciprocals of the y_i are taken once; each
+    entry is then ``((P * coef) * y[m]) * (1 / y[i])``, the operations of
+    ``s_raised`` in its order (a division is a product with the reciprocal
+    series), so every float equals the per-entry one.
+    """
+    p = dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0).c
+    y_c = stack_coefficients(y)
+    recip = stack_coefficients([v._recip() for v in y])
+    entries = dt.mul_order1(p * _S_RAISED_COEF[..., None], y_c[:, None])
+    return dt.mul_order1(entries, recip[None])
+
+
 def _adapted_partials(c: np.ndarray, m_at: np.ndarray, n_at: np.ndarray):
     """delta/delta t, delta/delta x^a and d/dy^a (last axis a) of stacked
     order-1 series, by ``adapted_derivative``'s float operations on the
@@ -227,17 +249,17 @@ def conservation_residuals(
     h11 = tm.h11_eval(t)
     g23inv_ser = dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0)
     xi_g = (4.0 * h11 + kap * kap) / (4.0 * K) * g23inv_ser
-    s_up = [[s_raised(m, i, y) for i in range(3)] for m in range(3)]
+    s_up = s_raised_stack(y)
 
     def field(coef, diagonal=False):
         """coef S^m11_i (+ xi11 G111^(-2/3) where m = i), stacked [m, i]."""
-        rows = []
-        for m in range(3):
-            row = [coef * s_up[m][i] for i in range(3)]
-            if diagonal:
-                row[m] = row[m] + xi_g
-            rows.append(row)
-        return stack_coefficients(rows)
+        if isinstance(coef, dt.Taylor):
+            out = dt.mul_order1(coef.c, s_up)
+        else:  # h11 / K of a constant h11 is a number
+            out = s_up * float(coef)
+        if diagonal:
+            out[range(3), range(3)] += xi_g.c
+        return out
 
     # T^m_1, T^(m)_(1)1, T^1_i and T^1(1)_(i) vanish; their derivatives still
     # enter the sums, as the (signed) zeros the frame operations give.
@@ -298,6 +320,16 @@ def conservation_residuals(
     )
 
 
+def _ordered_sum(terms) -> np.ndarray:
+    """Elementwise sum of same-shape arrays, added one at a time onto 0.0 in
+    the given order: the floats of Python's ``sum`` over each entry's terms,
+    which also turns a leading -0.0 into +0.0."""
+    acc = 0.0
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
 def em_two_form(ctx: PointContext) -> EMSet:
     """The electromagnetic 2-form and its auxiliary tensors at the context's
     point, for any cubic:
@@ -315,23 +347,13 @@ def em_two_form(ctx: PointContext) -> EMSet:
     L = ctx.L_val
     C = ctx.C_val
     dgdt = ctx._dt_slices(ctx.g_stack)  # delta g_im / delta t
-    d_bar = np.empty(3)
-    for i in range(3):
-        d_bar[i] = 0.5 * h_up * sum(dgdt[i, m] * y[m] for m in range(3))
-    D = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            D[i, j] = h_up * sum(
-                g[i, q] * (-ctx.N_val[q, j] + sum(L[q, j, m] * y[m] for m in range(3)))
-                for q in range(3)
-            )
-    d_em = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            d_em[i, j] = h_up * (
-                g[i, j]
-                + sum(g[i, q] * C[q, m, j] * y[m] for q in range(3) for m in range(3))
-            )
+    d_bar = 0.5 * h_up * _ordered_sum(dgdt[:, m] * y[m] for m in range(3))
+    Ly = _ordered_sum(L[:, :, m] * y[m] for m in range(3))  # [q, j]
+    D = h_up * _ordered_sum(g[:, q, None] * (-ctx.N_val[q] + Ly[q]) for q in range(3))
+    gCy = _ordered_sum(
+        g[:, q, None] * C[q, m] * y[m] for q in range(3) for m in range(3)
+    )
+    d_em = h_up * (g + gCy)
     return EMSet(F_em=f_em, D_bar=d_bar, D=D, d_em=d_em)
 
 
@@ -345,21 +367,18 @@ def em_covariant_derivatives(ctx: PointContext) -> EMDerivatives:
     f_dy = ctx._dy_slices(f)   # [i, j, k]
     kappa = ctx.kappa
     G_t, L, C = ctx.G_time_val, ctx.L_val, ctx.C_val
-    f_time = np.empty((3, 3))
-    f_spatial = np.empty((3, 3, 3))
-    f_fiber = np.empty((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            f_time[i, j] = (
-                f_dt[i, j]
-                + f0[i, j] * kappa
-                - sum(f0[m, j] * G_t[m, i] + f0[i, m] * G_t[m, j] for m in range(3))
-            )
-            for k in range(3):
-                f_spatial[i, j, k] = f_dx[i, j, k] - sum(
-                    f0[m, j] * L[m, i, k] + f0[i, m] * L[m, j, k] for m in range(3)
-                )
-                f_fiber[i, j, k] = f_dy[i, j, k] - sum(
-                    f0[m, j] * C[m, i, k] + f0[i, m] * C[m, j, k] for m in range(3)
-                )
+    # [i, j]: f0[m, j] G_t[m, i] + f0[i, m] G_t[m, j]
+    f_time = f_dt + f0 * kappa - _ordered_sum(
+        f0[m] * G_t[m, :, None] + f0[:, m, None] * G_t[m] for m in range(3)
+    )
+
+    def corrections(conn):
+        """[i, j, k]: f0[m, j] conn[m, i, k] + f0[i, m] conn[m, j, k]"""
+        return _ordered_sum(
+            f0[m, None, :, None] * conn[m, :, None] + f0[:, m, None, None] * conn[m]
+            for m in range(3)
+        )
+
+    f_spatial = f_dx - corrections(L)
+    f_fiber = f_dy - corrections(C)
     return EMDerivatives(F_time=f_time, F_spatial=f_spatial, F_fiber=f_fiber)

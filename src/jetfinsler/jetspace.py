@@ -12,7 +12,9 @@ tensor notation; dense numpy arrays store component (i) at slot i-1.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -53,24 +55,71 @@ class JetPoint:
             raise DomainError(f"fiber coordinates must be positive, got {self.y}")
 
 
+_FLOAT_BITS = struct.Struct("<d").pack  # tells -0.0 from 0.0, unlike ==
+
+
+def _per_t(method):
+    """Remember ``method(self, t, *args)`` for the most recent t (see
+    ``TemporalMetric``): keyed on t's bits for a float t, also on the order
+    and coefficient bytes for a ``Taylor`` t; any other t is not remembered."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, t, *args):
+        if type(t) is float:
+            value, key = t, (name, *args)
+        elif isinstance(t, dt.Taylor):
+            value, key = t.value, (name, *args, t.order, t.c.dtype.str, t.c.tobytes())
+        else:
+            return method(self, t, *args)
+        slot = self._memo
+        bits = _FLOAT_BITS(value)
+        if slot[0] != bits:
+            slot = (bits, {})
+            self._memo = slot
+        result = slot[1].get(key)
+        if result is None:  # no method returns None
+            result = slot[1][key] = method(self, t, *args)
+        return result
+
+    return memoized
+
+
 class TemporalMetric:
     """The positive 1-d metric h11(t), its inverse, and its Christoffel symbol
-    kappa = (h^11 / 2) dh11/dt."""
+    kappa = (h^11 / 2) dh11/dt.
+
+    Every object of the geometry reads t only through these, so ``h11``,
+    ``h11_eval``, ``h11_jet``, ``kappa``, ``kappa_dot`` and ``kappa_eval``
+    remember their results for the most recent t: one point's engines, closed
+    forms and field theory share one evaluation per method and argument.  The
+    memo is keyed on the exact bits of t, and for a ``Taylor`` argument on its
+    order and coefficient bytes too, so a hit returns the object a fresh
+    instance would compute (results are numbers and ``Taylor`` values, which
+    are never modified in place).  A t that is neither a Python float nor a
+    ``Taylor``, such as an array of stencil nodes, is evaluated every time; a
+    call that raises stores nothing.  The memo is one ``(t, dict)`` slot replaced as a whole when t
+    changes, so threads evaluating at different times can only make each
+    other recompute, never read a value of another t.
+    """
 
     def __init__(self, h11: Union[str, float, Expression]):
         if isinstance(h11, Expression):
             self.expression = h11
         else:
             self.expression = parse_expression(h11, variables=("t",))
+        self._memo = (None, {})
 
     def __repr__(self) -> str:
         return f"TemporalMetric({self.expression.source!r})"
 
+    @_per_t
     def h11(self, t: float) -> float:
         v = float(self.expression.evaluate({"t": float(t)}))
         _check_h11(v, f"h11({t})")
         return v
 
+    @_per_t
     def h11_eval(self, t_any):
         """Duck-typed evaluation; checks that the (constant) value, or every
         value of an array of stencil nodes, is positive and finite."""
@@ -86,14 +135,17 @@ class TemporalMetric:
     def h_upper(self, t: float) -> float:
         return 1.0 / self.h11(t)
 
+    @_per_t
     def h11_jet(self, t: float, order: int) -> dt.Taylor:
         seed = dt.taylor_variable("t", float(t), order)
         return dt.as_taylor(self.h11_eval(seed), order)
 
+    @_per_t
     def kappa(self, t: float) -> float:
         js = self.h11_jet(t, 1)
         return float(dt.deriv(js, "t").value / (2.0 * js.value))
 
+    @_per_t
     def kappa_dot(self, t: float) -> float:
         js = self.h11_jet(t, 2)
         h = js.value
@@ -101,6 +153,7 @@ class TemporalMetric:
         hpp = dt.deriv(dt.deriv(js, "t"), "t").value
         return float((hpp * h - hp * hp) / (2.0 * h * h))
 
+    @_per_t
     def kappa_eval(self, t_any):
         """kappa on a float or a Taylor value (univariate composition)."""
         if not isinstance(t_any, dt.Taylor):

@@ -148,12 +148,14 @@ class TestScenarioValidation:
             (("cubic",), {"entries": {"123": True}}),
             (("temporal_metric",), "1e400"),
             (("cubic",), {"entries": {"123": "1/6 + 1e999*x1"}}),
+            (("temporal_metric",), "1 + t**1000000000"),
         ],
         ids=[
             "x_scalar", "y_string", "t_string", "y_nan", "y_box_string",
             "t_range_bool", "count_bool", "seed_bool", "seed_negative", "output_list",
             "tolerance_bool", "tolerance_inf", "einstein_bool", "einstein_nan",
             "cubic_entry_bool", "metric_literal_inf", "cubic_literal_inf",
+            "metric_power_unbounded",
         ],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, path, value):
@@ -349,6 +351,34 @@ class TestCliProcess:
         report = json.loads(out.read_text())
         assert report["summary"]["all_pass"] is True
         assert report["summary"]["worst_identities"]["C_trace"]["tolerance"] == 1e-5
+
+    def test_metric_inverse_gate_scales_with_cond(self, tmp_path):
+        # a generic cubic's metric with cond(g) ~ 6e3: g g^-1 - I reaches
+        # 1.4e-12, above the plain identity tolerance but ~1 cond(g) eps
+        doc = base_scenario()
+        doc["cubic"] = {
+            "entries": {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}
+        }
+        doc["points"] = {
+            "explicit": [
+                {
+                    "t": -0.473022840446903,
+                    "x": [-0.9796942248069354, 0.03814227332876263, -0.91245721251627],
+                    "y": [4.330870002717111, 1.6305579227641778, 3.8100049928354904],
+                }
+            ]
+        }
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        record = json.loads(out.read_text())["points"][0]
+        row = record["identities"]["metric_inverse"]
+        cond = np.linalg.cond(np.array(record["generic"]["g_lower"]))
+        assert cond > 1e3
+        assert row["max_rel_dev"] > 1e-12
+        assert row["tolerance"] == 100.0 * cond * np.finfo(float).eps
+        assert row["pass"] is True
 
     def test_seed_override(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario(count=2, seed=3))

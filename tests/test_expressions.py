@@ -4,7 +4,7 @@ import pytest
 
 from jetfinsler import difftools as dt
 from jetfinsler.errors import ConfigError
-from jetfinsler.expressions import parse_expression
+from jetfinsler.expressions import MAX_INT_POWER, parse_expression
 
 
 def test_arithmetic_and_precedence():
@@ -57,11 +57,25 @@ def test_numeric_constant_coerces():
         "[1, 2]",             # non-arithmetic construct
         "t +",                # syntax error
         "'abc'",              # non-numeric literal
+        "t ** 65",            # exponent beyond the bound
+        "t ** -65",
+        "1 + t**1000000000",
     ],
 )
 def test_rejects_constructs_outside_grammar(bad):
     with pytest.raises(ConfigError):
         parse_expression(bad, variables=("t",))
+
+
+def test_powers_up_to_the_bound_keep_the_product_order():
+    t = dt.taylor_variable("t", 0.7, 4)
+    for n in (MAX_INT_POWER, -MAX_INT_POWER):
+        e = parse_expression(f"t**{n}", variables=("t",))
+        base = t if n > 0 else t._recip()
+        want = base
+        for _ in range(abs(n) - 1):
+            want = want * base
+        assert e.evaluate({"t": t}).c.tobytes() == want.c.tobytes()
 
 
 def test_missing_variable_value():
