@@ -7,7 +7,6 @@ from ._backend import current_backend
 from .difftools import (
     COORD_NAMES,
     MAX_ORDER,
-    JetTable,
     PartialSpec,
     Taylor,
     fd_jet,

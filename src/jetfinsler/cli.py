@@ -85,18 +85,23 @@ INVERSE_COND_FACTOR = 100.0
 
 def rel_dev(value, ref) -> float:
     """Max entrywise deviation over max(|value|, |ref|, 1)."""
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    r = np.atleast_1d(np.asarray(ref, dtype=float))
+    v = np.asarray(value, dtype=float)
+    r = np.asarray(ref, dtype=float)
     scale = max(float(np.abs(v).max()), float(np.abs(r).max()), 1.0)
     return float(np.abs(v - r).max() / scale)
 
 
 def identity_dev(residual, reference) -> float:
     """Max residual entry over max(|reference|, 1)."""
-    res = np.atleast_1d(np.asarray(residual, dtype=float))
-    ref = np.atleast_1d(np.asarray(reference, dtype=float))
+    res = np.asarray(residual, dtype=float)
+    ref = np.asarray(reference, dtype=float)
     scale = max(float(np.abs(ref).max()), 1.0)
     return float(np.abs(res).max() / scale)
+
+
+def _row(dev: float, tol: float) -> dict:
+    """A comparison or identity row of a point record."""
+    return {"max_rel_dev": dev, "tolerance": tol, "pass": dev <= tol}
 
 
 @dataclass
@@ -335,8 +340,13 @@ def load_scenario(path: str, seed_override=None, ad_override=None) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal of over 4,300 digits, or nesting too deep to parse
+        raise ConfigError(f"scenario {path} cannot be parsed: {exc}") from None
     return parse_scenario(doc, seed_override=seed_override, ad_override=ad_override)
 
 
@@ -413,18 +423,10 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
     if closed is not None:
         for name in requested:
             dev = rel_dev(generic[name], closed[name])
-            record["comparisons"][name] = {
-                "max_rel_dev": dev,
-                "tolerance": tol_engine,
-                "pass": dev <= tol_engine,
-            }
+            record["comparisons"][name] = _row(dev, tol_engine)
 
     def identity(name, dev, tol):
-        record["identities"][name] = {
-            "max_rel_dev": dev,
-            "tolerance": tol,
-            "pass": dev <= tol,
-        }
+        record["identities"][name] = _row(dev, tol)
 
     y = np.asarray(p.y)
     cc = contract_cubic(cubic, p)
@@ -554,8 +556,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
         nlc = NonlinearConnection.apriori(scenario.tm)
     points = sample_points(scenario)
     records = []
-    worst_cmp: dict = {}
-    worst_id: dict = {}
+    worst = {"comparisons": {}, "identities": {}}
     failed = 0
     errored = 0
     for idx, p in enumerate(points):
@@ -572,26 +573,17 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
             errored += 1
             continue
         point_fail = False
-        for name, row in record["comparisons"].items():
-            best = worst_cmp.get(name)
-            if best is None or row["max_rel_dev"] > best["max_rel_dev"]:
-                worst_cmp[name] = {
-                    "max_rel_dev": row["max_rel_dev"],
-                    "tolerance": row["tolerance"],
-                    "point_index": idx,
-                    "pass": row["pass"],
-                }
-            point_fail = point_fail or not row["pass"]
-        for name, row in record["identities"].items():
-            best = worst_id.get(name)
-            if best is None or row["max_rel_dev"] > best["max_rel_dev"]:
-                worst_id[name] = {
-                    "max_rel_dev": row["max_rel_dev"],
-                    "tolerance": row["tolerance"],
-                    "point_index": idx,
-                    "pass": row["pass"],
-                }
-            point_fail = point_fail or not row["pass"]
+        for section, worst_rows in worst.items():
+            for name, row in record[section].items():
+                best = worst_rows.get(name)
+                if best is None or row["max_rel_dev"] > best["max_rel_dev"]:
+                    worst_rows[name] = {
+                        "max_rel_dev": row["max_rel_dev"],
+                        "tolerance": row["tolerance"],
+                        "point_index": idx,
+                        "pass": row["pass"],
+                    }
+                point_fail = point_fail or not row["pass"]
         if point_fail:
             failed += 1
         records.append(record)
@@ -612,8 +604,8 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
             "points_total": len(points),
             "points_failed": failed,
             "points_errored": errored,
-            "worst_comparisons": {k: worst_cmp[k] for k in sorted(worst_cmp)},
-            "worst_identities": {k: worst_id[k] for k in sorted(worst_id)},
+            "worst_comparisons": dict(sorted(worst["comparisons"].items())),
+            "worst_identities": dict(sorted(worst["identities"].items())),
             "all_pass": all_pass,
         },
         "wall_time_seconds": time.perf_counter() - start,
@@ -818,9 +810,13 @@ def main(argv=None) -> int:
         if base.endswith(".json"):
             base = base[: -len(".json")]
         out_path = base + ".report.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"cannot write report {out_path}: {exc}", file=sys.stderr)
+        return 2
     for line in _summary_lines(report):
         print(line)
     print(f"report written to {out_path}")

@@ -11,13 +11,13 @@ so the a-priori pair (M^p = -kappa y^p, N^p_j = -(kappa/2) delta^p_j) gives
 the frame d/dt + kappa y^p d/dy_p and d/dx^j + (kappa/2) d/dy_j.
 
 Per point, everything is derived from a single 4th-order jet of F^2: the
-metric g_ij = (h11/2) d^2(F^2)/dy_i dy_j is carried as an order-2 truncated
-series, its inverse by cofactor expansion over order-1 series, the connection
-coefficients as stacked order-1 series (one array per tensor, the Taylor
-coefficients on the last axis), and the curvature components as their first
-formal derivatives.  The series coefficients are exactly the adapted-frame
-partials that the defining formulas call for, so the whole chain is exact up
-to rounding.  ``deriv_mode="fd"`` swaps the two base jets (F^2 and h11) for
+metric g_ij = (h11/2) d^2(F^2)/dy_i dy_j is carried as a stack of order-2
+truncated series (one array, the Taylor coefficients on the last axis), its
+inverse by cofactor expansion over order-1 series, the connection
+coefficients as stacked order-1 series, and the curvature components as
+their first formal derivatives.  The series coefficients are exactly the
+adapted-frame partials that the defining formulas call for, so the whole
+chain is exact up to rounding.  ``deriv_mode="fd"`` swaps the two base jets (F^2 and h11) for
 finite-difference tables; downstream algebra is unchanged.
 """
 
@@ -172,10 +172,10 @@ class PointContext:
     def f2_ser(self) -> dt.Taylor:
         fld = finsler_F_squared_field(self.cubic, self.tm)
         if self.deriv_mode == "fd":
-            # only ``g_ser`` reads this jet, through two y-derivatives, so the
-            # coefficients of y-degree below 2 are never sampled
+            # only ``g_stack`` reads this jet, through two y-derivatives, so
+            # the coefficients of y-degree below 2 are never sampled
             return dt.fd_jet(fld, self.point, 4, min_fiber_degree=2)
-        return dt.jet_eval(fld, self.point, 4).taylor()
+        return dt.jet_eval(fld, self.point, 4)
 
     @cached_property
     def h_ser(self) -> dt.Taylor:
@@ -255,20 +255,15 @@ class PointContext:
     # -- metric as order-2 series ----------------------------------------------
 
     @cached_property
-    def g_ser(self):
-        f2 = self.f2_ser
-        h = self.h_ser
-        rows = []
-        for i in range(3):
-            di = dt.deriv(f2, _Y0 + i)
-            rows.append(
-                [0.5 * (h * dt.deriv(di, _Y0 + j)) for j in range(3)]
-            )
-        return rows
+    def g_stack(self) -> np.ndarray:
+        """g_ij = 0.5 * (h11 d^2(F^2)/dy_i dy_j) as order-2 series, (3, 3, 36)."""
+        d2 = dt.first_partials(dt.first_partials(self.f2_ser.c)[_Y0:])[:, _Y0:]
+        return 0.5 * dt.mul_stacks(self.h_ser.c, d2)
 
     @cached_property
     def g_val(self) -> np.ndarray:
-        g = np.array([[e.value for e in row] for row in self.g_ser])
+        # contiguous: einsum may sum a strided slice in another order
+        g = np.ascontiguousarray(self.g_stack[..., 0])
         det = float(np.linalg.det(g))
         norm = float(np.linalg.norm(g))
         if abs(det) <= 1e-12 * norm**3:
@@ -281,12 +276,12 @@ class PointContext:
 
         Only its values and first partials are read, so it is built from the
         order-1 truncation of g: the order-1 coefficients of a product depend
-        on those of its factors alone, and ``dt.mul_order1`` accumulates them
+        on those of its factors alone, and an order-1 product accumulates them
         in the order of any higher-order product.
         """
         self.g_val  # degeneracy check
         g = self.g_stack[..., : dt.NCOEF[1]]
-        mul = dt.mul_order1
+        mul = dt.mul_stacks
         # minor[r, c]: the 2x2 determinant without row r and column c
         minor = mul(g[_R0, _C0], g[_R1, _C1]) - mul(g[_R0, _C1], g[_R1, _C0])
         terms = mul(_SIGNS[0, :, None] * g[0], minor[0])
@@ -304,14 +299,9 @@ class PointContext:
     # -- Cartan coefficients and the EM 2-form as stacked order-1 series ------
 
     # Each stack is the array expression of the per-entry series formula, with
-    # the same operations in the same order (``dt.mul_order1`` for a product
+    # the same operations in the same order (``dt.mul_stacks`` for a product
     # of series, ``_accumulate`` for a sum over an index), so every float
     # equals the one of the nested-loop ``Taylor`` evaluation.
-
-    @cached_property
-    def g_stack(self) -> np.ndarray:
-        """The order-2 metric series, (3, 3, 36)."""
-        return stack_coefficients(self.g_ser)
 
     @cached_property
     def _dg(self) -> np.ndarray:
@@ -322,7 +312,7 @@ class PointContext:
     def C_stack(self) -> np.ndarray:
         """C^{i(1)}_{j(k)} = (g^im / 2) dg_jk/dy^m, [i, j, k]."""
         dgdy = self._dg[:, :, _Y0:]  # [j, k, m]
-        terms = dt.mul_order1(self.ginv_stack[:, None, None], dgdy[None])
+        terms = dt.mul_stacks(self.ginv_stack[:, None, None], dgdy[None])
         return 0.5 * _accumulate(terms)
 
     @cached_property
@@ -331,7 +321,7 @@ class PointContext:
         dg = self._dg
         out = dg[:, :, 1:_Y0]  # [i, j, a]
         for p in range(3):
-            out = out - dt.mul_order1(self.N_stack[p], dg[:, :, None, _Y0 + p])
+            out = out - dt.mul_stacks(self.N_stack[p], dg[:, :, None, _Y0 + p])
         return out.transpose(2, 0, 1, 3)
 
     @cached_property
@@ -340,7 +330,7 @@ class PointContext:
         dg = self.dgdx_stack
         # [j, k, m]: dg[k][j][m] + dg[j][k][m] - dg[m][j][k]
         brackets = dg.transpose(1, 0, 2, 3) + dg - dg.transpose(1, 2, 0, 3)
-        terms = dt.mul_order1(self.ginv_stack[:, None, None], brackets[None])
+        terms = dt.mul_stacks(self.ginv_stack[:, None, None], brackets[None])
         return 0.5 * _accumulate(terms)
 
     @cached_property
@@ -349,8 +339,8 @@ class PointContext:
         dg = self._dg
         dgdt = dg[:, :, 0]  # [m, j]
         for p in range(3):
-            dgdt = dgdt - dt.mul_order1(self.M_stack[p], dg[:, :, _Y0 + p])
-        terms = dt.mul_order1(self.ginv_stack[:, None], dgdt.transpose(1, 0, 2)[None])
+            dgdt = dgdt - dt.mul_stacks(self.M_stack[p], dg[:, :, _Y0 + p])
+        terms = dt.mul_stacks(self.ginv_stack[:, None], dgdt.transpose(1, 0, 2)[None])
         return 0.5 * _accumulate(terms)
 
     @cached_property
@@ -379,14 +369,14 @@ class PointContext:
         y = stack_coefficients(self.seeds1[_Y0:])
         h_up = (1.0 / self.h_ser.truncate(1)).c
         # [i, j, m]
-        gn = dt.mul_order1(g[None], n_t[:, None]) - dt.mul_order1(g[:, None], n_t[None])
+        gn = dt.mul_stacks(g[None], n_t[:, None]) - dt.mul_stacks(g[:, None], n_t[None])
         # [i, j, r, m]
-        gl = dt.mul_order1(g[:, None, :, None], l_t[None]) - dt.mul_order1(
+        gl = dt.mul_stacks(g[:, None, :, None], l_t[None]) - dt.mul_stacks(
             g[None, :, :, None], l_t[:, None]
         )
         acc = _accumulate(gn)
-        acc = _accumulate(dt.mul_order1(gl, y).reshape(3, 3, 9, -1), acc)
-        return 0.5 * dt.mul_order1(h_up, acc)
+        acc = _accumulate(dt.mul_stacks(gl, y).reshape(3, 3, 9, -1), acc)
+        return 0.5 * dt.mul_stacks(h_up, acc)
 
     # -- assembled objects --------------------------------------------------------
 

@@ -143,6 +143,19 @@ class Taylor:
             return self
         return Taylor(self.c[: NCOEF[order]], order)
 
+    def partial(self, *spec) -> float:
+        """The mixed partial named by ``spec`` (coordinate names or slots, in
+        any order, or one sequence of them), read from its coefficient."""
+        if len(spec) == 1 and not isinstance(spec[0], (str, int)):
+            spec = spec[0]
+        ps = PartialSpec.coerce(spec)
+        if ps.order > self.order:
+            raise OrderTooHigh(
+                f"series holds order {self.order}, requested {ps.order}"
+            )
+        pos = _POS[ps.exponents]
+        return float(self.c[pos] * _FACT[pos])
+
     def __repr__(self) -> str:
         return f"Taylor(order={self.order}, value={self.value!r})"
 
@@ -265,26 +278,21 @@ def deriv(u: Taylor, var: Union[int, str]) -> Taylor:
     return Taylor(u.c[src] * fac, u.order - 1)
 
 
-# -- stacked order-1 series ---------------------------------------------------
+# -- stacked series ----------------------------------------------------------
 #
-# Arrays whose last axis holds the NCOEF[1] = 8 coefficients of an order-1
-# series (the other axes index tensor entries) evaluate many series with one
-# numpy operation each.  Sums, differences and scalings of such stacks are the
+# Arrays whose last axis holds the coefficients of same-order series (the
+# other axes index tensor entries) evaluate many series with one numpy
+# operation each.  Sums, differences and scalings of such stacks are the
 # elementwise operations of ``Taylor``; the two helpers below give products
 # and first partials with the same float operations as the per-entry path.
 
 
-def mul_order1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of stacked order-1 series, broadcast over the leading axes.
-
-    Every float equals ``(Taylor(a_e, 1) * Taylor(b_e, 1)).c`` for the
-    entries a_e, b_e: ``_backend.poly_mul`` accumulates its table into zeros,
-    so the value is ``a0*b0 + 0.0`` and slot v is ``(a0*b_v + 0.0) + a_v*b0``.
-    """
-    a0 = a[..., :1]
-    out = a0 * b + 0.0
-    out[..., 1:] += a[..., 1:] * b[..., :1]
-    return out
+def mul_stacks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of stacked series, broadcast over the leading axes, at the
+    lower of the two orders: every float equals the one of
+    ``Taylor(a_e, ka) * Taylor(b_e, kb)`` for the entries a_e, b_e."""
+    ia, ib, ic, n = _MUL[NCOEF.index(min(a.shape[-1], b.shape[-1]))]
+    return _backend.poly_mul(a[..., :n], b[..., :n], ia, ib, ic, n)
 
 
 def first_partials(c: np.ndarray) -> np.ndarray:
@@ -504,48 +512,16 @@ def partial(field: Callable, point, spec) -> float:
     if spec.order == 0:
         return float(field(*coords))
     out = field(*seed_point(coords, spec.order))
-    if not isinstance(out, Taylor):
-        return 0.0
-    pos = _POS[spec.exponents]
-    return float(out.c[pos] * _FACT[pos])
+    return as_taylor(out, spec.order).partial(spec)
 
 
-class JetTable:
-    """All mixed partials of one field at one point, up to a fixed order."""
-
-    __slots__ = ("order", "_c")
-
-    def __init__(self, coeffs: np.ndarray, order: int):
-        self._c = coeffs
-        self.order = order
-
-    @property
-    def value(self) -> float:
-        return float(self._c[0])
-
-    def partial(self, *spec) -> float:
-        if len(spec) == 1 and not isinstance(spec[0], (str, int)):
-            spec = spec[0]
-        ps = PartialSpec.coerce(spec)
-        if ps.order > self.order:
-            raise OrderTooHigh(
-                f"table holds order {self.order}, requested {ps.order}"
-            )
-        pos = _POS[ps.exponents]
-        return float(self._c[pos] * _FACT[pos])
-
-    def taylor(self) -> Taylor:
-        return Taylor(self._c, self.order)
-
-
-def jet_eval(field: Callable, point, order: int) -> JetTable:
-    """Single-traversal table of every mixed partial up to ``order``."""
+def jet_eval(field: Callable, point, order: int) -> Taylor:
+    """The field's series at the point up to ``order`` in one traversal: every
+    mixed partial up to that order is read from it with ``Taylor.partial``."""
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the maximum {MAX_ORDER}")
     coords = _coords_of(point)
-    out = field(*seed_point(coords, order))
-    out = as_taylor(out, order)
-    return JetTable(out.c, order)
+    return as_taylor(field(*seed_point(coords, order)), order)
 
 
 # -- finite-difference fallback ----------------------------------------------

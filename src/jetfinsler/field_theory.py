@@ -207,8 +207,8 @@ def s_raised_stack(y) -> np.ndarray:
     p = dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0).c
     y_c = stack_coefficients(y)
     recip = stack_coefficients([v._recip() for v in y])
-    entries = dt.mul_order1(p * _S_RAISED_COEF[..., None], y_c[:, None])
-    return dt.mul_order1(entries, recip[None])
+    entries = dt.mul_stacks(p * _S_RAISED_COEF[..., None], y_c[:, None])
+    return dt.mul_stacks(entries, recip[None])
 
 
 def _adapted_partials(c: np.ndarray, m_at: np.ndarray, n_at: np.ndarray):
@@ -254,7 +254,7 @@ def conservation_residuals(
     def field(coef, diagonal=False):
         """coef S^m11_i (+ xi11 G111^(-2/3) where m = i), stacked [m, i]."""
         if isinstance(coef, dt.Taylor):
-            out = dt.mul_order1(coef.c, s_up)
+            out = dt.mul_stacks(coef.c, s_up)
         else:  # h11 / K of a constant h11 is a number
             out = s_up * float(coef)
         if diagonal:

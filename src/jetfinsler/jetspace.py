@@ -13,6 +13,7 @@ tensor notation; dense numpy arrays store component (i) at slot i-1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -245,11 +246,13 @@ class CubicForm:
         return val
 
     def values_array(self, x) -> np.ndarray:
-        out = np.empty((3, 3, 3))
-        for p in range(3):
-            for q in range(3):
-                for r in range(3):
-                    out[p, q, r] = self.component(p + 1, q + 1, r + 1, x)
+        """G_pqr at x as a (3, 3, 3) array: each stored entry is evaluated once
+        and written to all its index permutations."""
+        out = np.zeros((3, 3, 3))
+        for key in sorted(self._entries):
+            value = self.component(*key, x)
+            for p, q, r in itertools.permutations(key):
+                out[p - 1, q - 1, r - 1] = value
         return out
 
     def g111(self, x, y):

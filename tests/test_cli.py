@@ -228,6 +228,18 @@ class TestRunScenario:
         assert all(p["error"] for p in report["points"])
         assert ok  # no comparison failed, they were skipped
 
+    def test_duplicated_points_keep_earliest_worst_row(self):
+        doc = base_scenario()
+        point = {"t": 0.3, "x": [0.1, 0.2, 0.3], "y": [0.7, 1.9, 2.6]}
+        doc["points"] = {"explicit": [point] * 3}
+        report, _ = run_scenario(parse_scenario(doc))
+        summary = report["summary"]
+        rows = {**summary["worst_comparisons"], **summary["worst_identities"]}
+        assert len(rows) > len(COMPARISON_NAMES)
+        for row in rows.values():
+            assert list(row) == ["max_rel_dev", "tolerance", "point_index", "pass"]
+            assert row["point_index"] == 0
+
     def test_canonical_run_passes(self):
         doc = base_scenario(count=3, seed=10)
         doc["connection"] = "canonical"
@@ -252,6 +264,32 @@ class TestCliProcess:
         proc = run_cli("run", str(path))
         assert proc.returncode == 2, proc.stderr
         assert "scenario error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"temporal_metric": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"einstein_constant": 1' + b"0" * 5000 + b"}",
+        ],
+        ids=["not_utf8", "nested_too_deep", "int_too_long"],
+    )
+    def test_unreadable_scenario_exits_two(self, tmp_path, raw):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        proc = run_cli("run", str(path), "--out", str(tmp_path / "report.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("scenario error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        path = write_scenario(tmp_path, base_scenario(count=1, seed=3))
+        out = tmp_path / "missing" / "report.json"
+        proc = run_cli("run", str(path), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"cannot write report {out}: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.parent.exists()
 
     def test_exit_one_when_tolerance_impossible(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario(count=2, seed=3))

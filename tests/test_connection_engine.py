@@ -4,6 +4,7 @@ import operator
 import numpy as np
 import pytest
 
+from jetfinsler import _backend
 from jetfinsler import berwald_moor as bm
 from jetfinsler import difftools as dt
 from jetfinsler.connection_engine import (
@@ -344,6 +345,16 @@ def _series(stack: np.ndarray, index) -> dt.Taylor:
     return dt.Taylor(stack[index], 1)
 
 
+def _metric_series(ctx):
+    """g_ij = 0.5 * (h11 d^2(F^2)/dy_i dy_j) entry by entry, as nested lists of
+    order-2 series (two ``deriv`` calls and one ``Taylor`` product each)."""
+    f2, h = ctx.f2_ser, ctx.h_ser
+    return [
+        [0.5 * (h * dt.deriv(dt.deriv(f2, 4 + i), 4 + j)) for j in range(3)]
+        for i in range(3)
+    ]
+
+
 class TestSliceDerivatives:
     """The array-slice first partials are the per-entry series values."""
 
@@ -388,7 +399,8 @@ class TestSliceDerivatives:
 
     def test_time_partials_of_higher_order_series(self, ctx):
         # the metric series has order 2; its first-order slots are shared
-        dgdt = np.array([[_adapted_dt(ctx, e).value for e in row] for row in ctx.g_ser])
+        g = _metric_series(ctx)
+        dgdt = np.array([[_adapted_dt(ctx, e).value for e in row] for row in g])
         assert _same_floats(ctx._dt_slices(ctx.g_stack), dgdt)
         f = ctx.em_form_stack
         f_dt = np.empty((3, 3))
@@ -423,7 +435,8 @@ def _inverse_series(g):
 def _reference_series(ctx) -> dict:
     """The inverse metric, connection and EM coefficients by nested loops over
     per-entry ``Taylor`` arithmetic, the definitions the stacks must reproduce."""
-    g, ginv, N = ctx.g_ser, _inverse_series(ctx.g_ser), ctx.N_ser
+    g = _metric_series(ctx)
+    ginv, N = _inverse_series(g), ctx.N_ser
     r3 = range(3)
     dgy = [[[dt.deriv(g[j][k], 4 + m) for m in r3] for k in r3] for j in r3]
     C = [
@@ -453,7 +466,7 @@ def _reference_series(ctx) -> dict:
             row.append(0.5 * (h_up * acc))
         F.append(row)
     ginv1 = [[e.truncate(1) for e in row] for row in ginv]
-    return {"ginv": ginv1, "C": C, "dgdx": dgx, "L": L, "G_time": G, "em_form": F}
+    return {"g": g, "ginv": ginv1, "C": C, "dgdx": dgx, "L": L, "G_time": G, "em_form": F}
 
 
 class TestStacksMatchSeries:
@@ -484,6 +497,56 @@ class TestStacksMatchSeries:
         assert _same_floats(ctx.C_val, ctx.C_stack[..., 0])
         assert _same_floats(ctx.L_val, ctx.L_stack[..., 0])
         assert _same_floats(ctx.G_time_val, ctx.G_time_stack[..., 0])
+        assert _same_floats(ctx.g_val, ctx.g_stack[..., 0])
+        assert ctx.g_val.flags.c_contiguous and ctx.ginv_val.flags.c_contiguous
+
+
+class TestMetricStack:
+    """``g_stack`` is one stacked order-2 product; its floats are those of the
+    per-entry derivatives and products, in both derivative modes."""
+
+    @pytest.fixture(
+        params=[
+            ("berwald_moor", "exact"),
+            ("berwald_moor", "fd"),
+            ("generic", "exact"),
+            ("generic", "fd"),
+        ],
+        ids="-".join,
+    )
+    def ctx(self, request):
+        cubic_name, mode = request.param
+        if cubic_name == "berwald_moor":
+            cubic = CubicForm.berwald_moor()
+        else:  # the golden generic scenario's cubic
+            cubic = CubicForm.from_entries(
+                {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}
+            )
+        tm = TemporalMetric("t**2 + 1")
+        p = JetPoint.of(0.4, (0.3, -0.5, 0.8), (1.1, 0.6, 1.7))
+        return PointContext(cubic, tm, NonlinearConnection.apriori(tm), p, mode)
+
+    def test_stack_equals_per_entry_series(self, ctx):
+        ref = stack_coefficients(_metric_series(ctx))
+        assert ctx.g_stack.shape == (3, 3, dt.NCOEF[2])
+        assert _same_floats(ctx.g_stack, ref)
+        assert not np.all(ctx.g_stack[..., 1:] == 0.0)
+
+    def test_kernel_sees_the_stacked_products(self, ctx, monkeypatch):
+        kernel = _backend.poly_mul
+        stacked = []
+
+        def counted(a, b, ia, ib, ic, n):
+            if a.ndim > 1 or b.ndim > 1:
+                stacked.append(n)
+            return kernel(a, b, ia, ib, ic, n)
+
+        monkeypatch.setattr(_backend, "poly_mul", counted)
+        ctx.tensor_bundle()
+        # g: one order-2 product; ginv 4, C 1, dg/dx 3, L 1 and G_time 4 at order 1
+        assert sorted(stacked) == [dt.NCOEF[1]] * 13 + [dt.NCOEF[2]]
+        ctx.em_form_stack
+        assert stacked.count(dt.NCOEF[1]) == 13 + 6
 
 
 class TestMemoContract:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from jetfinsler import _backend
 from jetfinsler import difftools as dt
 from jetfinsler.errors import DomainError, OrderTooHigh
 from jetfinsler.jetspace import JetPoint
@@ -144,6 +146,22 @@ def test_jet_eval_matches_repeated_partial_exactly():
         assert table.partial(spec) == dt.partial(f, p, spec)
 
 
+def test_jet_partial_reads_scaled_coefficients():
+    f = lambda t, x1, x2, x3, y1, y2, y3: dt.exp(t * x1) * y1 / (y2 + x3 * y3)
+    p = JetPoint.of(0.3, (0.5, -1.0, 2.0), (1.5, 2.0, 0.7))
+    jet = dt.jet_eval(f, p, 3)
+    assert isinstance(jet, dt.Taylor) and jet.order == 3
+    for pos, exps in enumerate(dt._EXPONENTS[: dt.NCOEF[3]]):
+        spec = [v for v, m in enumerate(exps) for _ in range(m)]
+        scale = math.prod(math.factorial(m) for m in exps)
+        assert jet.partial(spec) == float(jet.c[pos] * scale)
+    names = ("y2", "t", "y1")
+    assert jet.partial(*names) == jet.partial(names) == jet.partial(5, 0, 4)
+    assert jet.partial("x1") == dt.partial(f, p, "x1")
+    with pytest.raises(OrderTooHigh):
+        jet.partial("t", "t", "y1", "y1")
+
+
 def test_partial_spec_canonicalizes_sorted():
     a = dt.PartialSpec.coerce(("y2", "t", "y1"))
     b = dt.PartialSpec.coerce(("y1", "y2", "t"))
@@ -185,7 +203,7 @@ def test_evaluation_is_deterministic():
     p = JetPoint.of(0.3, (0.1, 0.2, 0.3), (0.9, 1.7, 2.2))
     first = dt.jet_eval(f, p, 4)
     second = dt.jet_eval(f, p, 4)
-    assert np.array_equal(first._c, second._c)
+    assert np.array_equal(first.c, second.c)
 
 
 def test_fd_jet_tracks_exact_jet():
@@ -193,7 +211,7 @@ def test_fd_jet_tracks_exact_jet():
         2.0 * t
     )
     p = JetPoint.of(0.2, (0.1, -0.3, 0.4), (0.8, 1.9, 3.4))
-    exact = dt.jet_eval(f, p, 4).taylor()
+    exact = dt.jet_eval(f, p, 4)
     fd = dt.fd_jet(f, p, 4)
     scale = np.maximum(np.abs(exact.c), 1.0)
     assert np.max(np.abs(exact.c - fd.c) / scale) < 1e-5
@@ -209,37 +227,49 @@ _COEFF = st.one_of(
     st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0]),
 )
-_SERIES = st.lists(_COEFF, min_size=dt.NCOEF[1], max_size=dt.NCOEF[1])
 
 
-@given(
-    a=st.lists(_SERIES, min_size=1, max_size=3),
-    b=st.lists(_SERIES, min_size=1, max_size=3),
-    flat_a=st.booleans(),
-    flat_b=st.booleans(),
-)
+@st.composite
+def _stacks(draw, order):
+    """1 to 3 series of ``order`` on a leading axis, one of them possibly with
+    its higher slots zeroed (a constant series)."""
+    stack = draw(
+        hnp.arrays(float, (draw(st.integers(1, 3)), dt.NCOEF[order]), elements=_COEFF)
+    )
+    if draw(st.booleans()):
+        stack[draw(st.integers(0, len(stack) - 1)), 1:] = 0.0
+    return stack
+
+
+@given(data=st.data(), order=st.integers(0, dt.MAX_ORDER))
 @settings(max_examples=200, deadline=None)
-def test_mul_order1_matches_taylor_product(a, b, flat_a, flat_b):
-    a, b = np.array(a), np.array(b)
-    if flat_a:  # zero first-order slots
-        a[0, 1:] = 0.0
-    if flat_b:
-        b[-1, 1:] = 0.0
-    outer = dt.mul_order1(a[:, None], b)  # broadcast to (len(a), len(b), 8)
-    first = dt.mul_order1(a[0], b)  # one series against a stack
-    assert outer.shape == (len(a), len(b), dt.NCOEF[1])
+def test_stacked_poly_mul_matches_taylor_product(data, order):
+    a, b = data.draw(_stacks(order)), data.draw(_stacks(order))
+    table = dt._MUL[order]
+    outer = _backend.poly_mul(a[:, None], b, *table)  # (len(a), len(b), n)
+    first = _backend.poly_mul(a[0], b, *table)  # one series against a stack
+    last = _backend.poly_mul(a, b[-1], *table)  # a stack against one series
+    assert outer.shape == (len(a), len(b), dt.NCOEF[order])
     for i, j in np.ndindex(len(a), len(b)):
-        ref = (dt.Taylor(a[i], 1) * dt.Taylor(b[j], 1)).c
+        ref = (dt.Taylor(a[i], order) * dt.Taylor(b[j], order)).c
         assert outer[i, j].tobytes() == ref.tobytes()
         if i == 0:
             assert first[j].tobytes() == ref.tobytes()
+        if j == len(b) - 1:
+            assert last[i].tobytes() == ref.tobytes()
+    if order < dt.MAX_ORDER:  # a higher-order factor is truncated to ``order``
+        hi = data.draw(_stacks(order + 1))
+        got = dt.mul_stacks(hi[:, None], b)
+        for i, j in np.ndindex(len(hi), len(b)):
+            ref = (dt.Taylor(hi[i], order + 1) * dt.Taylor(b[j], order)).c
+            assert got[i, j].tobytes() == ref.tobytes()
 
 
 def test_first_partials_match_deriv():
     f = lambda t, x1, x2, x3, y1, y2, y3: dt.exp(t * x1) * y1 / (y2 + x3 * y3)
     p = JetPoint.of(0.3, (0.5, -1.0, 2.0), (1.5, 2.0, 0.7))
     for order in (1, 2, 4):
-        u = dt.jet_eval(f, p, order).taylor()
+        u = dt.jet_eval(f, p, order)
         stack = np.stack([u.c, -u.c])
         got = dt.first_partials(stack)
         assert got.shape == (2, dt.NVARS, dt.NCOEF[order - 1])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
 from jetfinsler.errors import DomainError, NonPositiveMetric, SingularChange
+from jetfinsler.expressions import Expression
 from jetfinsler.jetspace import (
     CubicForm,
     DTensorBundle,
@@ -156,6 +157,23 @@ class TestCubicForm:
         vals = cubic.values_array((0, 0, 0))
         want = np.einsum("pqr,p,q,r->", vals, y, y, y)
         assert cubic.g111((0, 0, 0), y) == pytest.approx(float(want), rel=1e-15)
+
+    def test_values_array_evaluates_each_entry_once(self, monkeypatch):
+        cubic = CubicForm.from_entries(
+            {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}
+        )
+        x = (0.4, -0.9, 1.3)
+        ref = np.empty((3, 3, 3))
+        for p, q, r in np.ndindex(3, 3, 3):
+            ref[p, q, r] = cubic.component(p + 1, q + 1, r + 1, x)
+        evaluate = Expression.evaluate
+        calls = []
+        monkeypatch.setattr(
+            Expression, "evaluate", lambda e, env: calls.append(e) or evaluate(e, env)
+        )
+        vals = cubic.values_array(x)
+        assert len(calls) == 3
+        assert vals.tobytes() == ref.tobytes()
 
     def test_is_berwald_moor(self):
         assert CubicForm.berwald_moor().is_berwald_moor()
