@@ -20,6 +20,7 @@ from .errors import (
     DegenerateMetric,
     DomainError,
     JetFinslerError,
+    NonFiniteOutput,
     NonPositiveMetric,
     OrderTooHigh,
     SingularChange,
@@ -54,19 +55,7 @@ from .connection_engine import (
     ricci_generic,
     scalar_curvature_generic,
 )
-from .berwald_moor import (
-    A_COEFFICIENTS,
-    bm_C,
-    bm_S,
-    bm_S_raised,
-    bm_cartan,
-    bm_curvatures,
-    bm_metric,
-    bm_ricci,
-    bm_scalar_curvature,
-    bm_torsions,
-    closed_form_bundle,
-)
+from .berwald_moor import A_COEFFICIENTS, ClosedForms, closed_form_bundle
 from .field_theory import (
     ConservationReport,
     EinsteinBlocks,

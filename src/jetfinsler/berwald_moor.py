@@ -1,7 +1,7 @@
 """Closed-form tensors of the rheonomic Berwald-Moor metric of order three.
 
 With G111 = y1 y2 y3 on the positive orthant, every geometric object has an
-explicit expression; this module implements them all:
+explicit expression; ``ClosedForms`` computes them all at one point:
 
     g_ij   = ((2 - 3 delta_ij)/9) G111^(2/3) / (y_i y_j)
     g^jk   = (2 - 3 delta^jk) G111^(-2/3) y_j y_k
@@ -21,12 +21,14 @@ with explicit per-index loops to keep the no-sum convention visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from functools import cached_property
 import itertools
 
 import numpy as np
 
-from .connection_engine import CartanConnection, CurvatureSet, RicciSet, TorsionSet
+from . import difftools as dt
+from .connection_engine import stack_coefficients
 from .jetspace import JetPoint, TemporalMetric
 
 
@@ -46,68 +48,14 @@ def _a_coefficients() -> np.ndarray:
 A_COEFFICIENTS = _a_coefficients()
 A_COEFFICIENTS.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class BMMetric:
-    g_lower: np.ndarray
-    g_upper: np.ndarray
-
-
-def _g111(p: JetPoint) -> float:
-    return p.y[0] * p.y[1] * p.y[2]
+#: The raised vertical Ricci tensor's constant factor (1 - 3 delta^m_i) / 3, [m, i].
+_S_RAISED_COEF = np.array(
+    [[(1.0 - (3.0 if m == i else 0.0)) / 3.0 for i in range(3)] for m in range(3)]
+)
 
 
-def bm_metric(p: JetPoint, tm: TemporalMetric) -> BMMetric:
-    """Fundamental metric and its inverse; y must be positive."""
-    p.require_positive_fiber()
-    tm.h11(p.t)
-    y = p.y
-    g23 = _g111(p) ** (2.0 / 3.0)
-    lower = np.empty((3, 3))
-    upper = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            d = 3.0 if i == j else 0.0
-            lower[i, j] = (2.0 - d) / 9.0 * g23 / (y[i] * y[j])
-            upper[i, j] = (2.0 - d) / g23 * y[i] * y[j]
-    return BMMetric(g_lower=lower, g_upper=upper)
-
-
-def bm_C(p: JetPoint) -> np.ndarray:
-    """C^{i(1)}_{j(k)} = A^i_jk y_i / (y_j y_k), no sums."""
-    p.require_positive_fiber()
-    y = p.y
-    c = np.empty((3, 3, 3))
-    for i, j, k in itertools.product(range(3), repeat=3):
-        c[i, j, k] = A_COEFFICIENTS[i, j, k] * y[i] / (y[j] * y[k])
-    return c
-
-
-def bm_cartan(p: JetPoint, tm: TemporalMetric) -> CartanConnection:
-    """Cartan canonical connection: (kappa, G = 0, L = (kappa/2) C, C)."""
-    c = bm_C(p)
-    kappa = tm.kappa(p.t)
-    return CartanConnection(
-        kappa=kappa, G_time=np.zeros((3, 3)), L=0.5 * kappa * c, C=c
-    )
-
-
-def bm_torsions(p: JetPoint, tm: TemporalMetric) -> TorsionSet:
-    """P_mixed = -(kappa/2) C, P_fiber = C, R_time = (kappa' - kappa^2)/2 I."""
-    c = bm_C(p)
-    kappa = tm.kappa(p.t)
-    kappa_dot = tm.kappa_dot(p.t)
-    return TorsionSet(
-        P_mixed=-0.5 * kappa * c,
-        P_fiber=c,
-        R_time=0.5 * (kappa_dot - kappa * kappa) * np.eye(3),
-    )
-
-
-def bm_S(p: JetPoint) -> np.ndarray:
+def _s_table(y) -> np.ndarray:
     """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table."""
-    p.require_positive_fiber()
-    y = p.y
     s = np.zeros((3, 3, 3, 3))
     for l, i, j, k in itertools.product(range(3), repeat=4):
         if j == k:
@@ -136,81 +84,19 @@ def bm_S(p: JetPoint) -> np.ndarray:
     return s
 
 
-def bm_S_bracket(p: JetPoint) -> np.ndarray:
-    """S again, from the A-coefficient bracket expansion (cross-check path):
+class ClosedForms(Mapping):
+    """Every closed-form object of the Berwald-Moor metric at one point.
 
-    [A^l_ij d^l_k/(y_i y_j) - A^l_ik d^l_j/(y_i y_k)]
-    + [A^l_ik d_ij y_l/(y_i^2 y_k) - A^l_ij d_ik y_l/(y_i^2 y_j)]
-    + sum_m [A^m_ij A^l_mk - A^m_ik A^l_mj] y_l/(y_i y_j y_k),  j != k.
-    """
-    p.require_positive_fiber()
-    y = p.y
-    a = A_COEFFICIENTS
-    s = np.zeros((3, 3, 3, 3))
-    for l, i, j, k in itertools.product(range(3), repeat=4):
-        if j == k:
-            continue
-        dlk = 1.0 if l == k else 0.0
-        dlj = 1.0 if l == j else 0.0
-        dij = 1.0 if i == j else 0.0
-        dik = 1.0 if i == k else 0.0
-        t1 = a[l, i, j] * dlk / (y[i] * y[j]) - a[l, i, k] * dlj / (y[i] * y[k])
-        t2 = a[l, i, k] * dij * y[l] / (y[i] ** 2 * y[k]) - a[l, i, j] * dik * y[
-            l
-        ] / (y[i] ** 2 * y[j])
-        t3 = sum(
-            a[m, i, j] * a[l, m, k] - a[m, i, k] * a[l, m, j] for m in range(3)
-        ) * y[l] / (y[i] * y[j] * y[k])
-        s[l, i, j, k] = t1 + t2 + t3
-    return s
-
-
-def bm_curvatures(p: JetPoint, tm: TemporalMetric) -> CurvatureSet:
-    """R_hh = (kappa^2/4) S, P_hv = (kappa/2) S."""
-    s = bm_S(p)
-    kappa = tm.kappa(p.t)
-    return CurvatureSet(
-        R_hh=0.25 * kappa * kappa * s, P_hv=0.5 * kappa * s, S_vv=s
-    )
-
-
-def bm_ricci(p: JetPoint, tm: TemporalMetric) -> RicciSet:
-    """Ricci traces: S_(i)(j) = ((3 delta_ij - 1)/9)/(y_i y_j), scaled by
-    (kappa^2/4) and (kappa/2) for the R- and P-parts."""
-    p.require_positive_fiber()
-    y = p.y
-    s = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            d = 3.0 if i == j else 0.0
-            s[i, j] = (d - 1.0) / 9.0 / (y[i] * y[j])
-    kappa = tm.kappa(p.t)
-    return RicciSet(R=0.25 * kappa * kappa * s, P=0.5 * kappa * s, S=s)
-
-
-def bm_S_raised(p: JetPoint) -> np.ndarray:
-    """S^{m11}_i = g^{mr} S_(r)(i) = G111^(-2/3) (1 - 3 delta^m_i)/3 * y_m/y_i."""
-    p.require_positive_fiber()
-    y = p.y
-    g23 = _g111(p) ** (2.0 / 3.0)
-    out = np.empty((3, 3))
-    for m in range(3):
-        for i in range(3):
-            d = 3.0 if m == i else 0.0
-            out[m, i] = (1.0 - d) / 3.0 / g23 * y[m] / y[i]
-    return out
-
-
-def bm_scalar_curvature(p: JetPoint, tm: TemporalMetric) -> float:
-    """Sc = -((4 h11 + kappa^2)/2) G111^(-2/3)."""
-    p.require_positive_fiber()
-    h11 = tm.h11(p.t)
-    kappa = tm.kappa(p.t)
-    return float(-(4.0 * h11 + kappa * kappa) / 2.0 * _g111(p) ** (-2.0 / 3.0))
-
-
-def closed_form_bundle(p: JetPoint, tm: TemporalMetric, connection: str = "apriori"):
-    """Every closed-form tensor at a point, as a name -> array mapping.
+    The constructor checks the fiber once and computes the 16 tensors the
+    engines compare; the instance is a read-only mapping from their names
+    (``g_lower``, ``C``, ``S_vv``, ``S_raised``, ``scalar_curvature``, ...)
+    to arrays.  The field theory reads the tensors through the mapping and
+    the per-point scalars as attributes: ``h11``, ``kappa`` (``None`` with the
+    canonical connection) and ``g23inv`` = G111^(-2/3); the order-1 series of
+    the conservation laws are built on first read: ``seeds`` (the point's seed
+    series), ``g23inv_ser`` and the stacked S^m11_i ``s_raised_stack``.
+    ``closed_form_bundle`` builds an instance.  Like ``PointContext``, an
+    instance caches nothing beyond itself: make one per point.
 
     ``connection="apriori"`` uses the full formulas above.  With the canonical
     connection (N = 0) the adapted spatial frame loses its fiber correction,
@@ -218,45 +104,103 @@ def closed_form_bundle(p: JetPoint, tm: TemporalMetric, connection: str = "aprio
     traces all vanish and the scalar curvature keeps only its h11 part; the
     purely vertical objects (g, C, S and their traces) are unchanged.
     """
-    metric = bm_metric(p, tm)
-    c = bm_C(p)
-    s = bm_S(p)
-    ricci = bm_ricci(p, tm)
-    zeros3 = np.zeros((3, 3, 3))
-    zeros4 = np.zeros((3, 3, 3, 3))
-    if connection == "apriori":
-        cartan = bm_cartan(p, tm)
-        torsion = bm_torsions(p, tm)
-        curv = bm_curvatures(p, tm)
-        ricci_R, ricci_P = ricci.R, ricci.P
-        scalar = bm_scalar_curvature(p, tm)
-        L = cartan.L
-        p_mixed, r_time = torsion.P_mixed, torsion.R_time
-        r_hh, p_hv = curv.R_hh, curv.P_hv
-    elif connection == "canonical":
-        L = zeros3
-        p_mixed = zeros3
-        r_time = np.zeros((3, 3))
-        r_hh = p_hv = zeros4
-        ricci_R = ricci_P = np.zeros((3, 3))
-        scalar = float(-2.0 * tm.h11(p.t) * _g111(p) ** (-2.0 / 3.0))
-    else:
-        raise ValueError(f"unknown connection {connection!r}")
-    return {
-        "g_lower": metric.g_lower,
-        "g_upper": metric.g_upper,
-        "C": c,
-        "L": L,
-        "G_time": np.zeros((3, 3)),
-        "P_mixed": p_mixed,
-        "P_fiber": c,
-        "R_time": r_time,
-        "R_hh": r_hh,
-        "P_hv": p_hv,
-        "S_vv": s,
-        "ricci_R": ricci_R,
-        "ricci_P": ricci_P,
-        "ricci_S": ricci.S,
-        "S_raised": bm_S_raised(p),
-        "scalar_curvature": scalar,
-    }
+
+    def __init__(self, p: JetPoint, tm: TemporalMetric, connection: str = "apriori"):
+        if connection not in ("apriori", "canonical"):
+            raise ValueError(f"unknown connection {connection!r}")
+        p.require_positive_fiber()
+        self.point, self.tm, self.connection = p, tm, connection
+        self.h11 = h11 = tm.h11(p.t)
+        y = p.y
+        g111 = y[0] * y[1] * y[2]
+        g23 = g111 ** (2.0 / 3.0)
+        lower = np.empty((3, 3))
+        upper = np.empty((3, 3))
+        ric = np.empty((3, 3))
+        s_up = np.empty((3, 3))
+        for i in range(3):
+            for j in range(3):
+                d = 3.0 if i == j else 0.0
+                lower[i, j] = (2.0 - d) / 9.0 * g23 / (y[i] * y[j])
+                upper[i, j] = (2.0 - d) / g23 * y[i] * y[j]
+                ric[i, j] = (d - 1.0) / 9.0 / (y[i] * y[j])
+                s_up[i, j] = (1.0 - d) / 3.0 / g23 * y[i] / y[j]
+        c = np.empty((3, 3, 3))
+        for i, j, k in itertools.product(range(3), repeat=3):
+            c[i, j, k] = A_COEFFICIENTS[i, j, k] * y[i] / (y[j] * y[k])
+        s = _s_table(y)
+        self.g23inv = g111 ** (-2.0 / 3.0)
+        if connection == "apriori":
+            self.kappa = kappa = tm.kappa(p.t)
+            L = 0.5 * kappa * c
+            p_mixed = -0.5 * kappa * c
+            r_time = 0.5 * (tm.kappa_dot(p.t) - kappa * kappa) * np.eye(3)
+            r_hh, p_hv = 0.25 * kappa * kappa * s, 0.5 * kappa * s
+            ricci_R, ricci_P = 0.25 * kappa * kappa * ric, 0.5 * kappa * ric
+            scalar = float(-(4.0 * h11 + kappa * kappa) / 2.0 * self.g23inv)
+        else:
+            self.kappa = None
+            L = p_mixed = np.zeros((3, 3, 3))
+            r_time = np.zeros((3, 3))
+            r_hh = p_hv = np.zeros((3, 3, 3, 3))
+            ricci_R = ricci_P = np.zeros((3, 3))
+            scalar = float(-2.0 * h11 * self.g23inv)
+        self._tensors = {
+            "g_lower": lower,
+            "g_upper": upper,
+            "C": c,
+            "L": L,
+            "G_time": np.zeros((3, 3)),
+            "P_mixed": p_mixed,
+            "P_fiber": c,
+            "R_time": r_time,
+            "R_hh": r_hh,
+            "P_hv": p_hv,
+            "S_vv": s,
+            "ricci_R": ricci_R,
+            "ricci_P": ricci_P,
+            "ricci_S": ric,
+            "S_raised": s_up,
+            "scalar_curvature": scalar,
+        }
+
+    def __getitem__(self, name: str):
+        return self._tensors[name]
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+    @cached_property
+    def seeds(self) -> tuple:
+        """The point's seed series (t, x1, x2, x3, y1, y2, y3) of order 1."""
+        return dt.seed_point(self.point.coords(), 1)
+
+    @cached_property
+    def g23inv_ser(self) -> dt.Taylor:
+        """G111^(-2/3) as an order-1 series."""
+        y = self.seeds[4:]
+        return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0)
+
+    @cached_property
+    def s_raised_stack(self) -> np.ndarray:
+        """S^m11_i as order-1 series, stacked [m, i] with the coefficients on
+        the last axis, (3, 3, 8).
+
+        Each entry is ((G111^(-2/3) (1 - 3 delta^m_i)/3) y_m) (1/y_i), a
+        division being a product with the reciprocal series."""
+        y = self.seeds[4:]
+        y_c = stack_coefficients(y)
+        recip = stack_coefficients([v._recip() for v in y])
+        coef = self.g23inv_ser.c * _S_RAISED_COEF[..., None]
+        return dt.mul_stacks(dt.mul_stacks(coef, y_c[:, None]), recip[None])
+
+
+def closed_form_bundle(
+    p: JetPoint, tm: TemporalMetric, connection: str = "apriori"
+) -> ClosedForms:
+    """Every closed-form tensor at a point, as a name -> array mapping: the
+    ``ClosedForms(p, tm, connection)`` of the point."""
+    return ClosedForms(p, tm, connection)

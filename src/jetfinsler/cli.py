@@ -33,7 +33,7 @@ from . import berwald_moor as bm
 from . import difftools as dt
 from . import field_theory as ft
 from .connection_engine import NonlinearConnection, PointContext
-from .errors import ConfigError, JetFinslerError
+from .errors import ConfigError, JetFinslerError, NonFiniteOutput
 from .jetspace import CubicForm, JetPoint, TemporalMetric
 from .metric_engine import contract_cubic
 from .expressions import parse_expression
@@ -189,16 +189,24 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
     if cubic_spec == "berwald_moor":
         cubic = CubicForm.berwald_moor()
     elif isinstance(cubic_spec, dict) and "entries" in cubic_spec:
+        unknown = set(cubic_spec) - {"entries"}
+        _require(not unknown, f"unknown cubic fields: {sorted(unknown)}")
         entries = cubic_spec["entries"]
         _require(
             isinstance(entries, dict) and entries,
             "cubic.entries must be a non-empty mapping",
         )
+        components = {}
         for key, val in entries.items():
             digits = [ch for ch in str(key) if ch.isdigit()]
             _require(
                 len(digits) == 3 and all(ch in "123" for ch in digits),
                 f"cubic entry key {key!r} must name three indices in 1..3",
+            )
+            other = components.setdefault(tuple(sorted(digits)), key)
+            _require(
+                other == key,
+                f"cubic entry keys {other!r} and {key!r} name the same component",
             )
             if isinstance(val, str):
                 parse_expression(val, variables=("x1", "x2", "x3"))
@@ -374,15 +382,14 @@ def _listify(value):
     return value
 
 
-def _s_raised_divergence_dev(p: JetPoint) -> float:
+def _s_raised_divergence_dev(cf: bm.ClosedForms) -> float:
     """sum_m d S^m11_i / dy_m against (2/3)(1/y_i) G111^(-2/3), via the kernel."""
-    s_up = ft.s_raised_stack(dt.seed_point(p.coords(), 1)[4:])
+    s_up = cf.s_raised_stack
     d_y = dt.D1_SLOTS[4:]
-    g23inv = (p.y[0] * p.y[1] * p.y[2]) ** (-2.0 / 3.0)
     worst = 0.0
     for i in range(3):
         total = sum(float(s_up[m, i, d_y[m]]) for m in range(3))
-        ref = (2.0 / 3.0) / p.y[i] * g23inv
+        ref = (2.0 / 3.0) / cf.point.y[i] * cf.g23inv
         worst = max(worst, abs(total - ref) / max(abs(ref), 1.0))
     return worst
 
@@ -466,11 +473,11 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
             tol_id,
         )
         identity(
-            "S_raised_divergence", _s_raised_divergence_dev(p), S_DIVERGENCE_TOL
+            "S_raised_divergence", _s_raised_divergence_dev(closed), S_DIVERGENCE_TOL
         )
 
     if is_bm and {"einstein", "stress_energy"} & set(scenario.outputs):
-        blocks = ft.einstein_blocks(p, tm, scenario.einstein_constant)
+        blocks = ft.einstein_blocks(closed, scenario.einstein_constant)
 
     if is_bm and "einstein" in scenario.outputs:
         record["einstein"] = {
@@ -490,10 +497,10 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
         identity("einstein_symmetry", sym, tol_id)
 
     if is_bm and {"stress_energy", "conservation"} & set(scenario.outputs):
-        se = ft.stress_energy_mixed(p, tm, scenario.einstein_constant)
+        se = ft.stress_energy_mixed(closed, scenario.einstein_constant)
 
     if is_bm and "stress_energy" in scenario.outputs:
-        sec = ft.stress_energy_contracted(blocks, p, tm)
+        sec = ft.stress_energy_contracted(blocks, closed)
         two_path = max(
             rel_dev(getattr(se, name), getattr(sec, name))
             for name in ("tt", "st", "ft", "ts", "ss", "fs", "tf", "sf", "ff")
@@ -508,7 +515,7 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
         identity("stress_two_path", two_path, TWO_PATH_TOL)
 
     if is_bm and "conservation" in scenario.outputs:
-        cons = ft.conservation_residuals(se, p, tm, scenario.einstein_constant)
+        cons = ft.conservation_residuals(se, closed, scenario.einstein_constant)
         record["conservation"] = {
             "law1_lhs": cons.law1_lhs,
             "law1_rhs": cons.law1_rhs,
@@ -571,6 +578,8 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
             }
             records.append(record)
             errored += 1
+            # a non-finite field theory fails the point, as its rows would
+            failed += isinstance(exc, NonFiniteOutput)
             continue
         point_fail = False
         for section, worst_rows in worst.items():
@@ -618,7 +627,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
 FORMULA_TABLE = (
     {
         "operation": "bm_metric",
-        "source": "jetfinsler.berwald_moor.bm_metric",
+        "source": "jetfinsler.berwald_moor.ClosedForms[g_lower, g_upper]",
         "formulas": [
             "g_ij = ((2 - 3 delta_ij)/9) G111^(2/3) / (y_i y_j)",
             "g^jk = (2 - 3 delta^jk) G111^(-2/3) y_j y_k",
@@ -626,7 +635,7 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_C",
-        "source": "jetfinsler.berwald_moor.bm_C",
+        "source": "jetfinsler.berwald_moor.ClosedForms[C]",
         "formulas": [
             "C^i_j(k) = A^i_jk y_i / (y_j y_k)",
             "A^i_jk = -2/9 (indices all distinct), 1/9 (exactly two equal), -2/9 (all equal)",
@@ -634,7 +643,7 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_cartan",
-        "source": "jetfinsler.berwald_moor.bm_cartan",
+        "source": "jetfinsler.berwald_moor.ClosedForms[G_time, L], .kappa",
         "formulas": [
             "kappa = (h^11/2) dh11/dt",
             "G^k_j1 = 0",
@@ -643,7 +652,7 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_torsions",
-        "source": "jetfinsler.berwald_moor.bm_torsions",
+        "source": "jetfinsler.berwald_moor.ClosedForms[P_mixed, P_fiber, R_time]",
         "formulas": [
             "P^(k)_(1)i(j) = -(kappa/2) C^k_i(j)",
             "P^k_i(j) = C^k_i(j)",
@@ -652,7 +661,7 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_S",
-        "source": "jetfinsler.berwald_moor.bm_S",
+        "source": "jetfinsler.berwald_moor.ClosedForms[S_vv]",
         "formulas": [
             "S^l_i(i)(k) = -(1/9) y_l / (y_i^2 y_k)   [i, k, l distinct]",
             "S^l_i(j)(i) = +(1/9) y_l / (y_i^2 y_j)   [i, j, l distinct]",
@@ -667,7 +676,7 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_curvatures",
-        "source": "jetfinsler.berwald_moor.bm_curvatures",
+        "source": "jetfinsler.berwald_moor.ClosedForms[R_hh, P_hv]",
         "formulas": [
             "R^l_ijk = (kappa^2/4) S^l_i(j)(k)",
             "P^l_ij(k) = (kappa/2) S^l_i(j)(k)",
@@ -675,7 +684,7 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_ricci",
-        "source": "jetfinsler.berwald_moor.bm_ricci",
+        "source": "jetfinsler.berwald_moor.ClosedForms[ricci_S, ricci_R, ricci_P]",
         "formulas": [
             "S_(i)(j) = ((3 delta_ij - 1)/9) / (y_i y_j)",
             "R_ij = (kappa^2/4) S_(i)(j)",
@@ -684,14 +693,14 @@ FORMULA_TABLE = (
     },
     {
         "operation": "bm_S_raised",
-        "source": "jetfinsler.berwald_moor.bm_S_raised",
+        "source": "jetfinsler.berwald_moor.ClosedForms[S_raised], .s_raised_stack",
         "formulas": [
             "S^m11_i = G111^(-2/3) ((1 - 3 delta^m_i)/3) y_m / y_i",
         ],
     },
     {
         "operation": "bm_scalar_curvature",
-        "source": "jetfinsler.berwald_moor.bm_scalar_curvature",
+        "source": "jetfinsler.berwald_moor.ClosedForms[scalar_curvature]",
         "formulas": [
             "Sc = -((4 h11 + kappa^2)/2) G111^(-2/3)",
         ],

@@ -10,6 +10,11 @@ class DomainError(JetFinslerError):
     power of a non-positive base, or a non-positive fiber coordinate)."""
 
 
+class NonFiniteOutput(DomainError):
+    """A field-theory output left the double range (an Einstein constant near
+    the ends of the float range); the run counts its point as failed."""
+
+
 class OrderTooHigh(JetFinslerError):
     """Requested differentiation order exceeds the supported maximum (4)."""
 

@@ -4,6 +4,10 @@ The Einstein-equation assembler computes the geometric left-hand sides
 Ric - (Sc/2) G, scaled by 1/K, i.e. the stress-energy components that any
 matter model coupled to the Berwald-Moor geometry (with the a-priori
 connection) must equal.  Nothing is solved for: the blocks are reported.
+The Einstein blocks, the stress-energy components and the conservation laws
+read one ``ClosedForms`` of the point, built with the a-priori connection; a
+value that leaves the double range (an Einstein constant near the ends of
+the float range) raises a ``NonFiniteOutput`` naming its output group.
 
 The mixed (index-raised) stress-energy components have closed expressions in
 kappa, h11, xi11 and the raised vertical Ricci tensor; they satisfy three
@@ -24,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import difftools as dt
-from .berwald_moor import bm_cartan, bm_metric, bm_ricci, bm_S_raised
-from .connection_engine import NonlinearConnection, PointContext, stack_coefficients
-from .errors import ZeroEinsteinConstant
-from .jetspace import JetPoint, TemporalMetric
+from .berwald_moor import ClosedForms
+from .connection_engine import NonlinearConnection, PointContext
+from .errors import NonFiniteOutput, ZeroEinsteinConstant
 
 
 @dataclass(frozen=True)
@@ -104,50 +107,57 @@ class EMDerivatives:
     F_fiber: np.ndarray    # (3, 3, 3)  F_{(i)j}|^(1)_(k)
 
 
-def _check_K(K: float) -> None:
+def _check(cf: ClosedForms, K: float) -> None:
     if K == 0.0:
         raise ZeroEinsteinConstant("the Einstein constant must be nonzero")
+    if cf.connection != "apriori":
+        raise ValueError("the field theory is defined for the a-priori connection")
 
 
-def einstein_blocks(p: JetPoint, tm: TemporalMetric, K: float = 1.0) -> EinsteinBlocks:
-    """Assemble every block of the adapted Einstein equations at a point."""
-    _check_K(K)
-    p.require_positive_fiber()
-    h11 = tm.h11(p.t)
-    kappa = tm.kappa(p.t)
+def _finite(group: str, result):
+    """``result``, unless one of its values left the double range: then a
+    ``NonFiniteOutput`` naming the output group, to be recorded on the point."""
+    if not all(np.isfinite(v).all() for v in vars(result).values()):
+        raise NonFiniteOutput(
+            f"{group} values are not finite (Einstein constant out of range?)"
+        )
+    return result
+
+
+def einstein_blocks(cf: ClosedForms, K: float = 1.0) -> EinsteinBlocks:
+    """Assemble every block of the adapted Einstein equations at the point of
+    the closed forms ``cf``."""
+    _check(cf, K)
+    h11, kappa, g23inv = cf.h11, cf.kappa, cf.g23inv
     xi11 = (4.0 * h11 + kappa * kappa) / (4.0 * K)
-    g23inv = (p.y[0] * p.y[1] * p.y[2]) ** (-2.0 / 3.0)
-    metric = bm_metric(p, tm)
-    s_ric = bm_ricci(p, tm).S
+    s_ric = cf["ricci_S"]
     zeros = np.zeros(3)
     off = 0.5 * kappa / K * s_ric
-    return EinsteinBlocks(
+    return _finite("einstein", EinsteinBlocks(
         K=K,
         xi11=xi11,
         T_11=xi11 * g23inv * h11,
-        T_ij=0.25 * kappa * kappa / K * s_ric + xi11 * g23inv * metric.g_lower,
-        T_fiber=s_ric / K + xi11 * g23inv / h11 * metric.g_lower,
+        T_ij=0.25 * kappa * kappa / K * s_ric + xi11 * g23inv * cf["g_lower"],
+        T_fiber=s_ric / K + xi11 * g23inv / h11 * cf["g_lower"],
         t_time_spatial=zeros.copy(),
         t_spatial_time=zeros.copy(),
         t_fiber_time=zeros.copy(),
         t_time_fiber=zeros.copy(),
         t_spatial_fiber=off,
         t_fiber_spatial=off.copy(),
-    )
+    ))
 
 
-def stress_energy_mixed(p: JetPoint, tm: TemporalMetric, K: float = 1.0) -> StressEnergyMixed:
+def stress_energy_mixed(cf: ClosedForms, K: float = 1.0) -> StressEnergyMixed:
     """The nine raised components from their closed expressions."""
-    _check_K(K)
-    p.require_positive_fiber()
-    h11 = tm.h11(p.t)
-    kappa = tm.kappa(p.t)
+    _check(cf, K)
+    h11, kappa = cf.h11, cf.kappa
     xi11 = (4.0 * h11 + kappa * kappa) / (4.0 * K)
-    g23inv = (p.y[0] * p.y[1] * p.y[2]) ** (-2.0 / 3.0)
-    s_up = bm_S_raised(p)
+    g23inv = cf.g23inv
+    s_up = cf["S_raised"]
     eye = np.eye(3)
     zeros = np.zeros(3)
-    return StressEnergyMixed(
+    return _finite("stress_energy", StressEnergyMixed(
         tt=xi11 * g23inv,
         st=zeros.copy(),
         ft=zeros.copy(),
@@ -157,18 +167,18 @@ def stress_energy_mixed(p: JetPoint, tm: TemporalMetric, K: float = 1.0) -> Stre
         tf=zeros.copy(),
         sf=0.5 * kappa / K * s_up,
         ff=h11 / K * s_up + xi11 * g23inv * eye,
-    )
+    ))
 
 
 def stress_energy_contracted(
-    blocks: EinsteinBlocks, p: JetPoint, tm: TemporalMetric
+    blocks: EinsteinBlocks, cf: ClosedForms
 ) -> StressEnergyMixed:
     """The same nine components by direct contraction of the Einstein blocks
     with g^{mr} and the h11 factors (second computation path, for checking)."""
-    h11 = tm.h11(p.t)
+    h11 = cf.h11
     h_up = 1.0 / h11
-    g_up = bm_metric(p, tm).g_upper
-    return StressEnergyMixed(
+    g_up = cf["g_upper"]
+    return _finite("stress_energy", StressEnergyMixed(
         tt=h_up * blocks.T_11,
         st=g_up @ blocks.t_spatial_time,
         ft=h11 * (g_up @ blocks.t_fiber_time),
@@ -178,37 +188,7 @@ def stress_energy_contracted(
         tf=h_up * blocks.t_time_fiber,
         sf=g_up @ blocks.t_spatial_fiber,
         ff=h11 * (g_up @ blocks.T_fiber),
-    )
-
-
-def s_raised(m: int, i: int, y):
-    """S^{m(1)(1)}_{(1)(i)}, the raised vertical Ricci tensor of the
-    Berwald-Moor metric, on fiber components given as floats or Taylor values
-    (0-based m, i)."""
-    d = 3.0 if m == i else 0.0
-    return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
-
-
-#: ``s_raised``'s constant factor (1 - 3 delta^m_i) / 3, [m, i].
-_S_RAISED_COEF = np.array(
-    [[(1.0 - (3.0 if m == i else 0.0)) / 3.0 for i in range(3)] for m in range(3)]
-)
-
-
-def s_raised_stack(y) -> np.ndarray:
-    """All nine ``s_raised(m, i, y)`` for order-1 fiber series y, stacked
-    [m, i] with the coefficients on the last axis, (3, 3, 8).
-
-    The power of G111 and the reciprocals of the y_i are taken once; each
-    entry is then ``((P * coef) * y[m]) * (1 / y[i])``, the operations of
-    ``s_raised`` in its order (a division is a product with the reciprocal
-    series), so every float equals the per-entry one.
-    """
-    p = dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0).c
-    y_c = stack_coefficients(y)
-    recip = stack_coefficients([v._recip() for v in y])
-    entries = dt.mul_stacks(p * _S_RAISED_COEF[..., None], y_c[:, None])
-    return dt.mul_stacks(entries, recip[None])
+    ))
 
 
 def _adapted_partials(c: np.ndarray, m_at: np.ndarray, n_at: np.ndarray):
@@ -225,31 +205,29 @@ def _adapted_partials(c: np.ndarray, m_at: np.ndarray, n_at: np.ndarray):
 
 
 def conservation_residuals(
-    se: StressEnergyMixed, p: JetPoint, tm: TemporalMetric, K: float = 1.0
+    se: StressEnergyMixed, cf: ClosedForms, K: float = 1.0
 ) -> ConservationReport:
     """Left-hand sides of the three conservation laws (each a sum of three
     covariant-divergence terms with their connection corrections) plus the
     closed right-hand side of the first law, for the components ``se`` of
-    ``stress_energy_mixed(p, tm, K)``."""
-    _check_K(K)
-    p.require_positive_fiber()
+    ``stress_energy_mixed(cf, K)``."""
+    _check(cf, K)
+    p, tm = cf.point, cf.tm
     apriori = NonlinearConnection.apriori(tm)
     # M^q and N^q_j at p, evaluated once for all the adapted derivatives below
     m_at = np.array([apriori.M(q + 1, p.t, p.x, p.y) for q in range(3)])
     n_at = np.array(
         [[apriori.N(q + 1, j + 1, p.t, p.x, p.y) for j in range(3)] for q in range(3)]
     )
-    cart = bm_cartan(p, tm)
-    kappa, L, C, G_t = cart.kappa, cart.L, cart.C, cart.G_time
+    kappa, L, C, G_t = cf.kappa, cf["L"], cf["C"], cf["G_time"]
 
-    # The mixed components as order-1 series on one seed set; the nonzero
-    # ones are products of kappa, h11, xi11 G111^(-2/3) and S^m11_i.
-    t, _, _, _, *y = dt.seed_point(p.coords(), 1)
+    # The mixed components as order-1 series on the closed forms' seed set;
+    # the nonzero ones are products of kappa, h11, xi11 G111^(-2/3) and S^m11_i.
+    t = cf.seeds[0]
     kap = tm.kappa_eval(t)
     h11 = tm.h11_eval(t)
-    g23inv_ser = dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0)
-    xi_g = (4.0 * h11 + kap * kap) / (4.0 * K) * g23inv_ser
-    s_up = s_raised_stack(y)
+    xi_g = (4.0 * h11 + kap * kap) / (4.0 * K) * cf.g23inv_ser
+    s_up = cf.s_raised_stack
 
     def field(coef, diagonal=False):
         """coef S^m11_i (+ xi11 G111^(-2/3) where m = i), stacked [m, i]."""
@@ -284,9 +262,8 @@ def conservation_residuals(
     h = h2.value
     hp = dt.deriv(h2, "t").value
     hpp = dt.deriv(dt.deriv(h2, "t"), "t").value
-    g23inv = (p.y[0] * p.y[1] * p.y[2]) ** (-2.0 / 3.0)
     law1_rhs = (
-        (1.0 / h) ** 2 / (16.0 * K) * hp * (2.0 * hpp - 3.0 / h * hp * hp) * g23inv
+        (1.0 / h) ** 2 / (16.0 * K) * hp * (2.0 * hpp - 3.0 / h * hp * hp) * cf.g23inv
     )
 
     # Law 2: T^1_i/1 + T^m_i|m + T^(m)_(1)i |^(1)_(m)
@@ -315,9 +292,9 @@ def conservation_residuals(
                 acc += se.ff[r, i] * C[m, r, m] - se.ff[m, r] * C[r, i, m]
         law3[i] = acc
 
-    return ConservationReport(
+    return _finite("conservation", ConservationReport(
         law1_lhs=float(law1), law1_rhs=float(law1_rhs), law2_lhs=law2, law3_lhs=law3
-    )
+    ))
 
 
 def _ordered_sum(terms) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared test utilities: the independent finite-difference oracle and the
-environment for CLI subprocesses."""
+"""Shared test utilities: the independent finite-difference oracle, the
+per-entry raised vertical Ricci tensor and the environment for CLI
+subprocesses."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import os
 from pathlib import Path
 
 import jetfinsler
+from jetfinsler import difftools as dt
 from jetfinsler.difftools import PartialSpec
 
 
@@ -65,3 +67,11 @@ def _shift(field, coords, offsets):
     for v, d in offsets.items():
         shifted[v] += d
     return field(*shifted)
+
+
+def s_raised(m: int, i: int, y):
+    """S^{m(1)(1)}_{(1)(i)}, the raised vertical Ricci tensor of the
+    Berwald-Moor metric, entry by entry on fiber components given as floats
+    or Taylor values (0-based m, i): the reference of the stacked series."""
+    d = 3.0 if m == i else 0.0
+    return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]

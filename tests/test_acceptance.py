@@ -198,20 +198,21 @@ def test_criterion_4_field_theory_anchors(acceptance_log):
     tme = TemporalMetric("exp(2*t)")
     checks = []
 
-    blocks1 = ft.einstein_blocks(p0, tm1, 1.0)
+    cf1 = bm.ClosedForms(p0, tm1)
+    blocks1 = ft.einstein_blocks(cf1, 1.0)
     checks.append(abs(blocks1.xi11 - 1.0) <= 1e-12)
     checks.append(abs(blocks1.T_11 - 1.0) <= 1e-12)
-    checks.append(abs(bm.bm_scalar_curvature(p0, tm1) - (-2.0)) <= 1e-12)
+    checks.append(abs(cf1["scalar_curvature"] - (-2.0)) <= 1e-12)
 
-    blockse = ft.einstein_blocks(p0, tme, 1.0)
+    cfe = bm.ClosedForms(p0, tme)
+    blockse = ft.einstein_blocks(cfe, 1.0)
     checks.append(abs(blockse.xi11 - 1.25) <= 1e-12)
-    checks.append(abs(bm.bm_scalar_curvature(p0, tme) - (-2.5)) <= 1e-12)
+    checks.append(abs(cfe["scalar_curvature"] - (-2.5)) <= 1e-12)
 
-    ric = bm.bm_ricci(p0, tme)
     want_R = np.eye(3) / 18.0 - (1 - np.eye(3)) / 36.0
-    checks.append(np.abs(ric.R - want_R).max() <= 1e-12)
+    checks.append(np.abs(cfe["ricci_R"] - want_R).max() <= 1e-12)
 
-    cons = ft.conservation_residuals(ft.stress_energy_mixed(p0, tme, 1.0), p0, tme, 1.0)
+    cons = ft.conservation_residuals(ft.stress_energy_mixed(cfe, 1.0), cfe, 1.0)
     checks.append(abs(cons.law1_rhs - (-0.5)) <= 1e-12)
     checks.append(cons.law1_residual <= 1e-9)
     checks.append(np.abs(cons.law2_lhs).max() <= 1e-9)

@@ -86,7 +86,7 @@ class TestCartanGeneric:
         cart = PointContext(bm_cubic, tm, nlc, unit_point).cartan()
         assert np.abs(cart.G_time).max() < 1e-14
         assert np.abs(cart.L).max() < 1e-14
-        assert cart.C == pytest.approx(bm.bm_C(unit_point), abs=1e-13)
+        assert cart.C == pytest.approx(bm.ClosedForms(unit_point, tm)["C"], abs=1e-13)
 
     def test_L_is_half_A_at_unit(self, bm_cubic, unit_point):
         tm = TemporalMetric("exp(2*t)")
@@ -236,9 +236,9 @@ class TestRicciAndScalar:
         for p in random_points[:5]:
             ctx = PointContext(bm_cubic, tm, nlc, p)
             ric = ricci_generic(ctx.curvatures())
-            ref = bm.bm_ricci(p, tm)
-            assert ric.S == pytest.approx(ref.S, rel=1e-11)
-            assert ric.R == pytest.approx(ref.R, rel=1e-11, abs=1e-13)
+            ref = bm.ClosedForms(p, tm)
+            assert ric.S == pytest.approx(ref["ricci_S"], rel=1e-11)
+            assert ric.R == pytest.approx(ref["ricci_R"], rel=1e-11, abs=1e-13)
 
     def test_scalar_assembly(self, bm_cubic, unit_point):
         tm = TemporalMetric("exp(2*t)")

@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 
 from jetfinsler import field_theory as ft
+from jetfinsler.berwald_moor import ClosedForms
 from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.errors import DomainError, ZeroEinsteinConstant
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 
 from conftest import sample_jet_points
+from helpers import s_raised
 
 
 class TestEinsteinBlocks:
     def test_flat_anchor(self, unit_point):
         # kappa = 0, G111 = 1: xi11 = (4 + 0)/4 = 1 and T_11 = 1 * 1 * 1
-        b = ft.einstein_blocks(unit_point, TemporalMetric("1"), 1.0)
+        b = ft.einstein_blocks(ClosedForms(unit_point, TemporalMetric("1")), 1.0)
         assert b.xi11 == pytest.approx(1.0, abs=1e-15)
         assert b.T_11 == pytest.approx(1.0, abs=1e-15)
 
     def test_exponential_anchor(self, unit_point):
         # xi11 = (4 e^0 + 1)/4 = 5/4
-        b = ft.einstein_blocks(unit_point, TemporalMetric("exp(2*t)"), 1.0)
+        b = ft.einstein_blocks(ClosedForms(unit_point, TemporalMetric("exp(2*t)")), 1.0)
         assert b.xi11 == pytest.approx(1.25, abs=1e-14)
 
     def test_offdiagonal_blocks_vanish_flat(self, random_points):
         tm = TemporalMetric("1")
         for p in random_points[:5]:
-            b = ft.einstein_blocks(p, tm, 1.0)
+            b = ft.einstein_blocks(ClosedForms(p, tm), 1.0)
             for block in (
                 b.t_time_spatial,
                 b.t_spatial_time,
@@ -40,37 +42,44 @@ class TestEinsteinBlocks:
     def test_symmetry(self, random_points):
         tm = TemporalMetric("t**2 + 1")
         for p in random_points[:5]:
-            b = ft.einstein_blocks(p, tm, 2.0)
+            b = ft.einstein_blocks(ClosedForms(p, tm), 2.0)
             assert np.abs(b.T_ij - b.T_ij.T).max() < 1e-15
             assert np.array_equal(b.t_spatial_fiber, b.t_fiber_spatial)
 
     def test_zero_constant_rejected(self, unit_point):
         with pytest.raises(ZeroEinsteinConstant):
-            ft.einstein_blocks(unit_point, TemporalMetric("1"), 0.0)
+            ft.einstein_blocks(ClosedForms(unit_point, TemporalMetric("1")), 0.0)
+
+    def test_canonical_closed_forms_rejected(self, unit_point):
+        # the field theory is the a-priori connection's: its conservation
+        # laws would read the canonical connection's vanishing L
+        cf = ClosedForms(unit_point, TemporalMetric("exp(2*t)"), "canonical")
+        with pytest.raises(ValueError):
+            ft.einstein_blocks(cf, 1.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             ft.einstein_blocks(
-                JetPoint.of(0, (0, 0, 0), (1, -2, 1)), TemporalMetric("1"), 1.0
+                ClosedForms(JetPoint.of(0, (0, 0, 0), (1, -2, 1)), TemporalMetric("1")), 1.0
             )
 
 
 class TestStressEnergyMixed:
     def test_flat_anchor_is_identity(self, unit_point):
-        se = ft.stress_energy_mixed(unit_point, TemporalMetric("1"), 1.0)
+        se = ft.stress_energy_mixed(ClosedForms(unit_point, TemporalMetric("1")), 1.0)
         assert se.ss == pytest.approx(np.eye(3), abs=1e-15)
         assert se.tt == pytest.approx(1.0, abs=1e-15)
 
     def test_exponential_anchor(self, unit_point):
         # T^(m)_(1)i = (h11 kappa/2K) S^m11_i with h11 = kappa = 1 at t = 0
-        se = ft.stress_energy_mixed(unit_point, TemporalMetric("exp(2*t)"), 1.0)
+        se = ft.stress_energy_mixed(ClosedForms(unit_point, TemporalMetric("exp(2*t)")), 1.0)
         want = -np.eye(3) / 3.0 + (1 - np.eye(3)) / 6.0
         assert se.fs == pytest.approx(want, abs=1e-14)
 
     def test_vanishing_components(self, random_points):
         tm = TemporalMetric("exp(2*t)")
         for p in random_points[:5]:
-            se = ft.stress_energy_mixed(p, tm, 3.0)
+            se = ft.stress_energy_mixed(ClosedForms(p, tm), 3.0)
             for name in ("st", "ft", "ts", "tf"):
                 assert np.abs(getattr(se, name)).max() == 0.0
 
@@ -78,10 +87,9 @@ class TestStressEnergyMixed:
         for src in ("1", "exp(2*t)", "t**2 + 1"):
             tm = TemporalMetric(src)
             for p in random_points[:6]:
-                se = ft.stress_energy_mixed(p, tm, 1.5)
-                sec = ft.stress_energy_contracted(
-                    ft.einstein_blocks(p, tm, 1.5), p, tm
-                )
+                cf = ClosedForms(p, tm)
+                se = ft.stress_energy_mixed(cf, 1.5)
+                sec = ft.stress_energy_contracted(ft.einstein_blocks(cf, 1.5), cf)
                 for name in ("tt", "st", "ft", "ts", "ss", "fs", "tf", "sf", "ff"):
                     a = np.atleast_1d(np.asarray(getattr(se, name), dtype=float))
                     b = np.atleast_1d(np.asarray(getattr(sec, name), dtype=float))
@@ -90,7 +98,8 @@ class TestStressEnergyMixed:
 
 
 def _conservation(p, tm, K):
-    return ft.conservation_residuals(ft.stress_energy_mixed(p, tm, K), p, tm, K)
+    cf = ClosedForms(p, tm)
+    return ft.conservation_residuals(ft.stress_energy_mixed(cf, K), cf, K)
 
 
 class TestConservationLaws:
@@ -120,10 +129,11 @@ class TestConservationLaws:
     def test_reads_the_given_components(self, random_points):
         # the connection corrections use the components handed in
         p, tm = random_points[0], TemporalMetric("exp(2*t)")
-        se = ft.stress_energy_mixed(p, tm, 1.0)
+        cf = ClosedForms(p, tm)
+        se = ft.stress_energy_mixed(cf, 1.0)
         moved = dataclasses.replace(se, ss=se.ss + np.diag([1.0, 2.0, 3.0]))
-        base = ft.conservation_residuals(se, p, tm, 1.0)
-        other = ft.conservation_residuals(moved, p, tm, 1.0)
+        base = ft.conservation_residuals(se, cf, 1.0)
+        other = ft.conservation_residuals(moved, cf, 1.0)
         assert base.law1_lhs == other.law1_lhs
         assert np.abs(other.law2_lhs - base.law2_lhs).max() > 1e-3
         assert np.array_equal(other.law3_lhs, base.law3_lhs)
@@ -179,8 +189,7 @@ class TestEMTwoForm:
 
 class TestRaisedS:
     def test_matches_closed_form(self, random_points):
-        from jetfinsler.berwald_moor import bm_S_raised
-
         for p in random_points[:5]:
-            got = np.array([[ft.s_raised(m, i, p.y) for i in range(3)] for m in range(3)])
-            assert got == pytest.approx(bm_S_raised(p), rel=1e-13, abs=1e-15)
+            got = np.array([[s_raised(m, i, p.y) for i in range(3)] for m in range(3)])
+            want = ClosedForms(p, TemporalMetric("1"))["S_raised"]
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)

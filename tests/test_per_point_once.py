@@ -1,6 +1,7 @@
 """Each per-point scalar computed once: the temporal metric's per-t memo, the
-stacked raised vertical Ricci tensor and the EM blocks as ordered array sums.
-Every result is compared as bytes with the computation it replaces."""
+stacked raised vertical Ricci tensor, the EM blocks as ordered array sums and
+one closed-form context per point.  Every result is compared as bytes with
+the computation it replaces."""
 
 import struct
 import sys
@@ -12,12 +13,14 @@ import pytest
 from jetfinsler import cli
 from jetfinsler import difftools as dt
 from jetfinsler import field_theory as ft
+from jetfinsler.berwald_moor import ClosedForms
 from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.errors import NonPositiveMetric, OrderTooHigh
 from jetfinsler.expressions import Expression
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 
 from conftest import sample_jet_points
+from helpers import s_raised
 
 METRICS = ("exp(2*t)", "1 + t*t", "2 + sin(3*t)", "1")
 
@@ -175,11 +178,11 @@ class TestRaisedS:
     def test_stack_equals_per_entry(self):
         for p in sample_jet_points(seed=11, count=20):
             y = dt.seed_point(p.coords(), 1)[4:]
-            stack = ft.s_raised_stack(y)
+            stack = ClosedForms(p, TemporalMetric("exp(2*t)")).s_raised_stack
             assert stack.shape == (3, 3, dt.NCOEF[1])
             for m in range(3):
                 for i in range(3):
-                    assert stack[m, i].tobytes() == ft.s_raised(m, i, y).c.tobytes()
+                    assert stack[m, i].tobytes() == s_raised(m, i, y).c.tobytes()
 
 
 # -- the EM blocks as the per-entry loops computed them ----------------------
@@ -305,3 +308,36 @@ class TestEvaluationCount:
         report, _ = cli.run_scenario(scenario)
         assert all(rec["error"] is None for rec in report["points"])
         assert count_evaluate() - before <= 5 * 5
+
+
+class TestClosedFormsOnce:
+    def test_one_context_per_point(self, monkeypatch):
+        counts = {"ClosedForms": 0, "require_positive_fiber": 0, "seed_point": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in (
+            (ClosedForms, "__init__"),
+            (JetPoint, "require_positive_fiber"),
+            (dt, "seed_point"),
+        ):
+            key = "ClosedForms" if owner is ClosedForms else name
+            monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+        doc = {
+            "temporal_metric": "exp(2*t)",
+            "points": {"explicit": [{"t": 0.3, "x": [0.1, 0.2, 0.3], "y": [1.0, 2.0, 3.0]}]},
+            "outputs": ["all"],
+        }
+        scenario = cli.parse_scenario(doc)
+        p = cli.sample_points(scenario)[0]
+        record = cli.evaluate_point(scenario, p, NonlinearConnection.apriori(scenario.tm))
+        assert record["error"] is None
+        assert {"einstein", "stress_energy", "conservation", "em"} <= set(record)
+        # the F^2 jet and the generic context seed the point once each, the
+        # closed forms once for the raised-S divergence and the conservation laws
+        assert counts == {"ClosedForms": 1, "require_positive_fiber": 1, "seed_point": 3}
