@@ -342,10 +342,21 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if it names a key twice (``json`` would keep
+    the last value without a word)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path: str, seed_override=None, ad_override=None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -353,7 +364,8 @@ def load_scenario(path: str, seed_override=None, ad_override=None) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from None
     except (ValueError, RecursionError) as exc:
-        # an integer literal of over 4,300 digits, or nesting too deep to parse
+        # an integer literal of over 4,300 digits, a key repeated in one
+        # object, or nesting too deep to parse
         raise ConfigError(f"scenario {path} cannot be parsed: {exc}") from None
     return parse_scenario(doc, seed_override=seed_override, ad_override=ad_override)
 

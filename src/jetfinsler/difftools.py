@@ -16,8 +16,9 @@ to floating-point rounding.  The truncation order is capped at
 
 Finite differences appear only in :func:`fd_partial` / :func:`fd_jet`, an
 optional path used to cross-check the exact kernel; they are never the
-default.  A finite-difference stencil is evaluated with one call of the field
-on :class:`NodeArray` coordinates, one element per stencil node.  numpy's
+default.  ``fd_partial`` evaluates a stencil with one call of the field on
+:class:`NodeArray` coordinates, one element per stencil node; ``fd_jet``
+evaluates the distinct nodes of all its stencils in a few such calls.  numpy's
 ``+ - * /`` round each element as Python's float operations do, but its
 array powers and transcendental functions do not, so ``**`` on a
 :class:`NodeArray` and the helpers below apply Python's ``**`` and
@@ -31,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -623,19 +624,220 @@ def fd_jet(
     metric takes two of F^2) needs no lower ones, since ``deriv`` only
     gathers coefficients.  The value ``c[0]`` is always sampled, so the
     point's own domain check comes before any stencil's.
+
+    Each coefficient equals ``fd_partial``'s, bit for bit.  Stencils of one
+    derivative order share nodes, so the field is evaluated once per distinct
+    node, in a few batched calls (see :func:`_fd_plan`).  If that raises or
+    gives a non-finite value, or an active coordinate of the point is -0.0,
+    every coefficient is computed by ``fd_partial`` instead, which raises the
+    error of the first failing stencil node.
     """
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the maximum {MAX_ORDER}")
     coords = _coords_of(point)
-    active = set(range(NVARS)) if active is None else set(active)
+    active = frozenset(range(NVARS) if active is None else active)
     c = np.zeros(NCOEF[order])
     c[0] = float(field(*coords))
-    for pos in range(1, NCOEF[order]):
-        exps = _EXPONENTS[pos]
-        if any(m > 0 and v not in active for v, m in enumerate(exps)):
-            continue
-        if sum(exps[_FIBER]) < min_fiber_degree:
-            continue
-        spec = PartialSpec.coerce([v for v, m in enumerate(exps) for _ in range(m)])
-        c[pos] = fd_partial(field, coords, spec) / _FACT[pos]
+    plan = _fd_plan(order, active, min_fiber_degree)
+    values = None
+    if not any(
+        v in active and x == 0.0 and math.copysign(1.0, x) < 0
+        for v, x in enumerate(coords)
+    ):
+        try:
+            with np.errstate(all="ignore"):
+                values = _fd_batched(field, coords, plan)
+        except Exception:  # raised again below by the node that fails
+            pass
+    if values is None:
+        values = []
+        for pos in plan.positions:
+            spec = [v for v, m in enumerate(_EXPONENTS[pos]) for _ in range(m)]
+            values.append(fd_partial(field, coords, spec) / _FACT[pos])
+    c[list(plan.positions)] = values
     return Taylor(c, order)
+
+
+# A stencil node of the coefficients of total derivative order d is named by
+# d and its integer offset vector o: its coordinates are ``coords[v] + o[v] *
+# step[v]``, the steps depending only on d and the point, and a coordinate at
+# offset 0 is the point's own (``c + 0.0 * step == c``, except for c = -0.0,
+# which ``fd_jet`` leaves to ``fd_partial``).  Stencils of one order share
+# their offset-0 lines: the F^2 jet of fd mode has 79,805 stencil nodes, of
+# which 39,753 are distinct.  A node's int32 code holds d above o[v] + 4 in
+# 4 bits per coordinate, t the most significant, so the nodes that share d
+# and t are contiguous in code order.
+#
+# A batched call takes the nodes of one order and passes each coordinate that
+# is the same at all of them as a Python float, the others as
+# :class:`NodeArray` columns.  A run of at least ``_FD_T_RUN`` nodes sharing
+# t gets calls of its own, so that the field's t-only factors, such as the
+# memoised h11, are evaluated once per call; shorter runs share calls.
+
+#: Nodes per batched field call, and stencil terms per summed block: bounds
+#: the arrays held at once.
+_FD_CHUNK = 4096
+_FD_T_RUN = 256
+_FD_SHIFT = tuple(4 * (NVARS - 1 - v) for v in range(NVARS))
+_FD_PLACE = np.array([1 << s for s in _FD_SHIFT])
+_FD_ORDER_SHIFT = 4 * NVARS
+_FD_DIGIT_OFFSETS = np.arange(-4.0, 12.0)  # the offset o of each 4-bit digit o + 4
+
+
+class _FdSignature(NamedTuple):
+    """Stencils of one order with the same exponents, in variable order."""
+
+    order: int
+    rows: np.ndarray  # (S,) their coefficients' indices in ``_FdPlan.positions``
+    nodes: np.ndarray  # (S, N) node indices, in ``itertools.product`` order
+    weight: np.ndarray  # (N,) products of the per-variable weights
+    fact: np.ndarray  # (S,) the coefficients' multi-index factorials
+    slots: np.ndarray  # (S, k) the coordinate of each stencil variable
+    exps: tuple  # (k,) the exponent of each stencil variable
+
+
+class _FdPlan(NamedTuple):
+    positions: tuple  # the coefficients sampled, in coefficient order
+    codes: np.ndarray  # (n,) int32 codes of the distinct nodes
+    chunks: tuple  # (start, stop, order, offset per coordinate or None) per call
+    signatures: tuple
+
+
+@lru_cache(maxsize=None)
+def _fd_plan(order: int, active: frozenset, min_fiber_degree: int) -> _FdPlan:
+    """Which nodes ``fd_jet`` evaluates and how it sums them; it depends on
+    the sampled coefficients only, not on the point or the field."""
+    positions, groups = [], {}
+    active = [v for v in range(NVARS) if v in active]
+    for pos in range(1, NCOEF[order]):
+        e = _EXPONENTS[pos]
+        slots = tuple(v for v in active if e[v])
+        if sum(e[v] for v in slots) < _DEGREE[pos] or sum(e[_FIBER]) < min_fiber_degree:
+            continue
+        key = (_DEGREE[pos], tuple(e[v] for v in slots))
+        groups.setdefault(key, []).append((len(positions), slots))
+        positions.append(pos)
+    if not groups:
+        return _FdPlan((), np.zeros(0, dtype=np.int32), (), ())
+    sigs = [
+        (d, ms, np.array([r for r, _ in members]), np.array([s for _, s in members]))
+        for (d, ms), members in sorted(groups.items())
+    ]
+    sizes = [
+        slots.shape[0] * math.prod(_fd_stencil(m)[0].size for m in ms)
+        for _, ms, _, slots in sigs
+    ]
+    codes = np.empty(sum(sizes), dtype=np.int32)
+    start = 0
+    for (d, ms, _, slots), size in zip(sigs, sizes):
+        step = max(1, _FD_CHUNK * slots.shape[0] // size)  # bounds the temporaries
+        for r in range(0, slots.shape[0], step):
+            block = _fd_node_codes(d, ms, slots[r : r + step]).ravel()
+            codes[start : start + block.size] = block
+            start += block.size
+    # the distinct codes in increasing order, and each code's index among them
+    by_code = np.argsort(codes, kind="stable")  # fast on the sorted runs
+    codes = codes[by_code]
+    first = np.empty(codes.size, dtype=bool)
+    first[0] = True
+    first[1:] = np.diff(codes)  # nonzero where a new code starts
+    distinct = codes[first]
+    del codes
+    index = np.cumsum(first, dtype=np.min_scalar_type(distinct.size))
+    del first
+    index -= 1
+    index[by_code] = index.copy()
+    del by_code
+    signatures, start = [], 0
+    for (d, ms, rows, slots), size in zip(sigs, sizes):
+        weight = np.array(1.0)
+        for m in ms:
+            weight = np.multiply.outer(weight, _fd_stencil(m)[1])
+        nodes = index[start : start + size].reshape(slots.shape[0], -1)
+        fact = _FACT[[positions[r] for r in rows]]
+        signatures.append(_FdSignature(d, rows, nodes, weight.ravel(), fact, slots, ms))
+        start += size
+    # runs of nodes sharing the order and t; short runs of one order merge
+    heads = distinct >> _FD_SHIFT[0]
+    runs = (np.flatnonzero(np.diff(heads)) + 1).tolist()
+    spans = []  # [start, stop, order, whether the run is long]
+    for lo, hi in zip([0, *runs], [*runs, distinct.size]):
+        d, long_run = int(heads[lo]) >> 4, hi - lo >= _FD_T_RUN
+        if spans and not long_run and spans[-1][2:] == [d, False]:
+            spans[-1][1] = hi
+        else:
+            spans.append([lo, hi, d, long_run])
+    chunks = []
+    for lo, hi, d, _ in spans:
+        for a in range(lo, hi, _FD_CHUNK):
+            b = min(a + _FD_CHUNK, hi)
+            # in code order, a coordinate is the same at all nodes of the
+            # chunk if it is at its first and last node, and so are all
+            # more significant ones; the others are passed as columns
+            head, tail = int(distinct[a]), int(distinct[b - 1])
+            fixed = tuple(
+                ((head >> shift) & 15) - 4 if head >> shift == tail >> shift else None
+                for shift in _FD_SHIFT
+            )
+            chunks.append((a, b, d, fixed))
+    return _FdPlan(tuple(positions), distinct, tuple(chunks), tuple(signatures))
+
+
+def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray) -> np.ndarray:
+    """(S, N) codes of the nodes of the stencils with these exponents on the
+    S coordinate tuples ``slots``, in ``itertools.product`` order."""
+    base = (order << _FD_ORDER_SHIFT) + 4 * int(_FD_PLACE.sum())
+    codes = np.full(slots.shape[0], base)
+    for i, m in enumerate(exps):
+        nodes = _fd_stencil(m)[0].astype(np.int64)
+        term = _FD_PLACE[slots[:, i], None] * nodes
+        codes = codes[..., None] + term.reshape(-1, *(1,) * i, nodes.size)
+    return codes.reshape(slots.shape[0], -1)
+
+
+def _fd_batched(field: Callable, coords, plan: _FdPlan):
+    """The plan's coefficients, each as ``fd_partial`` gives it divided by
+    the multi-index factorial, or None if a field call gives a non-finite
+    value.
+
+    One field call per chunk of distinct nodes.  Each stencil's terms are
+    gathered from the node values and summed as in ``fd_partial``; stencils
+    of one signature are summed together by 2-D ``np.add.accumulate``.
+    """
+    tables, powers = {}, {}
+    for d in {d for _, _, d, _ in plan.chunks}:
+        rel = _FD_REL_STEP[d]
+        steps = [rel * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
+        # each coordinate at the offset of each digit, computed as fd_partial
+        # does, repeated for the 16 values of the digit above: the table is
+        # read at a byte of the code whose low 4 bits are the digit
+        tables[d] = [np.tile(x + _FD_DIGIT_OFFSETS * s, 16) for x, s in zip(coords, steps)]
+        powers[d] = np.array([[s**m for m in range(d + 1)] for s in steps])
+    values = np.empty(plan.codes.size)
+    for a, b, d, fixed in plan.chunks:
+        args = list(coords)
+        for v, o in enumerate(fixed):
+            if o is None:
+                byte = (plan.codes[a:b] >> _FD_SHIFT[v]).astype(np.uint8)
+                args[v] = tables[d][v][byte].view(NodeArray)
+            elif o:
+                args[v] = float(tables[d][v][o + 4])
+        got = np.asarray(field(*args), dtype=float)
+        if got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
+            return None
+        values[a:b] = got
+    out = np.empty(len(plan.positions))
+    for sig in plan.signatures:
+        pw = powers[sig.order]
+        denom = pw[sig.slots[:, 0], sig.exps[0]]
+        for i in range(1, len(sig.exps)):
+            denom = denom * pw[sig.slots[:, i], sig.exps[i]]
+        step = max(1, _FD_CHUNK // sig.weight.size)
+        for r in range(0, sig.rows.size, step):
+            block = slice(r, r + step)
+            terms = values[sig.nodes[block]] * sig.weight
+            # fd_partial sums from 0.0; that start changes a sum only when
+            # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
+            total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+            out[sig.rows[block]] = total / denom[block] / sig.fact[block]
+    return out

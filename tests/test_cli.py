@@ -171,6 +171,25 @@ class TestScenarioValidation:
         assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
         assert capsys.readouterr().err.startswith("scenario error: ")
 
+    @pytest.mark.parametrize(
+        "original, repeated",
+        [
+            ('"einstein_constant": 1.0', '"einstein_constant": 1.0, "einstein_constant": 2.0'),
+            ('"cubic": "berwald_moor"', '"cubic": {"entries": {"123": 0.5, "123": 0.16666666666666666}}'),
+        ],
+        ids=["top_level", "cubic_entries"],
+    )
+    def test_repeated_key_exits_two(self, tmp_path, capsys, original, repeated):
+        # json keeps the last of a repeated key; the scenario is refused instead
+        text = json.dumps(base_scenario())
+        assert original in text
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(original, repeated))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ")
+        assert "appears twice" in err
+
 
 class TestSampling:
     def test_bit_reproducible(self):

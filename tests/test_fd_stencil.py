@@ -1,14 +1,18 @@
 """The finite-difference path evaluates each stencil with one array call of the
-field; these tests hold it to the per-node definition bit for bit.
+field (``fd_partial``), and a whole jet with a few array calls over its
+distinct stencil nodes (``fd_jet``); these tests hold both to the per-node
+definition bit for bit.
 
 ``_fd_partial_per_node`` is the reference: the node-by-node loop that
-``fd_partial`` replaced, kept here verbatim in its arithmetic.  Coefficients
-are compared as bytes, and reports and error strings as exact equality.
+``fd_partial`` replaced, kept here verbatim in its arithmetic, and
+``_fd_jet_per_node`` the jet built from it.  Coefficients are compared as
+bytes, and reports and error strings as exact equality.
 """
 
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
-from jetfinsler.cli import parse_scenario, run_scenario
+from jetfinsler.cli import parse_scenario, run_scenario, sample_points
 from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 from jetfinsler.metric_engine import finsler_F_squared_field
@@ -50,6 +54,24 @@ def _fd_partial_per_node(field, point, spec):
             shifted[v] = cj
         acc += w * field(*shifted)
     return acc / denom
+
+
+def _fd_jet_per_node(field, point, order, active=None, min_fiber_degree=0):
+    """``fd_jet``'s definition: the sampled coefficients in coefficient order,
+    each from ``_fd_partial_per_node``."""
+    coords = dt._coords_of(point)
+    active = range(dt.NVARS) if active is None else active
+    c = np.zeros(dt.NCOEF[order])
+    c[0] = float(field(*coords))
+    for pos in range(1, dt.NCOEF[order]):
+        exps = dt._EXPONENTS[pos]
+        if any(m > 0 and v not in active for v, m in enumerate(exps)):
+            continue
+        if sum(exps[4:]) < min_fiber_degree:
+            continue
+        spec = [v for v, m in enumerate(exps) for _ in range(m)]
+        c[pos] = _fd_partial_per_node(field, coords, spec) / dt._FACT[pos]
+    return dt.Taylor(c, order)
 
 
 def _specs():
@@ -203,7 +225,7 @@ class TestNodeArrays:
 
 def _report(doc, monkeypatch=None, per_node=False):
     if per_node:
-        monkeypatch.setattr(dt, "fd_partial", _fd_partial_per_node)
+        monkeypatch.setattr(dt, "fd_jet", _fd_jet_per_node)
     report, ok = run_scenario(parse_scenario(doc))
     report.pop("wall_time_seconds")
     return report, ok
@@ -220,15 +242,21 @@ def _fd_doc(metric, cubic, point):
     }
 
 
+GENERIC_DOC = {
+    "entries": {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}
+}
+
+
 class TestErrorParity:
-    """A stencil that leaves the domain gives the per-node error string."""
+    """A stencil that leaves the domain gives the per-node error string, and
+    reports equal those of the per-node reference jet."""
 
     CASES = {
         # G111 > 0 at the point, <= 0 at nodes of its y1 stencils
         "g111_crossing": (
             _fd_doc(
                 "t**2 + 1",
-                {"entries": {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}},
+                GENERIC_DOC,
                 {"t": 0.2, "x": [-0.9, 0.4, 0.3], "y": [1.0, 0.5, 0.6]},
             ),
             "DomainError: fractional power of a non-positive value",
@@ -257,3 +285,92 @@ class TestErrorParity:
         assert report["points"][0]["error"] == expected
         ref, _ = _report(doc, monkeypatch, per_node=True)
         assert json.dumps(report) == json.dumps(ref)
+
+    @pytest.mark.parametrize(
+        "cubic", ["berwald_moor", GENERIC_DOC], ids=["berwald_moor", "generic"]
+    )
+    def test_signed_zero_points(self, cubic, monkeypatch):
+        # a varied coordinate of -0.0 is not the +0.0 of an offset-0 node, so
+        # such a point is left to the per-stencil path
+        doc = _fd_doc("t**2 + 1", cubic, None)
+        doc["points"]["explicit"] = [
+            {"t": 0.3, "x": [-0.0, 0.4, 0.3], "y": [1.0, 1.5, 0.6]},
+            {"t": -0.0, "x": [0.2, -0.4, 0.3], "y": [1.0, 1.5, 0.6]},
+        ]
+        doc["outputs"] = ["all"]
+        first, second = sample_points(parse_scenario(doc))
+        assert math.copysign(1.0, first.x[0]) < 0 and math.copysign(1.0, second.t) < 0
+        report, _ = _report(doc)
+        assert report["summary"]["points_errored"] == 0
+        ref, _ = _report(doc, monkeypatch, per_node=True)
+        assert json.dumps(report) == json.dumps(ref)
+
+
+F2_BM = finsler_F_squared_field(CubicForm.berwald_moor(), TemporalMetric("exp(2*t)"))
+
+
+class TestBatchedJet:
+    """``fd_jet`` evaluates each distinct stencil node once, in a few calls."""
+
+    def test_distinct_nodes_in_few_calls(self):
+        sizes = []
+
+        def counting(*args):
+            sizes.append(np.broadcast(*args).size)
+            return F2_BM(*args)
+
+        dt._fd_plan.cache_clear()
+        jet = dt.fd_jet(counting, POINTS[0], 4, min_fiber_degree=2)
+        stencil_nodes = sum(
+            math.prod(dt._fd_stencil(m)[0].size for m in e if m)
+            for e in dt._EXPONENTS[1:]
+            if sum(e[4:]) >= 2
+        )
+        assert stencil_nodes == 79_805
+        assert sizes[0] == 1  # the point itself, c[0]
+        assert sum(sizes[1:]) == 39_753  # each distinct stencil node once
+        assert len(sizes) <= 20
+        ref = _fd_jet_per_node(F2_BM, POINTS[0], 4, min_fiber_degree=2)
+        assert jet.c.tobytes() == ref.c.tobytes()
+
+    def test_plan_built_once(self):
+        dt._fd_plan.cache_clear()
+        dt.fd_jet(F2_BM, POINTS[0], 4, min_fiber_degree=2)
+        before = dt._fd_plan.cache_info()
+        dt.fd_jet(F2_BM, POINTS[1], 4, min_fiber_degree=2)
+        after = dt._fd_plan.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    def test_cold_jet_memory(self):
+        # the plan is built in this call; its node codes and indices and the
+        # batched arrays stay small (the per-stencil loop peaked at 0.35 MB)
+        dt._fd_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            dt.fd_jet(F2_BM, POINTS[2], 4, min_fiber_degree=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
+    @pytest.mark.parametrize("slot", [0, 1], ids=["t", "x1"])
+    def test_signed_zero_coordinate(self, slot):
+        # a field that tells -0.0 from +0.0: stencils that vary the
+        # coordinate see +0.0 at offset 0, the others the point's -0.0
+        def fld(t, x1, x2, x3, y1, y2, y3):
+            sign = np.copysign(1.0, (t, x1)[slot])
+            return (2.0 + sign) * y1**2 * y2 * y3 + x2 * y1
+
+        coords = [0.3, 0.2, -0.4, 0.3, 1.0, 1.5, 0.6]
+        coords[slot] = -0.0
+        jet = dt.fd_jet(fld, coords, 4)
+        assert jet.c.tobytes() == _fd_jet_per_node(fld, coords, 4).c.tobytes()
+        coords[slot] = 0.0
+        assert jet.c.tobytes() != dt.fd_jet(fld, coords, 4).c.tobytes()
+
+    def test_field_failing_on_arrays(self):
+        # float() of a t column raises: the jet is computed stencil by stencil
+        fld = lambda t, x1, x2, x3, y1, y2, y3: math.exp(float(t)) * y1**2 * y2
+        p = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0)
+        jet = dt.fd_jet(fld, p, 4)
+        assert jet.c.tobytes() == _fd_jet_per_node(fld, p, 4).c.tobytes()
