@@ -609,7 +609,8 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
             failed += 1
         records.append(record)
 
-    all_pass = failed == 0
+    # a run in which every point errored compared nothing, so it cannot pass
+    all_pass = failed == 0 and errored < len(points)
     report = {
         "schema_version": SCHEMA_VERSION,
         "generator": {

@@ -30,9 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import difftools as dt
-from .errors import DegenerateMetric
 from .jetspace import CubicForm, DTensorBundle, JetPoint, TemporalMetric
-from .metric_engine import finsler_F_squared_field
+from .metric_engine import _check_metric_det, finsler_F_squared_field
 
 
 class NonlinearConnection:
@@ -128,6 +127,28 @@ def stack_coefficients(nested) -> np.ndarray:
     return np.array([stack_coefficients(e) for e in nested])
 
 
+def adapted_partials(s: np.ndarray, m: np.ndarray, n: np.ndarray):
+    """delta/delta t, delta/delta x^a and d/dy^a (the last two on a new last
+    axis a) of stacked coefficients (see ``stack_coefficients``) of series of
+    order >= 1, read from their first-order slots, in the frame of M^p =
+    ``m[p]`` and N^p_a = ``n[p, a]``.
+
+    Each float comes from the operations the per-entry series path
+    ``deriv(u, 1 + a) - N^p_a * deriv(u, 4 + p)`` performs on the value
+    coefficient: a product there is accumulated into a zero
+    (``_backend.poly_mul``), hence the ``+ 0.0``, which turns a -0.0 product
+    into +0.0 exactly as the series path does.
+    """
+    d_y = s[..., _DY]
+    m_terms = m * d_y + 0.0  # [..., p]: M^p d/dy^p
+    n_terms = d_y[..., None] * n + 0.0  # [..., p, a]: N^p_a d/dy^p
+    d_t, d_x = s[..., _DT], s[..., _DX]
+    for p in range(3):
+        d_t = d_t - m_terms[..., p]
+        d_x = d_x - n_terms[..., p, :]
+    return d_t, d_x, d_y
+
+
 def _accumulate(terms: np.ndarray, acc=None) -> np.ndarray:
     """Sum of stacked series over the axis before the coefficients, adding
     one index at a time onto ``acc`` as the per-entry loops do."""
@@ -188,35 +209,6 @@ class PointContext:
     def seeds1(self):
         return dt.seed_point(self.point.coords(), 1)
 
-    # -- adapted first partials of stacked series --------------------------------
-
-    # The values of delta/delta x^a, delta/delta t and d/dy^k for stacked
-    # coefficients (see ``stack_coefficients``) of series of order >= 1, read
-    # from their first-order slots.  Each float comes from the operations the
-    # per-entry series path ``deriv(u, 1 + a) - N^p_a * deriv(u, 4 + p)``
-    # performs on the value coefficient: a product there is accumulated into a
-    # zero (``_backend.poly_mul``), hence the ``+ 0.0``, which turns a -0.0
-    # product into +0.0 exactly as the series path does.
-
-    @staticmethod
-    def _dy_slices(s: np.ndarray) -> np.ndarray:
-        """d/dy^k, new last axis k."""
-        return s[..., _DY]
-
-    def _dx_slices(self, s: np.ndarray) -> np.ndarray:
-        """delta/delta x^a, new last axis a."""
-        out = s[..., _DX]
-        for p in range(3):
-            out = out - (self.N_val[p] * s[..., _DY[p], None] + 0.0)
-        return out
-
-    def _dt_slices(self, s: np.ndarray) -> np.ndarray:
-        """delta/delta t."""
-        out = s[..., _DT]
-        for p in range(3):
-            out = out - (self.M_val[p] * s[..., _DY[p]] + 0.0)
-        return out
-
     # -- nonlinear connection as order-1 series -------------------------------
 
     @cached_property
@@ -264,10 +256,7 @@ class PointContext:
     def g_val(self) -> np.ndarray:
         # contiguous: einsum may sum a strided slice in another order
         g = np.ascontiguousarray(self.g_stack[..., 0])
-        det = float(np.linalg.det(g))
-        norm = float(np.linalg.norm(g))
-        if abs(det) <= 1e-12 * norm**3:
-            raise DegenerateMetric(f"det(g) = {det} with norm {norm}")
+        _check_metric_det(g)
         return g
 
     @cached_property
@@ -398,10 +387,13 @@ class PointContext:
 
     @cached_property
     def _torsion_set(self) -> TorsionSet:
+        frame = self.M_val, self.N_val
+        n_t, _, n_y = adapted_partials(self.N_stack, *frame)
+        _, m_x, _ = adapted_partials(self.M_stack, *frame)
         # P_mixed[k, i, j] = dN^k_i/dy^j - L^k_ji
-        p_mixed = self._dy_slices(self.N_stack) - self.L_val.transpose(0, 2, 1)
+        p_mixed = n_y - self.L_val.transpose(0, 2, 1)
         # R_time[k, j] = delta M^k/delta x^j - delta N^k_j/delta t
-        r_time = self._dx_slices(self.M_stack) - self._dt_slices(self.N_stack)
+        r_time = m_x - n_t
         return TorsionSet(P_mixed=p_mixed, P_fiber=self.C_val.copy(), R_time=r_time)
 
     def curvatures(self) -> CurvatureSet:
@@ -413,7 +405,9 @@ class PointContext:
         L0 = self.L_val
         p_mixed = self.torsions().P_mixed
 
-        dC = self._dy_slices(self.C_stack)  # [l, i, j, k] = d C^l_i(j) / dy_k
+        frame = self.M_val, self.N_val
+        # [l, i, j, a] = delta C^l_i(j)/delta x^a, [l, i, j, k] = d C^l_i(j) / dy_k
+        _, dCdx, dC = adapted_partials(self.C_stack, *frame)
         s_vv = (
             dC
             - dC.transpose(0, 1, 3, 2)
@@ -421,7 +415,6 @@ class PointContext:
             - np.einsum("mik,lmj->lijk", C0, C0)
         )
 
-        dCdx = self._dx_slices(self.C_stack)  # [l, i, k, a] = delta C^l_i(k)/delta x^a
         # C^{l(1)}_{i(k)|j}
         c_bar = (
             dCdx
@@ -430,8 +423,8 @@ class PointContext:
             - np.einsum("lim,mkj->likj", C0, L0)
         )
 
-        dLdy = self._dy_slices(self.L_stack)  # [l, i, j, k] = d L^l_ij / dy_k
-        dLdx = self._dx_slices(self.L_stack)  # [l, i, j, a] = delta L^l_ij / delta x^a
+        # [l, i, j, a] = delta L^l_ij / delta x^a, [l, i, j, k] = d L^l_ij / dy_k
+        _, dLdx, dLdy = adapted_partials(self.L_stack, *frame)
         p_hv = (
             dLdy
             - c_bar.transpose(0, 1, 3, 2)

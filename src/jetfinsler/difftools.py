@@ -16,14 +16,14 @@ to floating-point rounding.  The truncation order is capped at
 
 Finite differences appear only in :func:`fd_partial` / :func:`fd_jet`, an
 optional path used to cross-check the exact kernel; they are never the
-default.  ``fd_partial`` evaluates a stencil with one call of the field on
-:class:`NodeArray` coordinates, one element per stencil node; ``fd_jet``
-evaluates the distinct nodes of all its stencils in a few such calls.  numpy's
+default.  Both evaluate the distinct nodes of their stencils in a few calls
+of the field on :class:`NodeArray` coordinates, one element per node.  numpy's
 ``+ - * /`` round each element as Python's float operations do, but its
 array powers and transcendental functions do not, so ``**`` on a
 :class:`NodeArray` and the helpers below apply Python's ``**`` and
 :mod:`math` element by element: every node value, and so every stencil sum,
-is bit-identical to evaluating the field node by node on floats.
+is bit-identical to evaluating the field node by node on floats, which is
+what a call that fails does instead.
 """
 
 from __future__ import annotations
@@ -559,55 +559,13 @@ def fd_partial(field: Callable, point, spec) -> float:
     order of the per-variable stencils, of the product of the per-variable
     weights, taken left to right from 1.0, times the field at the node; the
     sum runs from 0.0 one node at a time and is divided by the product of the
-    steps last.
+    steps last (:func:`_fd_per_node`).
     """
     spec = PartialSpec.coerce(spec)
-    coords = list(_coords_of(point))
+    coords = _coords_of(point)
     if spec.order == 0:
         return float(field(*coords))
-    rel = _FD_REL_STEP[spec.order]
-    stencils = [(v, m, *_fd_stencil(m)) for v, m in enumerate(spec.exponents) if m]
-    k = len(stencils)
-    # node coordinates of the active variables, [variable, node 1, ..., node k]
-    grids = np.empty((k, *(nodes.size for _, _, nodes, _ in stencils)))
-    weight = np.array(1.0)
-    denom = 1.0
-    for i, (v, m, nodes, weights) in enumerate(stencils):
-        step = rel * max(abs(coords[v]), _FD_SCALE_FLOOR)
-        denom *= step**m
-        grids[i] = (coords[v] + nodes * step).reshape((-1,) + (1,) * (k - 1 - i))
-        weight = np.multiply.outer(weight, weights)
-    active = [v for v, *_ in stencils]
-    values = _stencil_values(field, coords, active, grids.reshape(k, -1))
-    terms = weight.ravel() * values
-    return np.add.accumulate(np.concatenate(([0.0], terms)))[-1] / denom
-
-
-def _stencil_values(field: Callable, coords, active, grids) -> np.ndarray:
-    """The field at every stencil node: coordinate ``active[i]`` takes the
-    values ``grids[i]``, the others stay the point's floats.
-
-    One call on :class:`NodeArray` coordinates evaluates all nodes.  If it
-    raises or gives a non-finite value, the nodes are evaluated again one at
-    a time on ``np.float64`` coordinates, in node order, so that the first
-    failing node raises its own exception, or the per-node values stand.
-    """
-    args = list(coords)
-    for v, g in zip(active, grids):
-        args[v] = g.view(NodeArray).copy()  # the field may update it in place
-    try:
-        with np.errstate(all="ignore"):
-            values = np.asarray(field(*args), dtype=float)
-        if values.shape in ((), grids[0].shape) and np.isfinite(values).all():
-            return values
-    except Exception:  # re-raised below by the node that fails on its own
-        pass
-    values = np.empty(grids[0].size)
-    for k in range(values.size):
-        for v, g in zip(active, grids):
-            args[v] = g[k]
-        values[k] = field(*args)
-    return values
+    return float(_fd_values(field, coords, (_POS[spec.exponents],))[0])
 
 
 def fd_jet(
@@ -625,12 +583,9 @@ def fd_jet(
     gathers coefficients.  The value ``c[0]`` is always sampled, so the
     point's own domain check comes before any stencil's.
 
-    Each coefficient equals ``fd_partial``'s, bit for bit.  Stencils of one
-    derivative order share nodes, so the field is evaluated once per distinct
-    node, in a few batched calls (see :func:`_fd_plan`).  If that raises or
-    gives a non-finite value, or an active coordinate of the point is -0.0,
-    every coefficient is computed by ``fd_partial`` instead, which raises the
-    error of the first failing stencil node.
+    Each sampled coefficient is ``fd_partial``'s divided by the multi-index
+    factorial, bit for bit; stencils of one derivative order share nodes,
+    and each distinct node is evaluated once.
     """
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the maximum {MAX_ORDER}")
@@ -638,33 +593,69 @@ def fd_jet(
     active = frozenset(range(NVARS) if active is None else active)
     c = np.zeros(NCOEF[order])
     c[0] = float(field(*coords))
-    plan = _fd_plan(order, active, min_fiber_degree)
-    values = None
-    if not any(
-        v in active and x == 0.0 and math.copysign(1.0, x) < 0
-        for v, x in enumerate(coords)
-    ):
-        try:
-            with np.errstate(all="ignore"):
-                values = _fd_batched(field, coords, plan)
-        except Exception:  # raised again below by the node that fails
-            pass
-    if values is None:
-        values = []
-        for pos in plan.positions:
-            spec = [v for v, m in enumerate(_EXPONENTS[pos]) for _ in range(m)]
-            values.append(fd_partial(field, coords, spec) / _FACT[pos])
-    c[list(plan.positions)] = values
+    positions = _fd_positions(order, active, min_fiber_degree)
+    rows = list(positions)
+    c[rows] = _fd_values(field, coords, positions) / _FACT[rows]
     return Taylor(c, order)
+
+
+@lru_cache(maxsize=None)
+def _fd_positions(order: int, active: frozenset, min_fiber_degree: int) -> tuple:
+    """The coefficients ``fd_jet`` samples, in coefficient order."""
+    return tuple(
+        pos
+        for pos, e in enumerate(_EXPONENTS[1 : NCOEF[order]], start=1)
+        if all(v in active for v, m in enumerate(e) if m)
+        and sum(e[_FIBER]) >= min_fiber_degree
+    )
+
+
+def _fd_values(field: Callable, coords, positions: tuple) -> np.ndarray:
+    """``fd_partial``'s value of each coefficient in ``positions``: from the
+    batched calls of their node plan, or if one of them fails, node by node,
+    so that the first failing node in coefficient order raises its own
+    exception, or the per-node values stand."""
+    try:
+        with np.errstate(all="ignore"):
+            values = _fd_batched(field, coords, _fd_plan(positions))
+    except Exception:  # raised again below by the node that fails
+        values = None
+    return _fd_per_node(field, coords, positions) if values is None else values
+
+
+def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
+    """``fd_partial``'s definition, one field call per node; a varied
+    coordinate v takes the values ``coords[v] + nodes * step``."""
+    out = np.empty(len(positions))
+    for row, pos in enumerate(positions):
+        rel = _FD_REL_STEP[_DEGREE[pos]]
+        slots, columns, denom = [], [], 1.0
+        for v, m in enumerate(_EXPONENTS[pos]):
+            if m:
+                nodes, weights = _fd_stencil(m)
+                step = rel * max(abs(coords[v]), _FD_SCALE_FLOOR)
+                denom *= step**m
+                slots.append(v)
+                columns.append(list(zip(weights, coords[v] + nodes * step)))
+        args = list(coords)
+        acc = 0.0
+        for picks in itertools.product(*columns):
+            w = 1.0
+            for v, (wj, xj) in zip(slots, picks):
+                w *= wj
+                args[v] = xj
+            acc += w * field(*args)
+        out[row] = acc / denom
+    return out
 
 
 # A stencil node of the coefficients of total derivative order d is named by
 # d and its integer offset vector o: its coordinates are ``coords[v] + o[v] *
 # step[v]``, the steps depending only on d and the point, and a coordinate at
 # offset 0 is the point's own (``c + 0.0 * step == c``, except for c = -0.0,
-# which ``fd_jet`` leaves to ``fd_partial``).  Stencils of one order share
-# their offset-0 lines: the F^2 jet of fd mode has 79,805 stencil nodes, of
-# which 39,753 are distinct.  A node's int32 code holds d above o[v] + 4 in
+# which ``_fd_batched`` leaves to the per-node loop).  Stencils of one order
+# share their offset-0 lines: the F^2 jet of fd mode has 79,805 stencil nodes,
+# of which 39,753 are distinct.  A node's int32 code holds d above o[v] + 4 in
 # 4 bits per coordinate, t the most significant, so the nodes that share d
 # and t are contiguous in code order.
 #
@@ -691,34 +682,34 @@ class _FdSignature(NamedTuple):
     rows: np.ndarray  # (S,) their coefficients' indices in ``_FdPlan.positions``
     nodes: np.ndarray  # (S, N) node indices, in ``itertools.product`` order
     weight: np.ndarray  # (N,) products of the per-variable weights
-    fact: np.ndarray  # (S,) the coefficients' multi-index factorials
     slots: np.ndarray  # (S, k) the coordinate of each stencil variable
     exps: tuple  # (k,) the exponent of each stencil variable
 
 
 class _FdPlan(NamedTuple):
     positions: tuple  # the coefficients sampled, in coefficient order
+    varied: tuple  # the coordinates that some stencil varies
     codes: np.ndarray  # (n,) int32 codes of the distinct nodes
     chunks: tuple  # (start, stop, order, offset per coordinate or None) per call
     signatures: tuple
 
 
 @lru_cache(maxsize=None)
-def _fd_plan(order: int, active: frozenset, min_fiber_degree: int) -> _FdPlan:
-    """Which nodes ``fd_jet`` evaluates and how it sums them; it depends on
-    the sampled coefficients only, not on the point or the field."""
-    positions, groups = [], {}
-    active = [v for v in range(NVARS) if v in active]
-    for pos in range(1, NCOEF[order]):
+def _fd_plan(positions: tuple) -> _FdPlan:
+    """Which nodes are evaluated for these coefficients and how their
+    stencils are summed; it depends on the coefficients only, not on the
+    point or the field."""
+    groups = {}
+    for row, pos in enumerate(positions):
         e = _EXPONENTS[pos]
-        slots = tuple(v for v in active if e[v])
-        if sum(e[v] for v in slots) < _DEGREE[pos] or sum(e[_FIBER]) < min_fiber_degree:
-            continue
+        slots = tuple(v for v in range(NVARS) if e[v])
         key = (_DEGREE[pos], tuple(e[v] for v in slots))
-        groups.setdefault(key, []).append((len(positions), slots))
-        positions.append(pos)
+        groups.setdefault(key, []).append((row, slots))
+    varied = tuple(
+        v for v in range(NVARS) if any(_EXPONENTS[pos][v] for pos in positions)
+    )
     if not groups:
-        return _FdPlan((), np.zeros(0, dtype=np.int32), (), ())
+        return _FdPlan(positions, varied, np.zeros(0, dtype=np.int32), (), ())
     sigs = [
         (d, ms, np.array([r for r, _ in members]), np.array([s for _, s in members]))
         for (d, ms), members in sorted(groups.items())
@@ -754,8 +745,7 @@ def _fd_plan(order: int, active: frozenset, min_fiber_degree: int) -> _FdPlan:
         for m in ms:
             weight = np.multiply.outer(weight, _fd_stencil(m)[1])
         nodes = index[start : start + size].reshape(slots.shape[0], -1)
-        fact = _FACT[[positions[r] for r in rows]]
-        signatures.append(_FdSignature(d, rows, nodes, weight.ravel(), fact, slots, ms))
+        signatures.append(_FdSignature(d, rows, nodes, weight.ravel(), slots, ms))
         start += size
     # runs of nodes sharing the order and t; short runs of one order merge
     heads = distinct >> _FD_SHIFT[0]
@@ -780,7 +770,7 @@ def _fd_plan(order: int, active: frozenset, min_fiber_degree: int) -> _FdPlan:
                 for shift in _FD_SHIFT
             )
             chunks.append((a, b, d, fixed))
-    return _FdPlan(tuple(positions), distinct, tuple(chunks), tuple(signatures))
+    return _FdPlan(positions, varied, distinct, tuple(chunks), tuple(signatures))
 
 
 def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray) -> np.ndarray:
@@ -796,14 +786,16 @@ def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray) -> np.ndarray:
 
 
 def _fd_batched(field: Callable, coords, plan: _FdPlan):
-    """The plan's coefficients, each as ``fd_partial`` gives it divided by
-    the multi-index factorial, or None if a field call gives a non-finite
-    value.
+    """The plan's coefficients as ``fd_partial`` gives them, or None if a
+    field call gives a non-finite value or a coordinate that a stencil varies
+    is -0.0 (the nodes at offset 0 of that stencil have +0.0 there).
 
     One field call per chunk of distinct nodes.  Each stencil's terms are
     gathered from the node values and summed as in ``fd_partial``; stencils
     of one signature are summed together by 2-D ``np.add.accumulate``.
     """
+    if any(coords[v] == 0.0 and math.copysign(1.0, coords[v]) < 0 for v in plan.varied):
+        return None
     tables, powers = {}, {}
     for d in {d for _, _, d, _ in plan.chunks}:
         rel = _FD_REL_STEP[d]
@@ -839,5 +831,5 @@ def _fd_batched(field: Callable, coords, plan: _FdPlan):
             # fd_partial sums from 0.0; that start changes a sum only when
             # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
             total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-            out[sig.rows[block]] = total / denom[block] / sig.fact[block]
+            out[sig.rows[block]] = total / denom[block]
     return out

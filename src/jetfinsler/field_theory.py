@@ -29,7 +29,7 @@ import numpy as np
 
 from . import difftools as dt
 from .berwald_moor import ClosedForms
-from .connection_engine import NonlinearConnection, PointContext
+from .connection_engine import NonlinearConnection, PointContext, adapted_partials
 from .errors import NonFiniteOutput, ZeroEinsteinConstant
 
 
@@ -191,19 +191,6 @@ def stress_energy_contracted(
     ))
 
 
-def _adapted_partials(c: np.ndarray, m_at: np.ndarray, n_at: np.ndarray):
-    """delta/delta t, delta/delta x^a and d/dy^a (last axis a) of stacked
-    order-1 series, by ``adapted_derivative``'s float operations on the
-    frame components M^q = ``m_at[q]`` and N^q_a = ``n_at[q, a]``."""
-    d = dt.D1_SLOTS  # of d/dt, d/dx^a, d/dy^a
-    d_t = c[..., d[0]]
-    d_x = c[..., d[1:4]]
-    for q in range(3):
-        d_t = d_t - m_at[q] * c[..., d[4 + q]]
-        d_x = d_x - n_at[q] * c[..., d[4 + q], None]
-    return d_t, d_x, c[..., d[4:]]
-
-
 def conservation_residuals(
     se: StressEnergyMixed, cf: ClosedForms, K: float = 1.0
 ) -> ConservationReport:
@@ -242,12 +229,12 @@ def conservation_residuals(
     # T^m_1, T^(m)_(1)1, T^1_i and T^1(1)_(i) vanish; their derivatives still
     # enter the sums, as the (signed) zeros the frame operations give.
     zero = np.zeros(dt.NCOEF[1])
-    tt_t, _, _ = _adapted_partials(xi_g.c, m_at, n_at)
-    zero_t, zero_x, zero_y = _adapted_partials(zero, m_at, n_at)
-    _, ss_x, _ = _adapted_partials(field(0.25 * kap * kap / K, True), m_at, n_at)
-    _, _, fs_y = _adapted_partials(field(0.5 * h11 * kap / K), m_at, n_at)
-    _, sf_x, _ = _adapted_partials(field(0.5 * kap / K), m_at, n_at)
-    _, _, ff_y = _adapted_partials(field(h11 / K, True), m_at, n_at)
+    tt_t, _, _ = adapted_partials(xi_g.c, m_at, n_at)
+    zero_t, zero_x, zero_y = adapted_partials(zero, m_at, n_at)
+    _, ss_x, _ = adapted_partials(field(0.25 * kap * kap / K, True), m_at, n_at)
+    _, _, fs_y = adapted_partials(field(0.5 * h11 * kap / K), m_at, n_at)
+    _, sf_x, _ = adapted_partials(field(0.5 * kap / K), m_at, n_at)
+    _, _, ff_y = adapted_partials(field(h11 / K, True), m_at, n_at)
 
     # Law 1: T^1_1/1 + T^m_1|m + T^(m)_(1)1 |^(1)_(m)
     law1 = tt_t + se.tt * kappa - se.tt * kappa
@@ -323,7 +310,8 @@ def em_two_form(ctx: PointContext) -> EMSet:
     g = ctx.g_val
     L = ctx.L_val
     C = ctx.C_val
-    dgdt = ctx._dt_slices(ctx.g_stack)  # delta g_im / delta t
+    # delta g_im / delta t
+    dgdt, _, _ = adapted_partials(ctx.g_stack, ctx.M_val, ctx.N_val)
     d_bar = 0.5 * h_up * _ordered_sum(dgdt[:, m] * y[m] for m in range(3))
     Ly = _ordered_sum(L[:, :, m] * y[m] for m in range(3))  # [q, j]
     D = h_up * _ordered_sum(g[:, q, None] * (-ctx.N_val[q] + Ly[q]) for q in range(3))
@@ -339,9 +327,8 @@ def em_covariant_derivatives(ctx: PointContext) -> EMDerivatives:
     the context's point."""
     f = ctx.em_form_stack
     f0 = f[..., 0]
-    f_dt = ctx._dt_slices(f)   # [i, j]
-    f_dx = ctx._dx_slices(f)   # [i, j, k]
-    f_dy = ctx._dy_slices(f)   # [i, j, k]
+    # [i, j], [i, j, k], [i, j, k]
+    f_dt, f_dx, f_dy = adapted_partials(f, ctx.M_val, ctx.N_val)
     kappa = ctx.kappa
     G_t, L, C = ctx.G_time_val, ctx.L_val, ctx.C_val
     # [i, j]: f0[m, j] G_t[m, i] + f0[i, m] G_t[m, j]

@@ -1,4 +1,6 @@
+import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jetfinsler.berwald_moor import ClosedForms
 from jetfinsler.cli import (
     COMPARISON_NAMES,
     FORMULA_TABLE,
@@ -17,6 +20,7 @@ from jetfinsler.cli import (
     sample_points,
 )
 from jetfinsler.errors import ConfigError
+from jetfinsler.jetspace import JetPoint, TemporalMetric
 
 from helpers import subprocess_env
 
@@ -249,7 +253,8 @@ class TestRunScenario:
         report, ok = run_scenario(parse_scenario(doc))
         assert report["summary"]["points_errored"] == 2
         assert all(p["error"] for p in report["points"])
-        assert ok  # no comparison failed, they were skipped
+        assert report["summary"]["points_failed"] == 0  # comparisons were skipped
+        assert not ok  # but a run that evaluated no point cannot pass
 
     def test_duplicated_points_keep_earliest_worst_row(self):
         doc = base_scenario()
@@ -325,6 +330,21 @@ class TestCliProcess:
         report = json.loads(out.read_text())
         assert not report["summary"]["all_pass"]
         assert report["summary"]["points_failed"] > 0
+
+    def test_exit_one_when_every_point_errors(self, tmp_path, capsys):
+        # h11 = t is positive at the point, negative at nodes of its t stencils
+        doc = base_scenario()
+        doc["temporal_metric"] = "t"
+        doc["derivative_mode"] = "fd"
+        doc["points"] = {"explicit": [{"t": 0.01, "x": [0, 0, 0], "y": [1, 2, 3]}]}
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "RESULT: FAIL" in capsys.readouterr().out
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["points_errored"] == summary["points_total"] == 1
+        assert summary["points_failed"] == 0
+        assert not summary["all_pass"]
 
     def test_default_out_path(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario(count=1, seed=3))
@@ -567,6 +587,26 @@ class TestFormulaTable:
         assert f"({len(expected)} operations)" in text
         for row in FORMULA_TABLE:
             assert row["source"] in text
+
+    def test_sources_resolve(self):
+        # "<module>.<name>[key, ...], .attr, ...": the name imports, each key
+        # names a tensor of a ClosedForms, each attribute exists on it
+        p = JetPoint.of(0.3, (0.1, 0.2, 0.3), (0.7, 1.9, 2.6))
+        cf = ClosedForms(p, TemporalMetric("exp(2*t)"))
+        for row in FORMULA_TABLE:
+            source = row["source"]
+            m = re.fullmatch(r"([\w.]+)(?:\[([\w, ]+)\])?((?:, \.\w+)*)", source)
+            assert m, source
+            dotted, keys, attrs = m.groups()
+            module, _, name = dotted.rpartition(".")
+            obj = getattr(importlib.import_module(module), name)
+            if keys:
+                assert obj is ClosedForms, source
+                obj = cf
+                for key in keys.split(", "):
+                    assert key in cf, source
+            for attr in re.findall(r"\.(\w+)", attrs):
+                assert hasattr(obj, attr), source
 
     def test_table_is_stable(self):
         assert print_formula_table() == print_formula_table()

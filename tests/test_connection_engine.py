@@ -11,6 +11,7 @@ from jetfinsler.connection_engine import (
     NonlinearConnection,
     PointContext,
     adapted_derivative,
+    adapted_partials,
     ricci_generic,
     scalar_curvature_generic,
     stack_coefficients,
@@ -380,8 +381,9 @@ class TestSliceDerivatives:
                 u = _series(stack, (l, i, j))
                 dy[l, i, j, k] = dt.deriv(u, 4 + k).value
                 dx[l, i, j, k] = _adapted_dx(ctx, u, k).value
-            assert _same_floats(ctx._dy_slices(stack), dy)
-            assert _same_floats(ctx._dx_slices(stack), dx)
+            _, got_dx, got_dy = adapted_partials(stack, ctx.M_val, ctx.N_val)
+            assert _same_floats(got_dy, dy)
+            assert _same_floats(got_dx, dx)
 
     def test_torsions(self, ctx):
         tors = ctx.torsions()
@@ -401,12 +403,13 @@ class TestSliceDerivatives:
         # the metric series has order 2; its first-order slots are shared
         g = _metric_series(ctx)
         dgdt = np.array([[_adapted_dt(ctx, e).value for e in row] for row in g])
-        assert _same_floats(ctx._dt_slices(ctx.g_stack), dgdt)
+        got, _, _ = adapted_partials(ctx.g_stack, ctx.M_val, ctx.N_val)
+        assert _same_floats(got, dgdt)
         f = ctx.em_form_stack
         f_dt = np.empty((3, 3))
         for i, j in np.ndindex(3, 3):
             f_dt[i, j] = _adapted_dt(ctx, _series(f, (i, j))).value
-        assert _same_floats(ctx._dt_slices(f), f_dt)
+        assert _same_floats(adapted_partials(f, ctx.M_val, ctx.N_val)[0], f_dt)
 
 
 def _sum(terms):

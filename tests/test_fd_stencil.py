@@ -1,13 +1,12 @@
-"""The finite-difference path evaluates each stencil with one array call of the
-field (``fd_partial``), and a whole jet with a few array calls over its
-distinct stencil nodes (``fd_jet``); these tests hold both to the per-node
-definition bit for bit.
+"""The finite-difference path evaluates the distinct nodes of its stencils
+with a few array calls of the field, for one partial (``fd_partial``) or a
+whole jet (``fd_jet``); these tests hold both to the per-node definition bit
+for bit.
 
 ``_fd_partial_per_node`` is the reference: the node-by-node loop that
-``fd_partial`` replaced, kept here verbatim in its arithmetic, and
+defines ``fd_partial``, kept here verbatim in its arithmetic, and
 ``_fd_jet_per_node`` the jet built from it.  Coefficients are compared as
-bytes, and reports and error strings as exact equality.
-"""
+bytes, and reports and error strings as exact equality."""
 
 import itertools
 import json
@@ -16,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
@@ -131,6 +130,41 @@ class TestAgainstPerNode:
             assert str(info.value) == str(exc)
             return
         assert _same_bytes(dt.fd_partial(fld, p, spec), ref)
+
+
+class TestFallbackOrder:
+    """Near G111 = 0 the stencils leave the domain, and the node-by-node loop
+    alone decides which error a jet raises: that of its first failing node."""
+
+    @given(
+        # the t stencils of order 3 reach h11 = t <= 0, so which of h11 and
+        # G111 fails first depends on the coefficient order
+        t=st.floats(0.001, 0.005),
+        x23=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        y=st.tuples(*[st.floats(0.2, 5.0)] * 3),
+        share=st.floats(-0.05, 0.6),
+        metric=st.sampled_from(["t**2 + 1", "t"]),
+        order=st.integers(2, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_jet_near_g111_zero(self, t, x23, y, share, metric, order):
+        # G111 is affine in x1: take the x1 at which it is ``share`` y1 y2 y3
+        at0 = GENERIC.g111((0.0, *x23), y)
+        slope = GENERIC.g111((1.0, *x23), y) - at0
+        assume(abs(slope) > 1e-3)
+        x1 = (share * y[0] * y[1] * y[2] - at0) / slope
+        assume(abs(x1) <= 10.0)
+        fld = finsler_F_squared_field(GENERIC, TemporalMetric(metric))
+        p = (t, x1, *x23, *y)
+        try:
+            ref = _fd_jet_per_node(fld, p, order, min_fiber_degree=2)
+        except Exception as exc:  # a node with G111 <= 0 or h11 <= 0
+            with pytest.raises(type(exc)) as info:
+                dt.fd_jet(fld, p, order, min_fiber_degree=2)
+            assert str(info.value) == str(exc)
+            return
+        jet = dt.fd_jet(fld, p, order, min_fiber_degree=2)
+        assert jet.c.tobytes() == ref.c.tobytes()
 
 
 POINTS = [
@@ -291,7 +325,7 @@ class TestErrorParity:
     )
     def test_signed_zero_points(self, cubic, monkeypatch):
         # a varied coordinate of -0.0 is not the +0.0 of an offset-0 node, so
-        # such a point is left to the per-stencil path
+        # such a point is left to the node-by-node loop
         doc = _fd_doc("t**2 + 1", cubic, None)
         doc["points"]["explicit"] = [
             {"t": 0.3, "x": [-0.0, 0.4, 0.3], "y": [1.0, 1.5, 0.6]},
@@ -369,7 +403,7 @@ class TestBatchedJet:
         assert jet.c.tobytes() != dt.fd_jet(fld, coords, 4).c.tobytes()
 
     def test_field_failing_on_arrays(self):
-        # float() of a t column raises: the jet is computed stencil by stencil
+        # float() of a t column raises: the jet is computed node by node
         fld = lambda t, x1, x2, x3, y1, y2, y3: math.exp(float(t)) * y1**2 * y2
         p = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0)
         jet = dt.fd_jet(fld, p, 4)

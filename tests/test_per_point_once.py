@@ -14,7 +14,11 @@ from jetfinsler import cli
 from jetfinsler import difftools as dt
 from jetfinsler import field_theory as ft
 from jetfinsler.berwald_moor import ClosedForms
-from jetfinsler.connection_engine import NonlinearConnection, PointContext
+from jetfinsler.connection_engine import (
+    NonlinearConnection,
+    PointContext,
+    adapted_partials,
+)
 from jetfinsler.errors import NonPositiveMetric, OrderTooHigh
 from jetfinsler.expressions import Expression
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
@@ -192,7 +196,7 @@ def em_two_form_loops(ctx):
     y = np.asarray(ctx.point.y)
     h_up = 1.0 / ctx.h_ser.value
     g, L, C = ctx.g_val, ctx.L_val, ctx.C_val
-    dgdt = ctx._dt_slices(ctx.g_stack)
+    dgdt = adapted_partials(ctx.g_stack, ctx.M_val, ctx.N_val)[0]
     d_bar = np.empty(3)
     for i in range(3):
         d_bar[i] = 0.5 * h_up * sum(dgdt[i, m] * y[m] for m in range(3))
@@ -216,7 +220,7 @@ def em_two_form_loops(ctx):
 def em_covariant_derivatives_loops(ctx):
     f = ctx.em_form_stack
     f0 = f[..., 0]
-    f_dt, f_dx, f_dy = ctx._dt_slices(f), ctx._dx_slices(f), ctx._dy_slices(f)
+    f_dt, f_dx, f_dy = adapted_partials(f, ctx.M_val, ctx.N_val)
     kappa = ctx.kappa
     G_t, L, C = ctx.G_time_val, ctx.L_val, ctx.C_val
     f_time = np.empty((3, 3))
