@@ -21,9 +21,9 @@ of the field on :class:`NodeArray` coordinates, one element per node.  numpy's
 ``+ - * /`` round each element as Python's float operations do, but its
 array powers and transcendental functions do not, so ``**`` on a
 :class:`NodeArray` and the helpers below apply Python's ``**`` and
-:mod:`math` element by element: every node value, and so every stencil sum,
-is bit-identical to evaluating the field node by node on floats, which is
-what a call that fails does instead.
+:mod:`math` to each distinct element value: every node value, and so every
+stencil sum, is bit-identical to evaluating the field node by node on
+floats, which is what is done instead at the nodes of a call that fails.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ _FIBER = slice(4, NVARS)  # the slots of y1, y2, y3
 
 
 def _graded_exponents() -> list[tuple[int, ...]]:
+    """The exponent tuples of total degree <= MAX_ORDER, by degree, then
+    lexicographically: one per multiset of at most MAX_ORDER coordinates."""
     exps = [
-        e
-        for e in itertools.product(range(MAX_ORDER + 1), repeat=NVARS)
-        if sum(e) <= MAX_ORDER
+        tuple(combo.count(v) for v in range(NVARS))
+        for d in range(MAX_ORDER + 1)
+        for combo in itertools.combinations_with_replacement(range(NVARS), d)
     ]
     exps.sort(key=lambda e: (sum(e), e))
     return exps
@@ -58,6 +60,7 @@ def _graded_exponents() -> list[tuple[int, ...]]:
 
 _EXPONENTS = _graded_exponents()
 _POS = {e: i for i, e in enumerate(_EXPONENTS)}
+_EXPONENT_ARRAY = np.array(_EXPONENTS)  # (330, 7)
 NCOEF = tuple(
     sum(1 for e in _EXPONENTS if sum(e) <= k) for k in range(MAX_ORDER + 1)
 )
@@ -68,24 +71,18 @@ _FACT = np.array(
 
 
 def _build_mul_tables():
+    """Per order k, the (i, j) pairs of coefficients whose monomials multiply
+    to one of degree <= k, i-major, and the slot ``ic`` of each product."""
+    # base-(MAX_ORDER + 1) digits: the key of a product is the sum of keys
+    key = _EXPONENT_ARRAY @ (MAX_ORDER + 1) ** np.arange(NVARS)
+    by_key = np.argsort(key)
+    degree = np.array(_DEGREE, dtype=np.int8)
     tables = {}
     for k in range(MAX_ORDER + 1):
         n = NCOEF[k]
-        ia, ib, ic = [], [], []
-        for i in range(n):
-            di = _DEGREE[i]
-            for j in range(NCOEF[k - di]):
-                ia.append(i)
-                ib.append(j)
-                ic.append(
-                    _POS[tuple(a + b for a, b in zip(_EXPONENTS[i], _EXPONENTS[j]))]
-                )
-        tables[k] = (
-            np.asarray(ia, dtype=np.int64),
-            np.asarray(ib, dtype=np.int64),
-            np.asarray(ic, dtype=np.int64),
-            n,
-        )
+        ia, ib = np.divmod(np.flatnonzero(degree[:n, None] + degree[None, :n] <= k), n)
+        ic = by_key[np.searchsorted(key, key[ia] + key[ib], sorter=by_key)]
+        tables[k] = (ia, ib, ic, n)
     return tables
 
 
@@ -345,7 +342,8 @@ class NodeArray(np.ndarray):
 
     numpy's ``+ - * /`` round each element as Python's float operations do,
     but array ``**`` does not (it differs from Python's in a few percent of
-    cases), so ``**`` takes the power of each element as a Python float.
+    cases), so ``**`` takes the power of each element as a Python float, once
+    per distinct element (:func:`_elementwise`).
     """
 
     def __pow__(self, e):
@@ -356,14 +354,34 @@ class NodeArray(np.ndarray):
 
 
 def _elementwise(fn, u: np.ndarray, *args) -> NodeArray:
-    """``fn(v, *args)`` for each element v of ``u`` taken as a Python float."""
-    values = map(fn, u.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, u.size).reshape(u.shape).view(NodeArray)
+    """``fn(v, *args)`` for each element v of ``u`` taken as a Python float
+    (as a Python int or bool for such arrays).
+
+    ``fn`` is called once per distinct bit pattern of the elements, and its
+    result gathered back to every element with that pattern: equal bits give
+    equal results, so the values are those of one call per element.  Keying
+    on bits keeps +0.0 and -0.0, and NaNs of different payloads, apart.  The
+    nodes of a stencil chunk repeat their coordinates: the fd F^2 jet's
+    elementwise calls take 40,515 elements of about 2,000 distinct values.
+    """
+    flat = np.ravel(u)
+    if flat.dtype.kind not in "biuf":
+        flat = flat.astype(float)
+    bits, inverse = np.unique(flat.view(f"i{flat.itemsize}"), return_inverse=True)
+    # called in order of first occurrence, so the first element that raises
+    # raises, as it does in a call per element
+    first = np.full(bits.size, flat.size)
+    np.minimum.at(first, inverse, np.arange(flat.size))
+    order = np.argsort(first)
+    calls = map(fn, bits[order].view(flat.dtype).tolist(), *map(itertools.repeat, args))
+    values = np.empty(bits.size)
+    values[order] = np.fromiter(calls, float, bits.size)
+    return values[inverse].reshape(np.shape(u)).view(NodeArray)
 
 
 # -- analytic helpers usable on floats, Taylor values and node arrays ---------
 #
-# On arrays each helper calls ``math`` (or Python's ``**``) element by
+# On arrays each helper calls ``math`` (or Python's ``**``) once per distinct
 # element: numpy's own exp, log and fractional powers round differently.
 
 
@@ -602,25 +620,29 @@ def fd_jet(
 @lru_cache(maxsize=None)
 def _fd_positions(order: int, active: frozenset, min_fiber_degree: int) -> tuple:
     """The coefficients ``fd_jet`` samples, in coefficient order."""
-    return tuple(
-        pos
-        for pos, e in enumerate(_EXPONENTS[1 : NCOEF[order]], start=1)
-        if all(v in active for v, m in enumerate(e) if m)
-        and sum(e[_FIBER]) >= min_fiber_degree
-    )
+    e = _EXPONENT_ARRAY[: NCOEF[order]]
+    keep = e[:, _FIBER].sum(axis=1) >= min_fiber_degree
+    keep &= ~e[:, [v for v in range(NVARS) if v not in active]].any(axis=1)
+    keep[0] = False
+    return tuple(np.flatnonzero(keep).tolist())
 
 
 def _fd_values(field: Callable, coords, positions: tuple) -> np.ndarray:
-    """``fd_partial``'s value of each coefficient in ``positions``: from the
-    batched calls of their node plan, or if one of them fails, node by node,
-    so that the first failing node in coefficient order raises its own
-    exception, or the per-node values stand."""
+    """``fd_partial``'s value of each coefficient in ``positions``, from the
+    batched calls of their node plan.  A point with a -0.0 coordinate that a
+    stencil varies is computed node by node (the nodes at offset 0 of such a
+    stencil have +0.0 there, not the point's -0.0), and so is one whose step
+    powers leave the double range (``fd_partial`` forms only those of the
+    coordinates a stencil varies)."""
+    plan = _fd_plan(positions)
+    if any(coords[v] == 0.0 and math.copysign(1.0, coords[v]) < 0 for v in plan.varied):
+        return _fd_per_node(field, coords, positions)
     try:
         with np.errstate(all="ignore"):
-            values = _fd_batched(field, coords, _fd_plan(positions))
-    except Exception:  # raised again below by the node that fails
-        values = None
-    return _fd_per_node(field, coords, positions) if values is None else values
+            tables, powers = _fd_tables(coords, {d for _, _, d, _ in plan.chunks})
+    except OverflowError:  # a step's power beyond the double range
+        return _fd_per_node(field, coords, positions)
+    return _fd_batched(field, coords, plan, tables, powers)
 
 
 def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
@@ -653,7 +675,7 @@ def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
 # d and its integer offset vector o: its coordinates are ``coords[v] + o[v] *
 # step[v]``, the steps depending only on d and the point, and a coordinate at
 # offset 0 is the point's own (``c + 0.0 * step == c``, except for c = -0.0,
-# which ``_fd_batched`` leaves to the per-node loop).  Stencils of one order
+# which ``_fd_values`` leaves to the per-node loop).  Stencils of one order
 # share their offset-0 lines: the F^2 jet of fd mode has 79,805 stencil nodes,
 # of which 39,753 are distinct.  A node's int32 code holds d above o[v] + 4 in
 # 4 bits per coordinate, t the most significant, so the nodes that share d
@@ -777,35 +799,43 @@ def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray) -> np.ndarray:
     """(S, N) codes of the nodes of the stencils with these exponents on the
     S coordinate tuples ``slots``, in ``itertools.product`` order."""
     base = (order << _FD_ORDER_SHIFT) + 4 * int(_FD_PLACE.sum())
-    codes = np.full(slots.shape[0], base)
-    for i, m in enumerate(exps):
-        nodes = _fd_stencil(m)[0].astype(np.int64)
-        term = _FD_PLACE[slots[:, i], None] * nodes
-        codes = codes[..., None] + term.reshape(-1, *(1,) * i, nodes.size)
-    return codes.reshape(slots.shape[0], -1)
+    return _FD_PLACE[slots] @ _fd_offset_grid(exps).T + base
 
 
-def _fd_batched(field: Callable, coords, plan: _FdPlan):
-    """The plan's coefficients as ``fd_partial`` gives them, or None if a
-    field call gives a non-finite value or a coordinate that a stencil varies
-    is -0.0 (the nodes at offset 0 of that stencil have +0.0 there).
+@lru_cache(maxsize=None)
+def _fd_offset_grid(exps: tuple) -> np.ndarray:
+    """(N, k) integer offsets of the nodes of a stencil with these exponents,
+    one column per stencil variable, in ``itertools.product`` order."""
+    offsets = [_fd_stencil(m)[0].astype(np.int64) for m in exps]
+    return np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, len(exps))
 
-    One field call per chunk of distinct nodes.  Each stencil's terms are
-    gathered from the node values and summed as in ``fd_partial``; stencils
-    of one signature are summed together by 2-D ``np.add.accumulate``.
-    """
-    if any(coords[v] == 0.0 and math.copysign(1.0, coords[v]) < 0 for v in plan.varied):
-        return None
+
+def _fd_tables(coords, orders):
+    """Per derivative order d, each coordinate at the offset of each code
+    digit, computed as ``fd_partial`` does and repeated for the 16 values of
+    the digit above (the table is read at a byte of the code whose low 4
+    bits are the digit), and the powers 0..d of each coordinate's step."""
     tables, powers = {}, {}
-    for d in {d for _, _, d, _ in plan.chunks}:
+    for d in orders:
         rel = _FD_REL_STEP[d]
         steps = [rel * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
-        # each coordinate at the offset of each digit, computed as fd_partial
-        # does, repeated for the 16 values of the digit above: the table is
-        # read at a byte of the code whose low 4 bits are the digit
         tables[d] = [np.tile(x + _FD_DIGIT_OFFSETS * s, 16) for x, s in zip(coords, steps)]
         powers[d] = np.array([[s**m for m in range(d + 1)] for s in steps])
+    return tables, powers
+
+
+def _fd_batched(field: Callable, coords, plan: _FdPlan, tables, powers) -> np.ndarray:
+    """The plan's coefficients as ``fd_partial`` gives them.
+
+    One field call per chunk of distinct nodes.  The nodes of a chunk whose
+    call raises or gives a non-finite value are evaluated one by one
+    (``_fd_refill``), which raises the error of the first failing node in
+    coefficient order.  Each stencil's terms are gathered from the node
+    values and summed as in ``fd_partial``; stencils of one signature are
+    summed together by 2-D ``np.add.accumulate``.
+    """
     values = np.empty(plan.codes.size)
+    failed = np.zeros(plan.codes.size, dtype=bool)
     for a, b, d, fixed in plan.chunks:
         args = list(coords)
         for v, o in enumerate(fixed):
@@ -814,22 +844,54 @@ def _fd_batched(field: Callable, coords, plan: _FdPlan):
                 args[v] = tables[d][v][byte].view(NodeArray)
             elif o:
                 args[v] = float(tables[d][v][o + 4])
-        got = np.asarray(field(*args), dtype=float)
-        if got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
-            return None
-        values[a:b] = got
+        try:
+            with np.errstate(all="ignore"):
+                got = np.asarray(field(*args), dtype=float)
+        except Exception:  # raised again by its node in _fd_refill
+            got = None
+        if got is None or got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
+            failed[a:b] = True
+        else:
+            values[a:b] = got
+    if failed.any():
+        _fd_refill(field, coords, plan, tables, values, failed)
     out = np.empty(len(plan.positions))
-    for sig in plan.signatures:
-        pw = powers[sig.order]
-        denom = pw[sig.slots[:, 0], sig.exps[0]]
-        for i in range(1, len(sig.exps)):
-            denom = denom * pw[sig.slots[:, i], sig.exps[i]]
-        step = max(1, _FD_CHUNK // sig.weight.size)
-        for r in range(0, sig.rows.size, step):
-            block = slice(r, r + step)
-            terms = values[sig.nodes[block]] * sig.weight
-            # fd_partial sums from 0.0; that start changes a sum only when
-            # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
-            total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-            out[sig.rows[block]] = total / denom[block]
+    with np.errstate(all="ignore"):
+        for sig in plan.signatures:
+            pw = powers[sig.order]
+            denom = pw[sig.slots[:, 0], sig.exps[0]]
+            for i in range(1, len(sig.exps)):
+                denom = denom * pw[sig.slots[:, i], sig.exps[i]]
+            step = max(1, _FD_CHUNK // sig.weight.size)
+            for r in range(0, sig.rows.size, step):
+                block = slice(r, r + step)
+                terms = values[sig.nodes[block]] * sig.weight
+                # fd_partial sums from 0.0; that start changes a sum only when
+                # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
+                total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+                out[sig.rows[block]] = total / denom[block]
     return out
+
+
+def _fd_refill(field: Callable, coords, plan: _FdPlan, tables, values, pending):
+    """Fill ``values`` at the ``pending`` nodes with one scalar field call
+    each, as ``fd_partial``'s definition makes them: the coefficients are
+    walked in order and each stencil's nodes in ``itertools.product`` order,
+    and a node is called once, with the arguments of its first stencil (the
+    varied coordinates from ``tables``, the others the point's).  So the
+    first node that raises is the definition's first failing node."""
+    stencil = {}
+    for sig in plan.signatures:
+        for s, row in enumerate(sig.rows.tolist()):
+            stencil[row] = (sig, s)
+    for row in range(len(plan.positions)):
+        sig, s = stencil[row]
+        nodes = sig.nodes[s]
+        table = tables[sig.order]
+        for i in nodes[pending[nodes]].tolist():
+            code = int(plan.codes[i])
+            args = list(coords)
+            for v in sig.slots[s].tolist():
+                args[v] = table[v][(code >> _FD_SHIFT[v]) & 15]
+            values[i] = field(*args)
+            pending[i] = False

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -277,3 +278,44 @@ def test_first_partials_match_deriv():
             assert got[0, v].tobytes() == dt.deriv(u, v).c.tobytes()
             assert got[1, v].tobytes() == (-dt.deriv(u, v).c).tobytes()
             assert got[0, v, 0] == u.c[dt.D1_SLOTS[v]] * 1.0
+
+
+def _graded_exponents_by_filter():
+    """The exponent tables' definition: every tuple of degree <= 4, by degree,
+    then lexicographically."""
+    exps = [
+        e
+        for e in itertools.product(range(dt.MAX_ORDER + 1), repeat=dt.NVARS)
+        if sum(e) <= dt.MAX_ORDER
+    ]
+    exps.sort(key=lambda e: (sum(e), e))
+    return exps
+
+
+def _mul_tables_by_loop():
+    """The product tables' definition: for each coefficient i, each j whose
+    monomial keeps the product within the order, and the product's slot."""
+    tables = {}
+    for k in range(dt.MAX_ORDER + 1):
+        ia, ib, ic = [], [], []
+        for i in range(dt.NCOEF[k]):
+            for j in range(dt.NCOEF[k - dt._DEGREE[i]]):
+                ia.append(i)
+                ib.append(j)
+                e = tuple(a + b for a, b in zip(dt._EXPONENTS[i], dt._EXPONENTS[j]))
+                ic.append(dt._POS[e])
+        tables[k] = (np.array(ia), np.array(ib), np.array(ic), dt.NCOEF[k])
+    return tables
+
+
+def test_import_time_tables_match_loop_definitions():
+    assert dt._EXPONENTS == _graded_exponents_by_filter()
+    assert dt.NCOEF == (1, 8, 36, 120, 330)
+    assert (dt._EXPONENT_ARRAY == np.array(dt._EXPONENTS)).all()
+    ref = _mul_tables_by_loop()
+    assert sorted(dt._MUL) == sorted(ref)
+    for k, (ia, ib, ic, n) in ref.items():
+        got = dt._MUL[k]
+        assert got[3] == n
+        for a, b in zip(got[:3], (ia, ib, ic)):
+            assert a.dtype == np.int64 and a.shape == b.shape and (a == b).all(), k

@@ -133,8 +133,9 @@ class TestAgainstPerNode:
 
 
 class TestFallbackOrder:
-    """Near G111 = 0 the stencils leave the domain, and the node-by-node loop
-    alone decides which error a jet raises: that of its first failing node."""
+    """Near G111 = 0 the stencils leave the domain: the nodes of the failing
+    batched calls are evaluated one by one, and the jet raises the error of
+    its first failing node in coefficient order."""
 
     @given(
         # the t stencils of order 3 reach h11 = t <= 0, so which of h11 and
@@ -208,6 +209,32 @@ class TestUnreadCoefficients:
                 assert got.tobytes() == want.tobytes(), (p, name)
 
 
+_POOL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.7, 1.0,
+    -1.5, 3.0, 710.0, 1e300, math.inf, -math.inf, math.nan,
+    # NaNs with other payloads and signs, one of them signalling
+    *np.array(
+        [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64
+    ).view(float).tolist(),
+]
+
+
+def _per_element(fn, u, *args):
+    """``_elementwise``'s definition: one call per element."""
+    values = map(fn, u.ravel().tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, u.size).reshape(u.shape).view(dt.NodeArray)
+
+
+def _outcome(op, arr):
+    try:
+        with np.errstate(all="ignore"):
+            got = op(arr)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    assert isinstance(got, dt.NodeArray)
+    return ("value", got.shape, got.tobytes())
+
+
 class TestNodeArrays:
     def test_integer_powers_are_python_powers(self):
         rng = np.random.default_rng(5)
@@ -232,6 +259,57 @@ class TestNodeArrays:
             got = helper(arr)
             assert isinstance(got, dt.NodeArray)
             assert got.tobytes() == np.array([ref(v) for v in vals.tolist()]).tobytes()
+
+    @given(
+        picks=st.lists(st.integers(0, len(_POOL) - 1), max_size=40),
+        two_d=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memo_matches_per_element_map(self, picks, two_d):
+        # one call per distinct bit pattern gives the bytes of one call per
+        # element, for each helper and for ``**`` and ``rpow``, or raises as
+        # it does
+        arr = np.array([_POOL[i] for i in picks], dtype=float)
+        if two_d and arr.size % 2 == 0:
+            arr = arr.reshape(2, -1)
+        arr = arr.view(dt.NodeArray)
+        ops = [
+            dt.exp, dt.log, dt.sin, dt.cos, dt.sqrt,
+            lambda u: dt.powf(u, 2.0 / 3.0),
+            lambda u: u**2, lambda u: u**-1, lambda u: u**0.5,
+            lambda u: 2.0**u, lambda u: 0.5**u,
+        ]
+        assert _outcome(lambda u: dt._elementwise(lambda v: v, u), arr) == (
+            "value", arr.shape, arr.tobytes()
+        )
+        for op in ops:
+            got = _outcome(op, arr)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dt, "_elementwise", _per_element)
+                assert got == _outcome(op, arr)
+
+    def test_memo_calls_once_per_bit_pattern(self):
+        nan_a, nan_b = np.array(
+            [0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64
+        ).view(float).tolist()
+        vals = [0.0, -0.0, 1.5, 0.0, nan_a, 1.5, nan_b, -0.0, nan_a, 5e-324]
+        seen = []
+
+        def fn(v, e):
+            seen.append(np.float64(v).tobytes())
+            return v * e
+
+        got = dt._elementwise(fn, np.array(vals * 3).reshape(6, 5), 2.0)
+        assert sorted(seen) == sorted({np.float64(v).tobytes() for v in vals})
+        assert got.shape == (6, 5) and isinstance(got, dt.NodeArray)
+        ref = np.array([v * 2.0 for v in vals * 3])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_elementwise_keeps_python_ints(self):
+        # an integer array is not cast: its elements reach ``fn`` as ints
+        fn = lambda v, e: v**e if type(v) is int else -1.0
+        got = dt._elementwise(fn, np.array([3, 3, 7]), 40)
+        assert got.tobytes() == np.array([float(3**40)] * 2 + [float(7**40)]).tobytes()
 
     def test_h11_array_positivity(self):
         tm = TemporalMetric("t")
@@ -374,6 +452,40 @@ class TestBatchedJet:
         dt.fd_jet(F2_BM, POINTS[1], 4, min_fiber_degree=2)
         after = dt._fd_plan.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_positions_match_definition(self, order):
+        for active in ((), (0,), (4, 5, 6), (0, 2, 5), tuple(range(dt.NVARS))):
+            for min_fiber_degree in (0, 1, 2):
+                want = tuple(
+                    pos
+                    for pos, e in enumerate(dt._EXPONENTS[1 : dt.NCOEF[order]], start=1)
+                    if all(v in active for v, m in enumerate(e) if m)
+                    and sum(e[4:]) >= min_fiber_degree
+                )
+                got = dt._fd_positions(order, frozenset(active), min_fiber_degree)
+                assert got == want and all(type(p) is int for p in got)
+
+    def test_failed_chunks_refilled_node_by_node(self):
+        # the chunks that pass a t column raise; only their nodes are then
+        # evaluated one by one, each once, and the jet is the per-node one
+        scalar_calls = []
+
+        def fld(*args):
+            if isinstance(args[0], np.ndarray):
+                raise TypeError("no t column")
+            if not any(isinstance(a, np.ndarray) for a in args):
+                scalar_calls.append(tuple(float(a) for a in args))
+            return F2_BM(*args)
+
+        jet = dt.fd_jet(fld, POINTS[1], 4, min_fiber_degree=2)
+        ref = _fd_jet_per_node(F2_BM, POINTS[1], 4, min_fiber_degree=2)
+        assert jet.c.tobytes() == ref.c.tobytes()
+        plan = dt._fd_plan(dt._fd_positions(4, frozenset(range(dt.NVARS)), 2))
+        t_column = sum(b - a for a, b, _, fixed in plan.chunks if fixed[0] is None)
+        refilled = scalar_calls[1:]  # after the point's own value
+        assert 0 < t_column < plan.codes.size
+        assert len(refilled) == len(set(refilled)) == t_column
 
     def test_cold_jet_memory(self):
         # the plan is built in this call; its node codes and indices and the
