@@ -23,7 +23,7 @@ array powers and transcendental functions do not, so ``**`` on a
 :class:`NodeArray` and the helpers below apply Python's ``**`` and
 :mod:`math` to each distinct element value: every node value, and so every
 stencil sum, is bit-identical to evaluating the field node by node on
-floats, which is what is done instead at the nodes of a call that fails.
+floats, which is what a call that fails does instead.
 """
 
 from __future__ import annotations
@@ -363,20 +363,25 @@ def _elementwise(fn, u: np.ndarray, *args) -> NodeArray:
     on bits keeps +0.0 and -0.0, and NaNs of different payloads, apart.  The
     nodes of a stencil chunk repeat their coordinates: the fd F^2 jet's
     elementwise calls take 40,515 elements of about 2,000 distinct values.
+    If a call raises, ``fn`` is called per element, in order, so that the
+    first element that raises raises.
     """
     flat = np.ravel(u)
     if flat.dtype.kind not in "biuf":
         flat = flat.astype(float)
-    bits, inverse = np.unique(flat.view(f"i{flat.itemsize}"), return_inverse=True)
-    # called in order of first occurrence, so the first element that raises
-    # raises, as it does in a call per element
-    first = np.full(bits.size, flat.size)
-    np.minimum.at(first, inverse, np.arange(flat.size))
-    order = np.argsort(first)
-    calls = map(fn, bits[order].view(flat.dtype).tolist(), *map(itertools.repeat, args))
-    values = np.empty(bits.size)
-    values[order] = np.fromiter(calls, float, bits.size)
-    return values[inverse].reshape(np.shape(u)).view(NodeArray)
+    bits = flat.view(f"i{flat.itemsize}")
+    distinct = np.sort(bits)
+    new = np.empty(bits.size, dtype=bool)  # where a pattern starts
+    new[:1] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    distinct = distinct[new]
+    try:
+        calls = map(fn, distinct.view(flat.dtype).tolist(), *map(itertools.repeat, args))
+        values = np.fromiter(calls, float, distinct.size)[np.searchsorted(distinct, bits)]
+    except Exception:
+        calls = map(fn, flat.tolist(), *map(itertools.repeat, args))
+        values = np.fromiter(calls, float, flat.size)
+    return values.reshape(np.shape(u)).view(NodeArray)
 
 
 # -- analytic helpers usable on floats, Taylor values and node arrays ---------
@@ -628,21 +633,16 @@ def _fd_positions(order: int, active: frozenset, min_fiber_degree: int) -> tuple
 
 
 def _fd_values(field: Callable, coords, positions: tuple) -> np.ndarray:
-    """``fd_partial``'s value of each coefficient in ``positions``, from the
-    batched calls of their node plan.  A point with a -0.0 coordinate that a
-    stencil varies is computed node by node (the nodes at offset 0 of such a
-    stencil have +0.0 there, not the point's -0.0), and so is one whose step
-    powers leave the double range (``fd_partial`` forms only those of the
-    coordinates a stencil varies)."""
-    plan = _fd_plan(positions)
-    if any(coords[v] == 0.0 and math.copysign(1.0, coords[v]) < 0 for v in plan.varied):
-        return _fd_per_node(field, coords, positions)
+    """``fd_partial``'s value of each coefficient in ``positions``: from the
+    batched calls of their node plan, or if one of them fails, node by node,
+    so that the first failing node in coefficient order raises its own
+    exception, or the per-node values stand."""
     try:
         with np.errstate(all="ignore"):
-            tables, powers = _fd_tables(coords, {d for _, _, d, _ in plan.chunks})
-    except OverflowError:  # a step's power beyond the double range
-        return _fd_per_node(field, coords, positions)
-    return _fd_batched(field, coords, plan, tables, powers)
+            values = _fd_batched(field, coords, _fd_plan(positions))
+    except Exception:  # raised again below by the node that fails
+        values = None
+    return _fd_per_node(field, coords, positions) if values is None else values
 
 
 def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
@@ -675,7 +675,7 @@ def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
 # d and its integer offset vector o: its coordinates are ``coords[v] + o[v] *
 # step[v]``, the steps depending only on d and the point, and a coordinate at
 # offset 0 is the point's own (``c + 0.0 * step == c``, except for c = -0.0,
-# which ``_fd_values`` leaves to the per-node loop).  Stencils of one order
+# which ``_fd_batched`` leaves to the per-node loop).  Stencils of one order
 # share their offset-0 lines: the F^2 jet of fd mode has 79,805 stencil nodes,
 # of which 39,753 are distinct.  A node's int32 code holds d above o[v] + 4 in
 # 4 bits per coordinate, t the most significant, so the nodes that share d
@@ -692,7 +692,7 @@ def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
 _FD_CHUNK = 4096
 _FD_T_RUN = 256
 _FD_SHIFT = tuple(4 * (NVARS - 1 - v) for v in range(NVARS))
-_FD_PLACE = np.array([1 << s for s in _FD_SHIFT])
+_FD_PLACE = np.array([1 << s for s in _FD_SHIFT], dtype=np.int32)
 _FD_ORDER_SHIFT = 4 * NVARS
 _FD_DIGIT_OFFSETS = np.arange(-4.0, 12.0)  # the offset o of each 4-bit digit o + 4
 
@@ -727,9 +727,7 @@ def _fd_plan(positions: tuple) -> _FdPlan:
         slots = tuple(v for v in range(NVARS) if e[v])
         key = (_DEGREE[pos], tuple(e[v] for v in slots))
         groups.setdefault(key, []).append((row, slots))
-    varied = tuple(
-        v for v in range(NVARS) if any(_EXPONENTS[pos][v] for pos in positions)
-    )
+    varied = tuple(np.flatnonzero(_EXPONENT_ARRAY[list(positions)].any(axis=0)).tolist())
     if not groups:
         return _FdPlan(positions, varied, np.zeros(0, dtype=np.int32), (), ())
     sigs = [
@@ -743,11 +741,8 @@ def _fd_plan(positions: tuple) -> _FdPlan:
     codes = np.empty(sum(sizes), dtype=np.int32)
     start = 0
     for (d, ms, _, slots), size in zip(sigs, sizes):
-        step = max(1, _FD_CHUNK * slots.shape[0] // size)  # bounds the temporaries
-        for r in range(0, slots.shape[0], step):
-            block = _fd_node_codes(d, ms, slots[r : r + step]).ravel()
-            codes[start : start + block.size] = block
-            start += block.size
+        _fd_node_codes(d, ms, slots, codes[start : start + size].reshape(slots.shape[0], -1))
+        start += size
     # the distinct codes in increasing order, and each code's index among them
     by_code = np.argsort(codes, kind="stable")  # fast on the sorted runs
     codes = codes[by_code]
@@ -783,115 +778,77 @@ def _fd_plan(positions: tuple) -> _FdPlan:
     for lo, hi, d, _ in spans:
         for a in range(lo, hi, _FD_CHUNK):
             b = min(a + _FD_CHUNK, hi)
-            # in code order, a coordinate is the same at all nodes of the
-            # chunk if it is at its first and last node, and so are all
-            # more significant ones; the others are passed as columns
-            head, tail = int(distinct[a]), int(distinct[b - 1])
+            # a coordinate whose digit is the same at all nodes of the chunk
+            # is passed as a float, the others as columns
+            head = int(distinct[a])
+            differ = int(np.bitwise_or.reduce(distinct[a:b] ^ head))
             fixed = tuple(
-                ((head >> shift) & 15) - 4 if head >> shift == tail >> shift else None
+                None if (differ >> shift) & 15 else ((head >> shift) & 15) - 4
                 for shift in _FD_SHIFT
             )
             chunks.append((a, b, d, fixed))
     return _FdPlan(positions, varied, distinct, tuple(chunks), tuple(signatures))
 
 
-def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray) -> np.ndarray:
-    """(S, N) codes of the nodes of the stencils with these exponents on the
-    S coordinate tuples ``slots``, in ``itertools.product`` order."""
-    base = (order << _FD_ORDER_SHIFT) + 4 * int(_FD_PLACE.sum())
-    return _FD_PLACE[slots] @ _fd_offset_grid(exps).T + base
+def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray, out: np.ndarray):
+    """Write to the (S, N) ``out`` the codes of the nodes of the stencils with
+    these exponents on the S coordinate tuples ``slots``, in
+    ``itertools.product`` order."""
+    np.matmul(_FD_PLACE[slots], _fd_offset_grid(exps).T, out=out)
+    out += (order << _FD_ORDER_SHIFT) + 4 * int(_FD_PLACE.sum())
 
 
 @lru_cache(maxsize=None)
 def _fd_offset_grid(exps: tuple) -> np.ndarray:
     """(N, k) integer offsets of the nodes of a stencil with these exponents,
     one column per stencil variable, in ``itertools.product`` order."""
-    offsets = [_fd_stencil(m)[0].astype(np.int64) for m in exps]
+    offsets = [_fd_stencil(m)[0].astype(np.int32) for m in exps]
     return np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, len(exps))
 
 
-def _fd_tables(coords, orders):
-    """Per derivative order d, each coordinate at the offset of each code
-    digit, computed as ``fd_partial`` does and repeated for the 16 values of
-    the digit above (the table is read at a byte of the code whose low 4
-    bits are the digit), and the powers 0..d of each coordinate's step."""
+def _fd_batched(field: Callable, coords, plan: _FdPlan):
+    """The plan's coefficients as ``fd_partial`` gives them, or None if a
+    field call gives a non-finite value or a coordinate that a stencil varies
+    is -0.0 (the nodes at offset 0 of that stencil have +0.0 there).
+
+    One field call per chunk of distinct nodes.  Each stencil's terms are
+    gathered from the node values and summed as in ``fd_partial``; stencils
+    of one signature are summed together by 2-D ``np.add.accumulate``.
+    """
+    if any(coords[v] == 0.0 and math.copysign(1.0, coords[v]) < 0 for v in plan.varied):
+        return None
     tables, powers = {}, {}
-    for d in orders:
+    for d in {d for _, _, d, _ in plan.chunks}:
         rel = _FD_REL_STEP[d]
         steps = [rel * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
-        tables[d] = [np.tile(x + _FD_DIGIT_OFFSETS * s, 16) for x, s in zip(coords, steps)]
+        # each coordinate at the offset of each digit, computed as fd_partial does
+        tables[d] = np.reshape(coords, (-1, 1)) + np.multiply.outer(steps, _FD_DIGIT_OFFSETS)
         powers[d] = np.array([[s**m for m in range(d + 1)] for s in steps])
-    return tables, powers
-
-
-def _fd_batched(field: Callable, coords, plan: _FdPlan, tables, powers) -> np.ndarray:
-    """The plan's coefficients as ``fd_partial`` gives them.
-
-    One field call per chunk of distinct nodes.  The nodes of a chunk whose
-    call raises or gives a non-finite value are evaluated one by one
-    (``_fd_refill``), which raises the error of the first failing node in
-    coefficient order.  Each stencil's terms are gathered from the node
-    values and summed as in ``fd_partial``; stencils of one signature are
-    summed together by 2-D ``np.add.accumulate``.
-    """
     values = np.empty(plan.codes.size)
-    failed = np.zeros(plan.codes.size, dtype=bool)
     for a, b, d, fixed in plan.chunks:
         args = list(coords)
         for v, o in enumerate(fixed):
             if o is None:
-                byte = (plan.codes[a:b] >> _FD_SHIFT[v]).astype(np.uint8)
-                args[v] = tables[d][v][byte].view(NodeArray)
+                digit = (plan.codes[a:b] >> _FD_SHIFT[v]) & 15
+                args[v] = tables[d][v].take(digit).view(NodeArray)
             elif o:
                 args[v] = float(tables[d][v][o + 4])
-        try:
-            with np.errstate(all="ignore"):
-                got = np.asarray(field(*args), dtype=float)
-        except Exception:  # raised again by its node in _fd_refill
-            got = None
-        if got is None or got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
-            failed[a:b] = True
-        else:
-            values[a:b] = got
-    if failed.any():
-        _fd_refill(field, coords, plan, tables, values, failed)
+        got = np.asarray(field(*args), dtype=float)
+        if got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
+            return None
+        values[a:b] = got
     out = np.empty(len(plan.positions))
-    with np.errstate(all="ignore"):
-        for sig in plan.signatures:
-            pw = powers[sig.order]
-            denom = pw[sig.slots[:, 0], sig.exps[0]]
-            for i in range(1, len(sig.exps)):
-                denom = denom * pw[sig.slots[:, i], sig.exps[i]]
-            step = max(1, _FD_CHUNK // sig.weight.size)
-            for r in range(0, sig.rows.size, step):
-                block = slice(r, r + step)
-                terms = values[sig.nodes[block]] * sig.weight
-                # fd_partial sums from 0.0; that start changes a sum only when
-                # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
-                total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-                out[sig.rows[block]] = total / denom[block]
-    return out
-
-
-def _fd_refill(field: Callable, coords, plan: _FdPlan, tables, values, pending):
-    """Fill ``values`` at the ``pending`` nodes with one scalar field call
-    each, as ``fd_partial``'s definition makes them: the coefficients are
-    walked in order and each stencil's nodes in ``itertools.product`` order,
-    and a node is called once, with the arguments of its first stencil (the
-    varied coordinates from ``tables``, the others the point's).  So the
-    first node that raises is the definition's first failing node."""
-    stencil = {}
     for sig in plan.signatures:
-        for s, row in enumerate(sig.rows.tolist()):
-            stencil[row] = (sig, s)
-    for row in range(len(plan.positions)):
-        sig, s = stencil[row]
-        nodes = sig.nodes[s]
-        table = tables[sig.order]
-        for i in nodes[pending[nodes]].tolist():
-            code = int(plan.codes[i])
-            args = list(coords)
-            for v in sig.slots[s].tolist():
-                args[v] = table[v][(code >> _FD_SHIFT[v]) & 15]
-            values[i] = field(*args)
-            pending[i] = False
+        pw = powers[sig.order]
+        denom = pw[sig.slots[:, 0], sig.exps[0]]
+        for i in range(1, len(sig.exps)):
+            denom = denom * pw[sig.slots[:, i], sig.exps[i]]
+        step = max(1, _FD_CHUNK // sig.weight.size)
+        for r in range(0, sig.rows.size, step):
+            block = slice(r, r + step)
+            terms = values[sig.nodes[block]] * sig.weight
+            # fd_partial sums from 0.0; that start changes a sum only when
+            # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
+            total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+            out[sig.rows[block]] = total / denom[block]
+    return out

@@ -133,9 +133,8 @@ class TestAgainstPerNode:
 
 
 class TestFallbackOrder:
-    """Near G111 = 0 the stencils leave the domain: the nodes of the failing
-    batched calls are evaluated one by one, and the jet raises the error of
-    its first failing node in coefficient order."""
+    """Near G111 = 0 the stencils leave the domain, and the node-by-node loop
+    alone decides which error a jet raises: that of its first failing node."""
 
     @given(
         # the t stencils of order 3 reach h11 = t <= 0, so which of h11 and
@@ -466,27 +465,6 @@ class TestBatchedJet:
                 got = dt._fd_positions(order, frozenset(active), min_fiber_degree)
                 assert got == want and all(type(p) is int for p in got)
 
-    def test_failed_chunks_refilled_node_by_node(self):
-        # the chunks that pass a t column raise; only their nodes are then
-        # evaluated one by one, each once, and the jet is the per-node one
-        scalar_calls = []
-
-        def fld(*args):
-            if isinstance(args[0], np.ndarray):
-                raise TypeError("no t column")
-            if not any(isinstance(a, np.ndarray) for a in args):
-                scalar_calls.append(tuple(float(a) for a in args))
-            return F2_BM(*args)
-
-        jet = dt.fd_jet(fld, POINTS[1], 4, min_fiber_degree=2)
-        ref = _fd_jet_per_node(F2_BM, POINTS[1], 4, min_fiber_degree=2)
-        assert jet.c.tobytes() == ref.c.tobytes()
-        plan = dt._fd_plan(dt._fd_positions(4, frozenset(range(dt.NVARS)), 2))
-        t_column = sum(b - a for a, b, _, fixed in plan.chunks if fixed[0] is None)
-        refilled = scalar_calls[1:]  # after the point's own value
-        assert 0 < t_column < plan.codes.size
-        assert len(refilled) == len(set(refilled)) == t_column
-
     def test_cold_jet_memory(self):
         # the plan is built in this call; its node codes and indices and the
         # batched arrays stay small (the per-stencil loop peaked at 0.35 MB)
@@ -513,6 +491,21 @@ class TestBatchedJet:
         assert jet.c.tobytes() == _fd_jet_per_node(fld, coords, 4).c.tobytes()
         coords[slot] = 0.0
         assert jet.c.tobytes() != dt.fd_jet(fld, coords, 4).c.tobytes()
+
+    def test_unvaried_signed_zero_coordinate(self):
+        # a coordinate that no stencil varies is the point's own at every
+        # node, -0.0 included: it reaches the field as a float, not a column
+        calls = []
+
+        def fld(t, x1, x2, x3, y1, y2, y3):
+            calls.append([isinstance(a, np.ndarray) for a in (t, x1, x2, x3, y1, y2, y3)])
+            return (2.0 + np.copysign(1.0, x1)) * dt.exp(t) * y1
+
+        coords = (0.3, -0.0, 0.2, 0.1, 1.0, 1.5, 0.6)
+        jet = dt.fd_jet(fld, coords, 4, active=(0,))
+        assert len(calls) > 1 and all(c == [True] + [False] * 6 for c in calls[1:])
+        ref = _fd_jet_per_node(fld, coords, 4, active=(0,))
+        assert jet.c.tobytes() == ref.c.tobytes()
 
     def test_field_failing_on_arrays(self):
         # float() of a t column raises: the jet is computed node by node
