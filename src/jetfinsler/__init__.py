@@ -34,13 +34,11 @@ from .jetspace import (
     SpatialDiffeo,
     TemporalMetric,
     TimeReparam,
-    kappa,
     transform_jet,
 )
 from .metric_engine import (
     CubicContractions,
     contract_cubic,
-    finsler_F,
     metric_lower_generic,
     metric_upper_generic,
 )

@@ -362,7 +362,7 @@ def _elementwise(fn, u: np.ndarray, *args) -> NodeArray:
     equal results, so the values are those of one call per element.  Keying
     on bits keeps +0.0 and -0.0, and NaNs of different payloads, apart.  The
     nodes of a stencil chunk repeat their coordinates: the fd F^2 jet's
-    elementwise calls take 40,515 elements of about 2,000 distinct values.
+    elementwise calls take 42,621 elements of about 2,100 distinct values.
     If a call raises, ``fn`` is called per element, in order, so that the
     first element that raises raises.
     """
@@ -557,19 +557,35 @@ _FD_REL_STEP = {1: 3e-3, 2: 6e-3, 3: 2e-2, 4: 4e-2}
 _FD_SCALE_FLOOR = 0.1
 
 
-@lru_cache(maxsize=None)
-def _fd_stencil(m: int):
-    """Symmetric nodes and weights for the m-th derivative, 6th-order accurate;
-    nodes whose weight is zero are dropped."""
-    r = (m + 5) // 2
-    nodes = np.arange(-r, r + 1, dtype=float)
-    npts = nodes.size
-    v = np.vander(nodes, npts, increasing=True).T
-    rhs = np.zeros(npts)
-    rhs[m] = math.factorial(m)
-    weights = np.linalg.solve(v, rhs)
-    keep = weights != 0.0
-    return nodes[keep], weights[keep]
+#: Offsets and weights of the central stencil of the m-th derivative on the
+#: offsets -r..r, r = (m + 5) // 2, 6th-order accurate: the exact rational
+#: weights (Fornberg, Math. Comp. 51 (1988) 699-706), each correctly rounded.
+#: The centre of the odd-order stencils has weight 0 and is left out.
+_FD_STENCIL = {
+    m: (np.array(offsets), np.array(weights))
+    for m, offsets, weights in (
+        (
+            1,
+            (-3, -2, -1, 1, 2, 3),
+            (-1 / 60, 3 / 20, -3 / 4, 3 / 4, -3 / 20, 1 / 60),
+        ),
+        (
+            2,
+            (-3, -2, -1, 0, 1, 2, 3),
+            (1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90),
+        ),
+        (
+            3,
+            (-4, -3, -2, -1, 1, 2, 3, 4),
+            (-7 / 240, 3 / 10, -169 / 120, 61 / 30, -61 / 30, 169 / 120, -3 / 10, 7 / 240),
+        ),
+        (
+            4,
+            (-4, -3, -2, -1, 0, 1, 2, 3, 4),
+            (7 / 240, -2 / 5, 169 / 60, -122 / 15, 91 / 8, -122 / 15, 169 / 60, -2 / 5, 7 / 240),
+        ),
+    )
+}
 
 
 def fd_partial(field: Callable, point, spec) -> float:
@@ -654,7 +670,7 @@ def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
         slots, columns, denom = [], [], 1.0
         for v, m in enumerate(_EXPONENTS[pos]):
             if m:
-                nodes, weights = _fd_stencil(m)
+                nodes, weights = _FD_STENCIL[m]
                 step = rel * max(abs(coords[v]), _FD_SCALE_FLOOR)
                 denom *= step**m
                 slots.append(v)
@@ -672,14 +688,16 @@ def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
 
 
 # A stencil node of the coefficients of total derivative order d is named by
-# d and its integer offset vector o: its coordinates are ``coords[v] + o[v] *
-# step[v]``, the steps depending only on d and the point, and a coordinate at
-# offset 0 is the point's own (``c + 0.0 * step == c``, except for c = -0.0,
-# which ``_fd_batched`` leaves to the per-node loop).  Stencils of one order
-# share their offset-0 lines: the F^2 jet of fd mode has 79,805 stencil nodes,
-# of which 39,753 are distinct.  A node's int32 code holds d above o[v] + 4 in
-# 4 bits per coordinate, t the most significant, so the nodes that share d
-# and t are contiguous in code order.
+# d and one digit per coordinate that says how the node's value of it is
+# computed: digit 0 is the point's own value (a coordinate the stencil does
+# not vary), and digit o + 5 is ``coords[v] + o * step[v]`` at the stencil
+# offset o, the steps depending only on d and the point.  So a varied
+# coordinate at offset 0 has a digit of its own: ``c + 0.0 * step`` is c,
+# except for c = -0.0, where it is +0.0.  Stencils of one order share nodes:
+# the F^2 jet of fd mode has 48,219 stencil nodes, of which 41,847 are
+# distinct.  A node's int32 code holds d above the digits, 4 bits per
+# coordinate, t the most significant, so the nodes that share d and t are
+# contiguous in code order.
 #
 # A batched call takes the nodes of one order and passes each coordinate that
 # is the same at all of them as a Python float, the others as
@@ -694,7 +712,7 @@ _FD_T_RUN = 256
 _FD_SHIFT = tuple(4 * (NVARS - 1 - v) for v in range(NVARS))
 _FD_PLACE = np.array([1 << s for s in _FD_SHIFT], dtype=np.int32)
 _FD_ORDER_SHIFT = 4 * NVARS
-_FD_DIGIT_OFFSETS = np.arange(-4.0, 12.0)  # the offset o of each 4-bit digit o + 4
+_FD_OFFSETS = np.arange(-4.0, 5.0)  # the offset o of each digit o + 5
 
 
 class _FdSignature(NamedTuple):
@@ -710,9 +728,8 @@ class _FdSignature(NamedTuple):
 
 class _FdPlan(NamedTuple):
     positions: tuple  # the coefficients sampled, in coefficient order
-    varied: tuple  # the coordinates that some stencil varies
     codes: np.ndarray  # (n,) int32 codes of the distinct nodes
-    chunks: tuple  # (start, stop, order, offset per coordinate or None) per call
+    chunks: tuple  # (start, stop, order, digit per coordinate or None) per call
     signatures: tuple
 
 
@@ -727,15 +744,14 @@ def _fd_plan(positions: tuple) -> _FdPlan:
         slots = tuple(v for v in range(NVARS) if e[v])
         key = (_DEGREE[pos], tuple(e[v] for v in slots))
         groups.setdefault(key, []).append((row, slots))
-    varied = tuple(np.flatnonzero(_EXPONENT_ARRAY[list(positions)].any(axis=0)).tolist())
     if not groups:
-        return _FdPlan(positions, varied, np.zeros(0, dtype=np.int32), (), ())
+        return _FdPlan(positions, np.zeros(0, dtype=np.int32), (), ())
     sigs = [
         (d, ms, np.array([r for r, _ in members]), np.array([s for _, s in members]))
         for (d, ms), members in sorted(groups.items())
     ]
     sizes = [
-        slots.shape[0] * math.prod(_fd_stencil(m)[0].size for m in ms)
+        slots.shape[0] * math.prod(_FD_STENCIL[m][0].size for m in ms)
         for _, ms, _, slots in sigs
     ]
     codes = np.empty(sum(sizes), dtype=np.int32)
@@ -760,7 +776,7 @@ def _fd_plan(positions: tuple) -> _FdPlan:
     for (d, ms, rows, slots), size in zip(sigs, sizes):
         weight = np.array(1.0)
         for m in ms:
-            weight = np.multiply.outer(weight, _fd_stencil(m)[1])
+            weight = np.multiply.outer(weight, _FD_STENCIL[m][1])
         nodes = index[start : start + size].reshape(slots.shape[0], -1)
         signatures.append(_FdSignature(d, rows, nodes, weight.ravel(), slots, ms))
         start += size
@@ -783,56 +799,55 @@ def _fd_plan(positions: tuple) -> _FdPlan:
             head = int(distinct[a])
             differ = int(np.bitwise_or.reduce(distinct[a:b] ^ head))
             fixed = tuple(
-                None if (differ >> shift) & 15 else ((head >> shift) & 15) - 4
+                None if (differ >> shift) & 15 else (head >> shift) & 15
                 for shift in _FD_SHIFT
             )
             chunks.append((a, b, d, fixed))
-    return _FdPlan(positions, varied, distinct, tuple(chunks), tuple(signatures))
+    return _FdPlan(positions, distinct, tuple(chunks), tuple(signatures))
 
 
 def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray, out: np.ndarray):
     """Write to the (S, N) ``out`` the codes of the nodes of the stencils with
     these exponents on the S coordinate tuples ``slots``, in
     ``itertools.product`` order."""
-    np.matmul(_FD_PLACE[slots], _fd_offset_grid(exps).T, out=out)
-    out += (order << _FD_ORDER_SHIFT) + 4 * int(_FD_PLACE.sum())
+    np.matmul(_FD_PLACE[slots], _fd_digit_grid(exps).T, out=out)
+    out += order << _FD_ORDER_SHIFT
 
 
 @lru_cache(maxsize=None)
-def _fd_offset_grid(exps: tuple) -> np.ndarray:
-    """(N, k) integer offsets of the nodes of a stencil with these exponents,
-    one column per stencil variable, in ``itertools.product`` order."""
-    offsets = [_fd_stencil(m)[0].astype(np.int32) for m in exps]
-    return np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1).reshape(-1, len(exps))
+def _fd_digit_grid(exps: tuple) -> np.ndarray:
+    """(N, k) code digits o + 5 of the offsets o of the nodes of a stencil
+    with these exponents, one column per stencil variable, in
+    ``itertools.product`` order."""
+    digits = [_FD_STENCIL[m][0].astype(np.int32) + 5 for m in exps]
+    return np.stack(np.meshgrid(*digits, indexing="ij"), axis=-1).reshape(-1, len(exps))
 
 
 def _fd_batched(field: Callable, coords, plan: _FdPlan):
     """The plan's coefficients as ``fd_partial`` gives them, or None if a
-    field call gives a non-finite value or a coordinate that a stencil varies
-    is -0.0 (the nodes at offset 0 of that stencil have +0.0 there).
+    field call gives a non-finite value.
 
     One field call per chunk of distinct nodes.  Each stencil's terms are
     gathered from the node values and summed as in ``fd_partial``; stencils
     of one signature are summed together by 2-D ``np.add.accumulate``.
     """
-    if any(coords[v] == 0.0 and math.copysign(1.0, coords[v]) < 0 for v in plan.varied):
-        return None
+    own = np.reshape(coords, (-1, 1))
     tables, powers = {}, {}
     for d in {d for _, _, d, _ in plan.chunks}:
         rel = _FD_REL_STEP[d]
         steps = [rel * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
-        # each coordinate at the offset of each digit, computed as fd_partial does
-        tables[d] = np.reshape(coords, (-1, 1)) + np.multiply.outer(steps, _FD_DIGIT_OFFSETS)
+        # each coordinate's value at each digit, computed as fd_partial does
+        tables[d] = np.hstack([own, own + np.multiply.outer(steps, _FD_OFFSETS)])
         powers[d] = np.array([[s**m for m in range(d + 1)] for s in steps])
     values = np.empty(plan.codes.size)
     for a, b, d, fixed in plan.chunks:
         args = list(coords)
-        for v, o in enumerate(fixed):
-            if o is None:
-                digit = (plan.codes[a:b] >> _FD_SHIFT[v]) & 15
-                args[v] = tables[d][v].take(digit).view(NodeArray)
-            elif o:
-                args[v] = float(tables[d][v][o + 4])
+        for v, digit in enumerate(fixed):
+            if digit is None:
+                digits = (plan.codes[a:b] >> _FD_SHIFT[v]) & 15
+                args[v] = tables[d][v].take(digits).view(NodeArray)
+            elif digit:
+                args[v] = float(tables[d][v][digit])
         got = np.asarray(field(*args), dtype=float)
         if got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
             return None

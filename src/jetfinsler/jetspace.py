@@ -133,9 +133,6 @@ class TemporalMetric:
         _check_h11(v.value if isinstance(v, dt.Taylor) else float(v))
         return v
 
-    def h_upper(self, t: float) -> float:
-        return 1.0 / self.h11(t)
-
     @_per_t
     def h11_jet(self, t: float, order: int) -> dt.Taylor:
         seed = dt.taylor_variable("t", float(t), order)
@@ -175,11 +172,6 @@ def _check_h11(v: float, name: str = "h11") -> None:
         raise NonPositiveMetric(f"{name} = {v} is not positive")
     if not math.isfinite(v):
         raise DomainError(f"{name} = {v} is not finite")
-
-
-def kappa(tm: TemporalMetric, t: float) -> float:
-    """Christoffel symbol of the temporal metric at t."""
-    return tm.kappa(t)
 
 
 def _multiplicity(key: tuple[int, int, int]) -> int:
@@ -263,16 +255,6 @@ class CubicForm:
             p, q, r = key
             total = total + _multiplicity(key) * v * y[p - 1] * y[q - 1] * y[r - 1]
         return total
-
-
-def finsler_function(cubic: CubicForm, tm: TemporalMetric):
-    """The third-root function F = G111^(1/3) * h11^(-1/2) as a scalar field."""
-
-    def field(t, x1, x2, x3, y1, y2, y3):
-        g111 = cubic.g111((x1, x2, x3), (y1, y2, y3))
-        return dt.powf(g111, 1.0 / 3.0) * dt.powf(tm.h11_eval(t), -0.5)
-
-    return field
 
 
 @dataclass(frozen=True)

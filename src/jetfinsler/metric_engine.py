@@ -5,7 +5,7 @@ G111 > 0 (positive orthant for the Berwald-Moor instance):
 
 * the cubic contractions G111, G_i11 = 3 G_ipq y^p y^q, G_ij1 = 6 G_ijp y^p,
   the inverse G^jk1, script_G111 = G^pq1 G_p11 G_q11 / 3, G1^j = G^jp1 G_p11;
-* the third-root function F = G111^(1/3) h11^(-1/2);
+* the squared third-root function F^2 = G111^(2/3) / h11 as a scalar field;
 * the fundamental metric, either from the closed contraction formula
 
       g_ij = (G111^(-1/3) / 3) [G_ij1 - G_i11 G_j11 / (3 G111)]
@@ -68,19 +68,12 @@ def contract_cubic(cubic: CubicForm, p: JetPoint) -> CubicContractions:
     )
 
 
-def _check_g111(g111: float, where: str = "") -> None:
+def _check_g111(g111: float) -> None:
     """G111 must be positive and finite before its fractional powers are taken."""
     if g111 <= 0.0:
-        raise DomainError(f"G111 = {g111} is not positive{where}")
+        raise DomainError(f"G111 = {g111} is not positive")
     if not math.isfinite(g111):
-        raise DomainError(f"G111 = {g111} is not finite{where}")
-
-
-def finsler_F(cubic: CubicForm, tm: TemporalMetric, p: JetPoint) -> float:
-    """F = G111^(1/3) * h11^(-1/2); requires G111 > 0 and h11 > 0."""
-    g111 = cubic.g111(p.x, p.y)
-    _check_g111(g111, f" at {p}")
-    return float(g111 ** (1.0 / 3.0) * tm.h11(p.t) ** -0.5)
+        raise DomainError(f"G111 = {g111} is not finite")
 
 
 def finsler_F_squared_field(cubic: CubicForm, tm: TemporalMetric):

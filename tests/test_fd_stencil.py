@@ -4,14 +4,17 @@ whole jet (``fd_jet``); these tests hold both to the per-node definition bit
 for bit.
 
 ``_fd_partial_per_node`` is the reference: the node-by-node loop that
-defines ``fd_partial``, kept here verbatim in its arithmetic, and
-``_fd_jet_per_node`` the jet built from it.  Coefficients are compared as
-bytes, and reports and error strings as exact equality."""
+defines ``fd_partial``, kept here verbatim in its arithmetic, on stencil
+weights solved exactly in this module, and ``_fd_jet_per_node`` the jet built
+from it.  Coefficients are compared as bytes, and reports and error strings
+as exact equality."""
 
+import functools
 import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +30,29 @@ from jetfinsler.metric_engine import finsler_F_squared_field
 from fields_corpus import CORPUS
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_stencil(m):
+    """The offsets -r..r, r = (m + 5) // 2, and the weights of the m-th
+    derivative that is exact on polynomials of degree <= 2r: the Vandermonde
+    system sum_j w_j o_j^k = m! [k == m], solved in ``Fraction``s."""
+    r = (m + 5) // 2
+    offsets = list(range(-r, r + 1))
+    n = len(offsets)
+    rows = [
+        [Fraction(o) ** k for o in offsets] + [Fraction(math.factorial(m) if k == m else 0)]
+        for k in range(n)
+    ]
+    for col in range(n):  # Gauss-Jordan elimination
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return offsets, [row[-1] for row in rows]
+
+
 def _fd_partial_per_node(field, point, spec):
     """One field call per stencil node, accumulated in a running sum."""
     spec = dt.PartialSpec.coerce(spec)
@@ -40,9 +66,9 @@ def _fd_partial_per_node(field, point, spec):
     for v, m in active:
         step = rel * max(abs(coords[v]), dt._FD_SCALE_FLOOR)
         denom *= step**m
-        nodes, weights = dt._fd_stencil(m)
+        nodes, weights = _exact_stencil(m)
         columns.append(
-            (v, [(w, coords[v] + n * step) for n, w in zip(nodes, weights) if w != 0.0])
+            (v, [(float(w), coords[v] + n * step) for n, w in zip(nodes, weights) if w])
         )
     acc = 0.0
     for picks in itertools.product(*(col for _, col in columns)):
@@ -401,8 +427,9 @@ class TestErrorParity:
         "cubic", ["berwald_moor", GENERIC_DOC], ids=["berwald_moor", "generic"]
     )
     def test_signed_zero_points(self, cubic, monkeypatch):
-        # a varied coordinate of -0.0 is not the +0.0 of an offset-0 node, so
-        # such a point is left to the node-by-node loop
+        # a varied coordinate of -0.0 is +0.0 at the offset-0 nodes of the
+        # stencils that vary it and -0.0 at the nodes of the others: the
+        # batched calls keep the two apart, as the node-by-node loop does
         doc = _fd_doc("t**2 + 1", cubic, None)
         doc["points"]["explicit"] = [
             {"t": 0.3, "x": [-0.0, 0.4, 0.3], "y": [1.0, 1.5, 0.6]},
@@ -420,6 +447,16 @@ class TestErrorParity:
 F2_BM = finsler_F_squared_field(CubicForm.berwald_moor(), TemporalMetric("exp(2*t)"))
 
 
+class TestStencilTable:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_weights_are_the_exact_ones_rounded(self, m):
+        offsets, weights = _exact_stencil(m)
+        want = [(o, float(w)) for o, w in zip(offsets, weights) if w]
+        got = list(zip(*(a.tolist() for a in dt._FD_STENCIL[m])))
+        assert got == want
+        assert 0.0 not in dt._FD_STENCIL[m][1]
+
+
 class TestBatchedJet:
     """``fd_jet`` evaluates each distinct stencil node once, in a few calls."""
 
@@ -433,13 +470,13 @@ class TestBatchedJet:
         dt._fd_plan.cache_clear()
         jet = dt.fd_jet(counting, POINTS[0], 4, min_fiber_degree=2)
         stencil_nodes = sum(
-            math.prod(dt._fd_stencil(m)[0].size for m in e if m)
+            math.prod(len([w for w in _exact_stencil(m)[1] if w]) for m in e if m)
             for e in dt._EXPONENTS[1:]
             if sum(e[4:]) >= 2
         )
-        assert stencil_nodes == 79_805
+        assert stencil_nodes == 48_219
         assert sizes[0] == 1  # the point itself, c[0]
-        assert sum(sizes[1:]) == 39_753  # each distinct stencil node once
+        assert sum(sizes[1:]) == 41_847  # each distinct stencil node once
         assert len(sizes) <= 20
         ref = _fd_jet_per_node(F2_BM, POINTS[0], 4, min_fiber_degree=2)
         assert jet.c.tobytes() == ref.c.tobytes()
@@ -491,6 +528,21 @@ class TestBatchedJet:
         assert jet.c.tobytes() == _fd_jet_per_node(fld, coords, 4).c.tobytes()
         coords[slot] = 0.0
         assert jet.c.tobytes() != dt.fd_jet(fld, coords, 4).c.tobytes()
+
+    def test_signed_zero_point_stays_batched(self):
+        # a varied -0.0 at t and at x1: the F^2 jet takes the batched calls,
+        # not one call per node
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return F2_BM(*args)
+
+        coords = (-0.0, -0.0, 0.4, 0.3, 1.0, 1.5, 0.6)
+        jet = dt.fd_jet(counting, coords, 4, min_fiber_degree=2)
+        assert len(calls) <= 20
+        ref = _fd_jet_per_node(F2_BM, coords, 4, min_fiber_degree=2)
+        assert jet.c.tobytes() == ref.c.tobytes()
 
     def test_unvaried_signed_zero_coordinate(self):
         # a coordinate that no stencil varies is the point's own at every

@@ -11,7 +11,7 @@ from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 from jetfinsler.metric_engine import (
     CubicContractions,
     contract_cubic,
-    finsler_F,
+    finsler_F_squared_field,
     metric_lower_generic,
     metric_upper_generic,
 )
@@ -54,27 +54,32 @@ class TestContractCubic:
             assert cc.Gij1 @ cc.Gup_jk1 == pytest.approx(np.eye(3), abs=1e-12)
 
 
+def _f_squared(cubic, tm, p):
+    return finsler_F_squared_field(cubic, tm)(*p.coords())
+
+
 class TestFinslerF:
     def test_unit_point(self, bm_cubic):
-        assert finsler_F(
+        assert _f_squared(
             bm_cubic, TemporalMetric("1"), JetPoint.of(0, (0, 0, 0), (1, 1, 1))
         ) == pytest.approx(1.0, abs=1e-15)
 
     def test_cube_root_point(self, bm_cubic):
-        got = finsler_F(
+        # G111 = y1 y2 y3 = 6 at y = (1, 2, 3)
+        got = _f_squared(
             bm_cubic, TemporalMetric("1"), JetPoint.of(0, (0, 0, 0), (1, 2, 3))
         )
-        assert got == pytest.approx(6.0 ** (1.0 / 3.0), rel=1e-15)
+        assert got == pytest.approx(6.0 ** (2.0 / 3.0), rel=1e-15)
 
     def test_temporal_factor(self, bm_cubic):
-        got = finsler_F(
+        got = _f_squared(
             bm_cubic, TemporalMetric("4"), JetPoint.of(0, (0, 0, 0), (1, 1, 1))
         )
-        assert got == pytest.approx(0.5, rel=1e-15)
+        assert got == pytest.approx(0.25, rel=1e-15)
 
     def test_domain_error(self, bm_cubic):
         with pytest.raises(DomainError):
-            finsler_F(
+            _f_squared(
                 bm_cubic, TemporalMetric("1"), JetPoint.of(0, (0, 0, 0), (-1, 1, 1))
             )
 
@@ -83,14 +88,12 @@ class TestFinslerF:
         cubic = CubicForm.from_entries({"123": "1e300*1e300"})
         p = JetPoint.of(0, (0, 0, 0), (1, 1, 1))
         tm = TemporalMetric("1")
-        for call in (
-            lambda: finsler_F(cubic, tm, p),
-            lambda: metric_lower_generic(cubic, tm, p),
-            lambda: metric_upper_generic(cubic, tm, p),
+        for call, message in (
+            (lambda: _f_squared(cubic, tm, p), "fractional power of a non-finite value"),
+            (lambda: metric_lower_generic(cubic, tm, p), "G111 = inf is not finite"),
+            (lambda: metric_upper_generic(cubic, tm, p), "G111 = inf is not finite"),
         ):
-            with np.errstate(all="ignore"), pytest.raises(
-                DomainError, match="G111 = inf is not finite"
-            ):
+            with np.errstate(all="ignore"), pytest.raises(DomainError, match=message):
                 call()
 
 
@@ -138,8 +141,8 @@ class TestMetricLower:
         for p in random_points:
             g = metric_lower_generic(bm_cubic, tm, p, "formula")
             y = np.asarray(p.y)
-            f = finsler_F(bm_cubic, tm, p)
-            assert y @ g @ y == pytest.approx(f * f * tm.h11(p.t), rel=1e-10)
+            f2 = _f_squared(bm_cubic, tm, p)
+            assert y @ g @ y == pytest.approx(f2 * tm.h11(p.t), rel=1e-10)
 
 
 class TestMetricUpper:
