@@ -38,10 +38,9 @@ class NonlinearConnection:
     """Temporal components M^i and spatial components N^i_j (1-based labels),
     duck-evaluable on floats or Taylor values."""
 
-    def __init__(self, M: Callable, N: Callable, kind: str = "custom"):
+    def __init__(self, M: Callable, N: Callable):
         self._M = M
         self._N = N
-        self.kind = kind
 
     def M(self, i: int, t, x, y):
         return self._M(i, t, x, y)
@@ -55,7 +54,6 @@ class NonlinearConnection:
         return cls(
             M=lambda i, t, x, y: -tm.kappa_eval(t) * y[i - 1],
             N=lambda i, j, t, x, y: 0.0,
-            kind="canonical",
         )
 
     @classmethod
@@ -64,7 +62,6 @@ class NonlinearConnection:
         return cls(
             M=lambda i, t, x, y: -tm.kappa_eval(t) * y[i - 1],
             N=lambda i, j, t, x, y: -tm.kappa_eval(t) * 0.5 if i == j else 0.0,
-            kind="apriori",
         )
 
 
@@ -211,38 +208,31 @@ class PointContext:
 
     # -- nonlinear connection as order-1 series -------------------------------
 
-    @cached_property
-    def M_ser(self):
+    def _order1(self, component: Callable, *indices) -> np.ndarray:
+        """Coefficients of a connection component on the order-1 seeds."""
         t, x1, x2, x3, y1, y2, y3 = self.seeds1
-        x, y = (x1, x2, x3), (y1, y2, y3)
-        return [
-            dt.as_taylor(self.nlc.M(i + 1, t, x, y), 1) for i in range(3)
-        ]
-
-    @cached_property
-    def N_ser(self):
-        t, x1, x2, x3, y1, y2, y3 = self.seeds1
-        x, y = (x1, x2, x3), (y1, y2, y3)
-        return [
-            [dt.as_taylor(self.nlc.N(i + 1, j + 1, t, x, y), 1) for j in range(3)]
-            for i in range(3)
-        ]
-
-    @cached_property
-    def M_val(self) -> np.ndarray:
-        return np.array([m.value for m in self.M_ser])
-
-    @cached_property
-    def N_val(self) -> np.ndarray:
-        return np.array([[n.value for n in row] for row in self.N_ser])
+        value = component(*indices, t, (x1, x2, x3), (y1, y2, y3))
+        return dt.as_taylor(value, 1).c
 
     @cached_property
     def M_stack(self) -> np.ndarray:
-        return stack_coefficients(self.M_ser)
+        """M^i as order-1 series, (3, 8)."""
+        return np.array([self._order1(self.nlc.M, i + 1) for i in range(3)])
 
     @cached_property
     def N_stack(self) -> np.ndarray:
-        return stack_coefficients(self.N_ser)
+        """N^i_j as order-1 series, [i, j], (3, 3, 8)."""
+        return np.array(
+            [[self._order1(self.nlc.N, i + 1, j + 1) for j in range(3)] for i in range(3)]
+        )
+
+    @cached_property
+    def M_val(self) -> np.ndarray:
+        return self.M_stack[..., 0]
+
+    @cached_property
+    def N_val(self) -> np.ndarray:
+        return self.N_stack[..., 0]
 
     # -- metric as order-2 series ----------------------------------------------
 

@@ -13,8 +13,7 @@ The mixed (index-raised) stress-energy components have closed expressions in
 kappa, h11, xi11 and the raised vertical Ricci tensor; they satisfy three
 conservation laws whose covariant divergences are assembled here term by term
 with the exact differentiation kernel.  The first law has a nonzero
-right-hand side driven by dh11/dt; the residual |LHS - RHS| is reported, not
-interpreted.
+right-hand side driven by dh11/dt; both sides are reported, not interpreted.
 
 The electromagnetic 2-form F^{(1)}_{(i)j} and its auxiliary tensors are
 computed for an arbitrary cubic form; for the Berwald-Moor metric they vanish
@@ -84,10 +83,6 @@ class ConservationReport:
     law1_rhs: float
     law2_lhs: np.ndarray   # (3,)
     law3_lhs: np.ndarray   # (3,)
-
-    @property
-    def law1_residual(self) -> float:
-        return abs(self.law1_lhs - self.law1_rhs)
 
 
 @dataclass(frozen=True)
@@ -253,31 +248,30 @@ def conservation_residuals(
         (1.0 / h) ** 2 / (16.0 * K) * hp * (2.0 * hpp - 3.0 / h * hp * hp) * cf.g23inv
     )
 
+    def divergence(acc, i, s_x, f_y, s, f):
+        """``acc`` plus T^m_i|m + T^(m)_(1)i |^(1)_(m) for the spatial and
+        fiber components ``s``, ``f`` and their derivatives ``s_x``, ``f_y``."""
+        for m in range(3):
+            acc += s_x[m, i, m]
+            acc += f_y[m, i, m]
+            for r in range(3):
+                acc += s[r, i] * L[m, r, m] - s[m, r] * L[r, i, m]
+                acc += f[r, i] * C[m, r, m] - f[m, r] * C[r, i, m]
+        return acc
+
     # Law 2: T^1_i/1 + T^m_i|m + T^(m)_(1)i |^(1)_(m)
     law2 = np.zeros(3)
     for i in range(3):
         acc = zero_t + se.ts[i] * kappa
         for r in range(3):
             acc -= se.ts[r] * G_t[r, i]
-        for m in range(3):
-            acc += ss_x[m, i, m]
-            acc += fs_y[m, i, m]
-            for r in range(3):
-                acc += se.ss[r, i] * L[m, r, m] - se.ss[m, r] * L[r, i, m]
-                acc += se.fs[r, i] * C[m, r, m] - se.fs[m, r] * C[r, i, m]
-        law2[i] = acc
+        law2[i] = divergence(acc, i, ss_x, fs_y, se.ss, se.fs)
 
     # Law 3: T^1(1)_(i)/1 + T^m(1)_(i)|m + T^(m)(1)_(1)(i) |^(1)_(m)
     law3 = np.zeros(3)
     for i in range(3):
         acc = zero_t + 2.0 * se.tf[i] * kappa
-        for m in range(3):
-            acc += sf_x[m, i, m]
-            acc += ff_y[m, i, m]
-            for r in range(3):
-                acc += se.sf[r, i] * L[m, r, m] - se.sf[m, r] * L[r, i, m]
-                acc += se.ff[r, i] * C[m, r, m] - se.ff[m, r] * C[r, i, m]
-        law3[i] = acc
+        law3[i] = divergence(acc, i, sf_x, ff_y, se.sf, se.ff)
 
     return _finite("conservation", ConservationReport(
         law1_lhs=float(law1), law1_rhs=float(law1_rhs), law2_lhs=law2, law3_lhs=law3

@@ -6,12 +6,12 @@ G111 > 0 (positive orthant for the Berwald-Moor instance):
 * the cubic contractions G111, G_i11 = 3 G_ipq y^p y^q, G_ij1 = 6 G_ijp y^p,
   the inverse G^jk1, script_G111 = G^pq1 G_p11 G_q11 / 3, G1^j = G^jp1 G_p11;
 * the squared third-root function F^2 = G111^(2/3) / h11 as a scalar field;
-* the fundamental metric, either from the closed contraction formula
+* the fundamental metric from the closed contraction formula
 
       g_ij = (G111^(-1/3) / 3) [G_ij1 - G_i11 G_j11 / (3 G111)]
 
-  or straight from the definition g_ij = (h11 / 2) d^2(F^2)/dy_i dy_j via the
-  exact differentiation kernel (the two must agree to rounding);
+  (the engine's ``PointContext.g_stack`` takes the definition
+  g_ij = (h11 / 2) d^2(F^2)/dy_i dy_j instead; the two agree to rounding);
 * the inverse metric from
 
       g^jk = 3 G111^(1/3) [G^jk1 + G1^j G1^k / (3 (G111 - script_G111))].
@@ -93,39 +93,19 @@ def _check_metric_det(g: np.ndarray) -> None:
         raise DegenerateMetric(f"det(g) = {det} with norm {norm}")
 
 
-def metric_lower_generic(
-    cubic: CubicForm, tm: TemporalMetric, p: JetPoint, mode: str = "formula"
-) -> np.ndarray:
-    """Fundamental metric g_ij, from the contraction formula or from F^2.
-
-    ``mode="formula"`` uses the closed contraction expression;
-    ``mode="from_F"`` differentiates F^2 twice with the exact kernel.  The two
-    agree to rounding and are compared in the property suite.
-    """
-    if mode == "formula":
-        cc = contract_cubic(cubic, p)
-        _check_g111(cc.G111)
-        g = (cc.G111 ** (-1.0 / 3.0) / 3.0) * (
-            cc.Gij1 - np.outer(cc.Gi11, cc.Gi11) / (3.0 * cc.G111)
-        )
-    elif mode == "from_F":
-        table = dt.jet_eval(finsler_F_squared_field(cubic, tm), p, 2)
-        h = tm.h11(p.t)
-        g = np.empty((3, 3))
-        names = ("y1", "y2", "y3")
-        for i in range(3):
-            for j in range(3):
-                g[i, j] = 0.5 * h * table.partial(names[i], names[j])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+def metric_lower_generic(cubic: CubicForm, p: JetPoint) -> np.ndarray:
+    """Fundamental metric g_ij from the closed contraction formula."""
+    cc = contract_cubic(cubic, p)
+    _check_g111(cc.G111)
+    g = (cc.G111 ** (-1.0 / 3.0) / 3.0) * (
+        cc.Gij1 - np.outer(cc.Gi11, cc.Gi11) / (3.0 * cc.G111)
+    )
     g = 0.5 * (g + g.T)
     _check_metric_det(g)
     return g
 
 
-def metric_upper_generic(
-    cubic: CubicForm, tm: TemporalMetric, p: JetPoint
-) -> np.ndarray:
+def metric_upper_generic(cubic: CubicForm, p: JetPoint) -> np.ndarray:
     """Inverse metric g^jk from the closed contraction formula."""
     cc = contract_cubic(cubic, p)
     _check_g111(cc.G111)

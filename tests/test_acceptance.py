@@ -214,7 +214,7 @@ def test_criterion_4_field_theory_anchors(acceptance_log):
 
     cons = ft.conservation_residuals(ft.stress_energy_mixed(cfe, 1.0), cfe, 1.0)
     checks.append(abs(cons.law1_rhs - (-0.5)) <= 1e-12)
-    checks.append(cons.law1_residual <= 1e-9)
+    checks.append(abs(cons.law1_lhs - cons.law1_rhs) <= 1e-9)
     checks.append(np.abs(cons.law2_lhs).max() <= 1e-9)
     checks.append(np.abs(cons.law3_lhs).max() <= 1e-9)
 

@@ -326,19 +326,34 @@ def _same_floats(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+def _connection_series(ctx):
+    """M^i and N^i_j of the context's connection as order-1 series, nested
+    lists [i] and [i][j], from its own seeds."""
+    t, x1, x2, x3, y1, y2, y3 = dt.seed_point(ctx.point.coords(), 1)
+    x, y = (x1, x2, x3), (y1, y2, y3)
+    M = [dt.as_taylor(ctx.nlc.M(i + 1, t, x, y), 1) for i in range(3)]
+    N = [
+        [dt.as_taylor(ctx.nlc.N(i + 1, j + 1, t, x, y), 1) for j in range(3)]
+        for i in range(3)
+    ]
+    return M, N
+
+
 def _adapted_dx(ctx, u: dt.Taylor, a: int) -> dt.Taylor:
     """delta u/delta x^a by per-entry series arithmetic."""
+    _, N = _connection_series(ctx)
     out = dt.deriv(u, 1 + a)
     for p in range(3):
-        out = out - ctx.N_ser[p][a] * dt.deriv(u, 4 + p)
+        out = out - N[p][a] * dt.deriv(u, 4 + p)
     return out
 
 
 def _adapted_dt(ctx, u: dt.Taylor) -> dt.Taylor:
     """delta u/delta t by per-entry series arithmetic."""
+    M, _ = _connection_series(ctx)
     out = dt.deriv(u, 0)
     for p in range(3):
-        out = out - ctx.M_ser[p] * dt.deriv(u, 4 + p)
+        out = out - M[p] * dt.deriv(u, 4 + p)
     return out
 
 
@@ -387,14 +402,14 @@ class TestSliceDerivatives:
 
     def test_torsions(self, ctx):
         tors = ctx.torsions()
+        M, N = _connection_series(ctx)
         p_mixed = np.empty((3, 3, 3))
         r_time = np.empty((3, 3))
         for k, i, j in np.ndindex(3, 3, 3):
-            p_mixed[k, i, j] = dt.deriv(ctx.N_ser[k][i], 4 + j).value - ctx.L_val[k, j, i]
+            p_mixed[k, i, j] = dt.deriv(N[k][i], 4 + j).value - ctx.L_val[k, j, i]
         for k, j in np.ndindex(3, 3):
             r_time[k, j] = (
-                _adapted_dx(ctx, ctx.M_ser[k], j).value
-                - _adapted_dt(ctx, ctx.N_ser[k][j]).value
+                _adapted_dx(ctx, M[k], j).value - _adapted_dt(ctx, N[k][j]).value
             )
         assert _same_floats(tors.P_mixed, p_mixed)
         assert _same_floats(tors.R_time, r_time)
@@ -439,7 +454,7 @@ def _reference_series(ctx) -> dict:
     """The inverse metric, connection and EM coefficients by nested loops over
     per-entry ``Taylor`` arithmetic, the definitions the stacks must reproduce."""
     g = _metric_series(ctx)
-    ginv, N = _inverse_series(g), ctx.N_ser
+    ginv, (_, N) = _inverse_series(g), _connection_series(ctx)
     r3 = range(3)
     dgy = [[[dt.deriv(g[j][k], 4 + m) for m in r3] for k in r3] for j in r3]
     C = [

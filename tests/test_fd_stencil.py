@@ -427,9 +427,12 @@ class TestErrorParity:
         "cubic", ["berwald_moor", GENERIC_DOC], ids=["berwald_moor", "generic"]
     )
     def test_signed_zero_points(self, cubic, monkeypatch):
-        # a varied coordinate of -0.0 is +0.0 at the offset-0 nodes of the
-        # stencils that vary it and -0.0 at the nodes of the others: the
-        # batched calls keep the two apart, as the node-by-node loop does
+        # points with a varied -0.0 coordinate (x1, then t) give the reports
+        # of the per-node reference jet.  Neither field tells -0.0 from
+        # +0.0 (t enters as t**2, x1 only in terms added to nonzero ones or
+        # not at all), so this checks the values at such points, not the
+        # sign at their nodes: TestBatchedJet::test_signed_zero_coordinate
+        # has a field that sees it
         doc = _fd_doc("t**2 + 1", cubic, None)
         doc["points"]["explicit"] = [
             {"t": 0.3, "x": [-0.0, 0.4, 0.3], "y": [1.0, 1.5, 0.6]},

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.errors import (
     DegenerateCubic,
     DegenerateMetric,
@@ -90,11 +91,27 @@ class TestFinslerF:
         tm = TemporalMetric("1")
         for call, message in (
             (lambda: _f_squared(cubic, tm, p), "fractional power of a non-finite value"),
-            (lambda: metric_lower_generic(cubic, tm, p), "G111 = inf is not finite"),
-            (lambda: metric_upper_generic(cubic, tm, p), "G111 = inf is not finite"),
+            (lambda: metric_lower_generic(cubic, p), "G111 = inf is not finite"),
+            (lambda: metric_upper_generic(cubic, p), "G111 = inf is not finite"),
         ):
             with np.errstate(all="ignore"), pytest.raises(DomainError, match=message):
                 call()
+
+
+def _engine(cubic, tm, p):
+    return PointContext(cubic, tm, NonlinearConnection.apriori(tm), p)
+
+
+def _assert_engine_matches_formulas(cubic, tm, points):
+    """The engine's metric and inverse, computed from the jet of F^2, equal
+    the closed contraction formulas to rounding."""
+    for p in points:
+        ctx = _engine(cubic, tm, p)
+        for got, want in (
+            (ctx.g_val, metric_lower_generic(cubic, p)),
+            (ctx.ginv_val, metric_upper_generic(cubic, p)),
+        ):
+            assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
 
 
 class TestMetricLower:
@@ -103,43 +120,38 @@ class TestMetricLower:
         tm = TemporalMetric("1")
         p = JetPoint.of(0, (0, 0, 0), (1, 1, 1))
         want = np.full((3, 3), 2.0 / 9.0) - np.eye(3) / 3.0
-        for mode in ("formula", "from_F"):
-            got = metric_lower_generic(bm_cubic, tm, p, mode)
-            assert got == pytest.approx(want, abs=1e-14)
+        assert metric_lower_generic(bm_cubic, p) == pytest.approx(want, abs=1e-14)
+        assert _engine(bm_cubic, tm, p).g_val == pytest.approx(want, abs=1e-14)
 
     def test_general_point_values(self, bm_cubic):
         # same oracle with G111 = 6
-        tm = TemporalMetric("exp(2*t)")
         p = JetPoint.of(0.3, (0, 0, 0), (1.0, 2.0, 3.0))
-        g = metric_lower_generic(bm_cubic, tm, p, "formula")
+        g = metric_lower_generic(bm_cubic, p)
         scale = 6.0 ** (2.0 / 3.0)
         # g_12 = (2/9) scale/(1*2) = scale/9; g_11 = (-1/9) scale/1
         assert g[0, 1] == pytest.approx(scale / 9.0, rel=1e-14)
         assert g[0, 0] == pytest.approx(-scale / 9.0, rel=1e-14)
 
     def test_mode_equivalence_many_points(self, bm_cubic):
-        tm = TemporalMetric("t**2 + 1")
-        for p in sample_jet_points(seed=11, count=100):
-            a = metric_lower_generic(bm_cubic, tm, p, "formula")
-            b = metric_lower_generic(bm_cubic, tm, p, "from_F")
-            scale = np.abs(a).max()
-            assert np.abs(a - b).max() <= 1e-10 * max(scale, 1.0)
+        # the contraction formulas against the engine's (h11/2) d^2(F^2)/dy dy
+        _assert_engine_matches_formulas(
+            bm_cubic, TemporalMetric("t**2 + 1"), sample_jet_points(seed=11, count=100)
+        )
 
     def test_fiber_homogeneity(self, bm_cubic, random_points):
         # F is 1-homogeneous in y, so g is 0-homogeneous: g(lam y) = g(y).
-        tm = TemporalMetric("1")
         for p in random_points[:6]:
-            g = metric_lower_generic(bm_cubic, tm, p, "formula")
+            g = metric_lower_generic(bm_cubic, p)
             for lam in (2.0, 1.0 / 3.0):
                 q = JetPoint.of(p.t, p.x, tuple(lam * v for v in p.y))
-                g_scaled = metric_lower_generic(bm_cubic, tm, q, "formula")
+                g_scaled = metric_lower_generic(bm_cubic, q)
                 assert g_scaled == pytest.approx(g, rel=1e-12)
 
     def test_y_contraction_gives_energy(self, bm_cubic, random_points):
         # Euler identity for the 2-homogeneous F^2: g_ij y^i y^j = F^2 h11.
         tm = TemporalMetric("exp(2*t)")
         for p in random_points:
-            g = metric_lower_generic(bm_cubic, tm, p, "formula")
+            g = metric_lower_generic(bm_cubic, p)
             y = np.asarray(p.y)
             f2 = _f_squared(bm_cubic, tm, p)
             assert y @ g @ y == pytest.approx(f2 * tm.h11(p.t), rel=1e-10)
@@ -148,14 +160,12 @@ class TestMetricLower:
 class TestMetricUpper:
     def test_unit_point_values(self, bm_cubic):
         # oracle: g^jk = (2 - 3 d^jk) G111^(-2/3) y_j y_k
-        tm = TemporalMetric("1")
-        got = metric_upper_generic(bm_cubic, tm, JetPoint.of(0, (0, 0, 0), (1, 1, 1)))
+        got = metric_upper_generic(bm_cubic, JetPoint.of(0, (0, 0, 0), (1, 1, 1)))
         want = np.full((3, 3), 2.0) - 3.0 * np.eye(3)
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_general_point_values(self, bm_cubic):
-        tm = TemporalMetric("1")
-        got = metric_upper_generic(bm_cubic, tm, JetPoint.of(0, (0, 0, 0), (1, 2, 3)))
+        got = metric_upper_generic(bm_cubic, JetPoint.of(0, (0, 0, 0), (1, 2, 3)))
         scale = 6.0 ** (-2.0 / 3.0)
         assert got[0, 1] == pytest.approx(4.0 * scale, rel=1e-13)
         assert got[0, 0] == pytest.approx(-scale, rel=1e-13)
@@ -163,17 +173,15 @@ class TestMetricUpper:
     def test_product_is_identity_row(self, bm_cubic):
         # hand product of the two closed forms at the unit point:
         # row 1 x col 1: 1/9 + 4/9 + 4/9 = 1; row 1 x col 2: -2/9 - 2/9 + 4/9 = 0
-        tm = TemporalMetric("1")
         p = JetPoint.of(0, (0, 0, 0), (1, 1, 1))
-        g = metric_lower_generic(bm_cubic, tm, p)
-        gup = metric_upper_generic(bm_cubic, tm, p)
+        g = metric_lower_generic(bm_cubic, p)
+        gup = metric_upper_generic(bm_cubic, p)
         assert (g @ gup)[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
 
     def test_matches_numerical_inverse(self, bm_cubic, random_points):
-        tm = TemporalMetric("t**2 + 1")
         for p in random_points:
-            g = metric_lower_generic(bm_cubic, tm, p)
-            gup = metric_upper_generic(bm_cubic, tm, p)
+            g = metric_lower_generic(bm_cubic, p)
+            gup = metric_upper_generic(bm_cubic, p)
             num = np.linalg.inv(g)
             scale = max(np.abs(num).max(), 1.0)
             assert np.abs(gup - num).max() <= 1e-10 * scale
@@ -200,9 +208,7 @@ class TestMetricUpper:
             "jetfinsler.metric_engine.contract_cubic", lambda *a: degenerate
         )
         with pytest.raises(SingularDenominator):
-            metric_upper_generic(
-                bm_cubic, TemporalMetric("1"), JetPoint.of(0, (0, 0, 0), (1, 1, 1))
-            )
+            metric_upper_generic(bm_cubic, JetPoint.of(0, (0, 0, 0), (1, 1, 1)))
 
 
 class TestGenericCubic:
@@ -220,15 +226,15 @@ class TestGenericCubic:
         )
 
     def test_mode_equivalence(self, cubic):
-        tm = TemporalMetric("exp(2*t)")
-        for p in sample_jet_points(seed=5, count=25, y_box=(0.5, 2.5)):
-            a = metric_lower_generic(cubic, tm, p, "formula")
-            b = metric_lower_generic(cubic, tm, p, "from_F")
-            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(a).max(), 1.0)
+        # the contraction formulas against the engine's (h11/2) d^2(F^2)/dy dy
+        _assert_engine_matches_formulas(
+            cubic,
+            TemporalMetric("exp(2*t)"),
+            sample_jet_points(seed=5, count=25, y_box=(0.5, 2.5)),
+        )
 
     def test_inverse_consistency(self, cubic):
-        tm = TemporalMetric("1")
         for p in sample_jet_points(seed=6, count=25, y_box=(0.5, 2.5)):
-            g = metric_lower_generic(cubic, tm, p)
-            gup = metric_upper_generic(cubic, tm, p)
+            g = metric_lower_generic(cubic, p)
+            gup = metric_upper_generic(cubic, p)
             assert np.abs(g @ gup - np.eye(3)).max() <= 1e-10
