@@ -196,7 +196,7 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
             isinstance(entries, dict) and entries,
             "cubic.entries must be a non-empty mapping",
         )
-        components = {}
+        components, parsed = {}, {}
         for key, val in entries.items():
             digits = [ch for ch in str(key) if ch.isdigit()]
             _require(
@@ -209,13 +209,14 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
                 f"cubic entry keys {other!r} and {key!r} name the same component",
             )
             if isinstance(val, str):
-                parse_expression(val, variables=("x1", "x2", "x3"))
+                val = parse_expression(val, variables=("x1", "x2", "x3"))
             else:
                 _require(
                     _is_finite_number(val),
                     f"cubic entry {key!r} must be a finite number or an expression",
                 )
-        cubic = CubicForm.from_entries(entries)
+            parsed[key] = val
+        cubic = CubicForm.from_entries(parsed)
         cubic_spec = {"entries": {str(k): v for k, v in entries.items()}}
     else:
         raise ConfigError("cubic must be 'berwald_moor' or {'entries': {...}}")

@@ -471,30 +471,25 @@ class PointContext:
 # -- public operations ---------------------------------------------------------
 
 
+_DIRECTIONS = {"time": (0, ())} | {  # which output of adapted_partials, and its index
+    (kind, i): (axis, i - 1) for axis, kind in ((1, "spatial"), (2, "fiber")) for i in (1, 2, 3)
+}
+
+
 def adapted_derivative(field: Callable, p: JetPoint, nlc: NonlinearConnection, direction):
-    """Directional derivative of a scalar field along the adapted frame.
+    """Directional derivative of a scalar field along the adapted frame of
+    ``nlc`` at p (:func:`adapted_partials`).
 
     ``direction`` is ``"time"``, ``("spatial", i)`` or ``("fiber", i)`` with
-    1-based i.
+    1-based i in 1..3; any other raises ``ValueError``.
     """
-    table = dt.jet_eval(field, p, 1)
-    x, y = p.x, p.y
-    if direction == "time":
-        out = table.partial("t")
-        for q in range(3):
-            m = float(nlc.M(q + 1, p.t, x, y))
-            out -= m * table.partial(f"y{q + 1}")
-        return out
-    kind, i = direction
-    if kind == "spatial":
-        out = table.partial(f"x{i}")
-        for q in range(3):
-            n = float(nlc.N(q + 1, i, p.t, x, y))
-            out -= n * table.partial(f"y{q + 1}")
-        return out
-    if kind == "fiber":
-        return table.partial(f"y{i}")
-    raise ValueError(f"unknown direction {direction!r}")
+    try:
+        axis, i = _DIRECTIONS[direction if isinstance(direction, str) else tuple(direction)]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown direction {direction!r}") from None
+    m = np.array([nlc.M(q, p.t, p.x, p.y) for q in (1, 2, 3)], dtype=float)
+    n = np.array([[nlc.N(q, a, p.t, p.x, p.y) for a in (1, 2, 3)] for q in (1, 2, 3)], dtype=float)
+    return float(adapted_partials(dt.jet_eval(field, p, 1).c, m, n)[axis][i])
 
 
 def ricci_generic(curv: CurvatureSet) -> RicciSet:

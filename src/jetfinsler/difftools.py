@@ -23,7 +23,9 @@ array powers and transcendental functions do not, so ``**`` on a
 :class:`NodeArray` and the helpers below apply Python's ``**`` and
 :mod:`math` to each distinct element value: every node value, and so every
 stencil sum, is bit-identical to evaluating the field node by node on
-floats, which is what a call that fails does instead.
+floats.  If a call raises or gives a non-finite value, the field is called
+once per distinct node instead, on floats, in coefficient order, and the
+stencils are summed from those values by the same code.
 """
 
 from __future__ import annotations
@@ -596,9 +598,9 @@ def fd_partial(field: Callable, point, spec) -> float:
 
     The value is the sum over the stencil nodes, in ``itertools.product``
     order of the per-variable stencils, of the product of the per-variable
-    weights, taken left to right from 1.0, times the field at the node; the
-    sum runs from 0.0 one node at a time and is divided by the product of the
-    steps last (:func:`_fd_per_node`).
+    weights, taken left to right from 1.0, times the field evaluated on
+    Python floats at the node; the sum runs from 0.0 one node at a time and
+    is divided by the product of the step powers last (:func:`_fd_sums`).
     """
     spec = PartialSpec.coerce(spec)
     coords = _coords_of(point)
@@ -649,42 +651,24 @@ def _fd_positions(order: int, active: frozenset, min_fiber_degree: int) -> tuple
 
 
 def _fd_values(field: Callable, coords, positions: tuple) -> np.ndarray:
-    """``fd_partial``'s value of each coefficient in ``positions``: from the
-    batched calls of their node plan, or if one of them fails, node by node,
-    so that the first failing node in coefficient order raises its own
-    exception, or the per-node values stand."""
-    try:
+    """``fd_partial``'s value of each coefficient in ``positions``: the
+    stencils of their node plan summed from the node values of the batched
+    calls or, if one of those fails, of one call per distinct node."""
+    plan = _fd_plan(positions)
+    own = np.reshape(coords, (-1, 1))
+    steps, tables = {}, {}
+    for d in {d for _, _, d, _ in plan.chunks}:
+        # the steps and each coordinate's digit values, as fd_partial has them
+        steps[d] = [_FD_REL_STEP[d] * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
         with np.errstate(all="ignore"):
-            values = _fd_batched(field, coords, _fd_plan(positions))
-    except Exception:  # raised again below by the node that fails
+            tables[d] = np.hstack([own, own + np.multiply.outer(steps[d], _FD_OFFSETS)])
+    try:
+        values = _fd_batched(field, coords, plan, tables)
+    except Exception:  # raised again by the node that fails
         values = None
-    return _fd_per_node(field, coords, positions) if values is None else values
-
-
-def _fd_per_node(field: Callable, coords, positions: tuple) -> np.ndarray:
-    """``fd_partial``'s definition, one field call per node; a varied
-    coordinate v takes the values ``coords[v] + nodes * step``."""
-    out = np.empty(len(positions))
-    for row, pos in enumerate(positions):
-        rel = _FD_REL_STEP[_DEGREE[pos]]
-        slots, columns, denom = [], [], 1.0
-        for v, m in enumerate(_EXPONENTS[pos]):
-            if m:
-                nodes, weights = _FD_STENCIL[m]
-                step = rel * max(abs(coords[v]), _FD_SCALE_FLOOR)
-                denom *= step**m
-                slots.append(v)
-                columns.append(list(zip(weights, coords[v] + nodes * step)))
-        args = list(coords)
-        acc = 0.0
-        for picks in itertools.product(*columns):
-            w = 1.0
-            for v, (wj, xj) in zip(slots, picks):
-                w *= wj
-                args[v] = xj
-            acc += w * field(*args)
-        out[row] = acc / denom
-    return out
+    if values is None:
+        values = _fd_node_by_node(field, plan, steps, tables)
+    return _fd_sums(plan, values, steps)
 
 
 # A stencil node of the coefficients of total derivative order d is named by
@@ -814,22 +798,10 @@ def _fd_digit_grid(exps: tuple) -> np.ndarray:
     return np.stack(np.meshgrid(*digits, indexing="ij"), axis=-1).reshape(-1, len(exps))
 
 
-def _fd_batched(field: Callable, coords, plan: _FdPlan):
-    """The plan's coefficients as ``fd_partial`` gives them, or None if a
-    field call gives a non-finite value.
-
-    One field call per chunk of distinct nodes.  Each stencil's terms are
-    gathered from the node values and summed as in ``fd_partial``; stencils
-    of one signature are summed together by 2-D ``np.add.accumulate``.
-    """
-    own = np.reshape(coords, (-1, 1))
-    tables, powers = {}, {}
-    for d in {d for _, _, d, _ in plan.chunks}:
-        rel = _FD_REL_STEP[d]
-        steps = [rel * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
-        # each coordinate's value at each digit, computed as fd_partial does
-        tables[d] = np.hstack([own, own + np.multiply.outer(steps, _FD_OFFSETS)])
-        powers[d] = np.array([[s**m for m in range(d + 1)] for s in steps])
+@np.errstate(all="ignore")
+def _fd_batched(field: Callable, coords, plan: _FdPlan, tables: dict):
+    """The plan's node values from one field call per chunk of distinct
+    nodes, or None if a call gives a non-finite value."""
     values = np.empty(plan.codes.size)
     for a, b, d, fixed in plan.chunks:
         args = list(coords)
@@ -843,12 +815,40 @@ def _fd_batched(field: Callable, coords, plan: _FdPlan):
         if got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
             return None
         values[a:b] = got
+    return values
+
+
+def _fd_node_by_node(field: Callable, plan: _FdPlan, steps: dict, tables: dict):
+    """The plan's node values from one field call per distinct node, on
+    Python floats read from the digit tables: the stencils in coefficient
+    order, each one's step powers before its nodes and its nodes in
+    ``itertools.product`` order, as ``fd_partial`` takes them, so that the
+    first node that fails raises its own exception."""
+    at = {d: table.tolist() for d, table in tables.items()}
+    values = {}
+    stencils = ((sig, j) for sig in plan.signatures for j in range(sig.rows.size))
+    for sig, j in sorted(stencils, key=lambda stencil: stencil[0].rows[stencil[1]]):
+        for v, m in zip(sig.slots[j].tolist(), sig.exps):
+            steps[sig.order][v] ** m  # an overflow raises here, as in fd_partial
+        for node in sig.nodes[j].tolist():
+            if node not in values:
+                code = int(plan.codes[node])
+                args = [at[sig.order][v][(code >> s) & 15] for v, s in enumerate(_FD_SHIFT)]
+                values[node] = float(field(*args))
+    return np.array([values[node] for node in range(plan.codes.size)])
+
+
+@np.errstate(all="ignore")
+def _fd_sums(plan: _FdPlan, values: np.ndarray, steps: dict) -> np.ndarray:
+    """Each stencil of the plan summed from the node values as in
+    ``fd_partial``: the weighted terms in the stencil's node order, stencils
+    of one signature together by 2-D ``np.add.accumulate``, divided by the
+    product of the step powers."""
     out = np.empty(len(plan.positions))
     for sig in plan.signatures:
-        pw = powers[sig.order]
-        denom = pw[sig.slots[:, 0], sig.exps[0]]
-        for i in range(1, len(sig.exps)):
-            denom = denom * pw[sig.slots[:, i], sig.exps[i]]
+        denom = 1.0  # from the powers the stencils use: others may overflow
+        for column, m in zip(sig.slots.T.tolist(), sig.exps):
+            denom = denom * np.array([steps[sig.order][v] ** m for v in column])
         step = max(1, _FD_CHUNK // sig.weight.size)
         for r in range(0, sig.rows.size, step):
             block = slice(r, r + step)

@@ -76,8 +76,12 @@ class TestAdaptedDerivative:
 
     def test_unknown_direction(self, unit_point):
         nlc = NonlinearConnection.apriori(TemporalMetric("1"))
-        with pytest.raises(ValueError):
-            adapted_derivative(lambda *c: 0.0, unit_point, nlc, ("sideways", 1))
+        for direction in (
+            ("sideways", 1), ("spatial", 0), ("spatial", 4), ("fiber", 0), ("fiber", 4),
+            ("time", 1), "fiber", 3,
+        ):
+            with pytest.raises(ValueError, match="unknown direction"):
+                adapted_derivative(lambda *c: 0.0, unit_point, nlc, direction)
 
 
 class TestCartanGeneric:

@@ -16,6 +16,10 @@ from jetfinsler.jetspace import JetPoint
 from fields_corpus import CORPUS
 from helpers import central_difference
 
+# a numpy scalar computation that leaks into the fd path warns where Python
+# floats raise or stay silent: fail on it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_partial_product_rule():
     f = lambda t, x1, x2, x3, y1, y2, y3: y1 * y2 * y3

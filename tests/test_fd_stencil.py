@@ -29,6 +29,10 @@ from jetfinsler.metric_engine import finsler_F_squared_field
 
 from fields_corpus import CORPUS
 
+# the fallback evaluates nodes on Python floats: a numpy scalar computation
+# there would warn (and give inf or nan) where the floats raise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @functools.lru_cache(maxsize=None)
 def _exact_stencil(m):
@@ -159,8 +163,9 @@ class TestAgainstPerNode:
 
 
 class TestFallbackOrder:
-    """Near G111 = 0 the stencils leave the domain, and the node-by-node loop
-    alone decides which error a jet raises: that of its first failing node."""
+    """Near G111 = 0 the stencils leave the domain, and the order of the
+    fallback's one call per node alone decides which error a jet raises:
+    that of its first failing node."""
 
     @given(
         # the t stencils of order 3 reach h11 = t <= 0, so which of h11 and
@@ -350,6 +355,19 @@ class TestNodeArrays:
         for spec in (("t",), ("t", "y1"), ("t",) * 4):
             assert _same_bytes(dt.fd_partial(fld, p, spec), _fd_partial_per_node(fld, p, spec))
 
+    def test_overflow_on_floats_raises(self):
+        # 5.85**400 is finite, and the powers at the upper nodes of the y1
+        # stencil overflow, which raises on Python floats (numpy scalars
+        # give inf): fd_partial raises as the per-node reference does
+        fld = lambda t, x1, x2, x3, y1, y2, y3: y1**400
+        p = (0.0, 0.0, 0.0, 0.0, 5.85, 1.0, 1.0)
+        assert math.isfinite(fld(*p))
+        with pytest.raises(OverflowError) as ref:
+            _fd_partial_per_node(fld, p, ("y1",))
+        with pytest.raises(OverflowError) as got:
+            dt.fd_partial(fld, p, ("y1",))
+        assert str(got.value) == str(ref.value)
+
     def test_in_place_update_before_falling_back(self):
         def fld(t, x1, x2, x3, y1, y2, y3):
             t += 1.0  # rebinds a float, updates an array in place
@@ -407,6 +425,12 @@ class TestErrorParity:
         "exp_overflow": (
             _fd_doc("exp(1000*t)", "berwald_moor", {"t": 0.7, "x": [0, 0, 0], "y": [1, 2, 3]}),
             "DomainError: 'exp(1000*t)' overflows: math range error",
+        ),
+        # h11 = 1/(0.002 - t) is finite at t = 0, and a node of the F^2
+        # t stencils of order 3 (step 0.002) lies on its pole
+        "h11_pole": (
+            _fd_doc("1/(0.002 - t)", "berwald_moor", {"t": 0.0, "x": [0, 0, 0], "y": [1, 2, 3]}),
+            "ZeroDivisionError: float division by zero",
         ),
     }
 
@@ -563,8 +587,48 @@ class TestBatchedJet:
         assert jet.c.tobytes() == ref.c.tobytes()
 
     def test_field_failing_on_arrays(self):
-        # float() of a t column raises: the jet is computed node by node
+        # float() of a t column raises: the jet is computed from one call
+        # per node
         fld = lambda t, x1, x2, x3, y1, y2, y3: math.exp(float(t)) * y1**2 * y2
         p = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0)
         jet = dt.fd_jet(fld, p, 4)
+        assert jet.c.tobytes() == _fd_jet_per_node(fld, p, 4).c.tobytes()
+
+    def test_step_power_overflow(self):
+        # at y3 = 1e80 the order-4 step is 4e78, whose 4th power overflows:
+        # the y3**4 stencil, the first of order 4, raises OverflowError
+        # before the later order-4 stencils reach an x1 above 0.11, where
+        # this field raises, as node by node
+        def fld(t, x1, x2, x3, y1, y2, y3):
+            if x1 > 0.11:
+                raise ValueError("x1 beyond the stencils of order <= 3")
+            return y1 * y2
+
+        coords = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1e80)
+        errors = []
+        for jet in (dt.fd_jet, _fd_jet_per_node):
+            with pytest.raises(OverflowError) as info:
+                jet(fld, coords, 4)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        # a coordinate that no stencil varies may be as large
+        coords = (0.3, 0.1, 0.0, 1e300, 1.2, 1.0, 1.0)
+        jet = dt.fd_jet(fld, coords, 4, active=(0, 4))
+        assert jet.c.tobytes() == _fd_jet_per_node(fld, coords, 4, active=(0, 4)).c.tobytes()
+
+    def test_fallback_calls_each_distinct_node_once(self):
+        # after the batched call that fails, the field is called once per
+        # distinct node of the plan, on Python floats
+        calls = []
+
+        def fld(*args):
+            calls.append(args)
+            return math.exp(float(args[0])) * args[4] ** 2 * args[5]
+
+        p = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0)
+        jet = dt.fd_jet(fld, p, 4)
+        arrays = [i for i, args in enumerate(calls) if any(type(a) is not float for a in args)]
+        plan = dt._fd_plan(dt._fd_positions(4, frozenset(range(dt.NVARS)), 0))
+        assert len(calls) - arrays[-1] - 1 == plan.codes.size
+        assert all(type(a) is float for args in calls[arrays[-1] + 1 :] for a in args)
         assert jet.c.tobytes() == _fd_jet_per_node(fld, p, 4).c.tobytes()
