@@ -31,9 +31,7 @@ from .jetspace import (
     CubicForm,
     DTensorBundle,
     JetPoint,
-    SpatialDiffeo,
     TemporalMetric,
-    TimeReparam,
     transform_jet,
 )
 from .metric_engine import (
@@ -50,8 +48,6 @@ from .connection_engine import (
     RicciSet,
     TorsionSet,
     adapted_derivative,
-    ricci_generic,
-    scalar_curvature_generic,
 )
 from .berwald_moor import A_COEFFICIENTS, ClosedForms, closed_form_bundle
 from .field_theory import (

@@ -327,6 +327,10 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
                 g not in outputs or connection == "apriori",
                 f"output {g!r} is defined only for the apriori connection",
             )
+            _require(
+                g not in outputs or cubic.is_berwald_moor(),
+                f"output {g!r} is defined only for the Berwald-Moor cubic",
+            )
 
     return Scenario(
         temporal_metric=metric_src,

@@ -30,39 +30,48 @@ from typing import Callable
 import numpy as np
 
 from . import difftools as dt
-from .jetspace import CubicForm, DTensorBundle, JetPoint, TemporalMetric
-from .metric_engine import _check_metric_det, finsler_F_squared_field
+from .errors import DegenerateMetric
+from .jetspace import CubicForm, DTensorBundle, JetPoint, TemporalMetric, check_invertible
+from .metric_engine import finsler_F_squared_field
 
 
 class NonlinearConnection:
-    """Temporal components M^i and spatial components N^i_j (1-based labels),
-    duck-evaluable on floats or Taylor values."""
+    """Temporal components M^i and spatial components N^i_j.
+
+    ``M(t, x, y)`` returns the three M^i and ``N(t, x, y)`` the rows
+    [N^i_1, N^i_2, N^i_3] for i = 1, 2, 3, all in one call, duck-evaluable on
+    floats or Taylor values; ``frame(p)`` gives their values at a point as
+    float arrays (3,) and (3, 3), index i at slot i - 1.
+    """
 
     def __init__(self, M: Callable, N: Callable):
-        self._M = M
-        self._N = N
+        self.M = M
+        self.N = N
 
-    def M(self, i: int, t, x, y):
-        return self._M(i, t, x, y)
-
-    def N(self, i: int, j: int, t, x, y):
-        return self._N(i, j, t, x, y)
+    def frame(self, p: JetPoint) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.array(self.M(p.t, p.x, p.y), dtype=float),
+            np.array(self.N(p.t, p.x, p.y), dtype=float),
+        )
 
     @classmethod
     def canonical(cls, tm: TemporalMetric) -> "NonlinearConnection":
         """M^i = -kappa y^i, N = 0 (the energy-action-functional connection)."""
-        return cls(
-            M=lambda i, t, x, y: -tm.kappa_eval(t) * y[i - 1],
-            N=lambda i, j, t, x, y: 0.0,
-        )
+        return cls(cls.apriori(tm).M, lambda t, x, y: [[0.0] * 3 for _ in range(3)])
 
     @classmethod
     def apriori(cls, tm: TemporalMetric) -> "NonlinearConnection":
         """M^i = -kappa y^i, N^i_j = -(kappa/2) delta^i_j."""
-        return cls(
-            M=lambda i, t, x, y: -tm.kappa_eval(t) * y[i - 1],
-            N=lambda i, j, t, x, y: -tm.kappa_eval(t) * 0.5 if i == j else 0.0,
-        )
+
+        def M(t, x, y):
+            k = -tm.kappa_eval(t)
+            return [k * yi for yi in y]
+
+        def N(t, x, y):
+            d = -tm.kappa_eval(t) * 0.5
+            return [[d if i == j else 0.0 for j in range(3)] for i in range(3)]
+
+        return cls(M, N)
 
 
 @dataclass
@@ -118,10 +127,13 @@ _DT, _DX, _DY = int(dt.D1_SLOTS[0]), dt.D1_SLOTS[1:_Y0], dt.D1_SLOTS[_Y0:]
 
 def stack_coefficients(nested) -> np.ndarray:
     """Coefficients of a nested list of same-order series as one array, with
-    the coefficients on the last axis (8 of them at order 1)."""
+    the coefficients on the last axis (8 of them at order 1); a number stands
+    for a constant order-1 series."""
     if isinstance(nested, dt.Taylor):
         return nested.c
-    return np.array([stack_coefficients(e) for e in nested])
+    if isinstance(nested, (list, tuple)):
+        return np.array([stack_coefficients(e) for e in nested])
+    return dt.taylor_constant(float(nested), 1).c
 
 
 def adapted_partials(s: np.ndarray, m: np.ndarray, n: np.ndarray):
@@ -208,23 +220,20 @@ class PointContext:
 
     # -- nonlinear connection as order-1 series -------------------------------
 
-    def _order1(self, component: Callable, *indices) -> np.ndarray:
-        """Coefficients of a connection component on the order-1 seeds."""
+    def _on_seeds(self, components: Callable) -> np.ndarray:
+        """Coefficients of a connection's M or N on the order-1 seeds."""
         t, x1, x2, x3, y1, y2, y3 = self.seeds1
-        value = component(*indices, t, (x1, x2, x3), (y1, y2, y3))
-        return dt.as_taylor(value, 1).c
+        return stack_coefficients(components(t, (x1, x2, x3), (y1, y2, y3)))
 
     @cached_property
     def M_stack(self) -> np.ndarray:
         """M^i as order-1 series, (3, 8)."""
-        return np.array([self._order1(self.nlc.M, i + 1) for i in range(3)])
+        return self._on_seeds(self.nlc.M)
 
     @cached_property
     def N_stack(self) -> np.ndarray:
         """N^i_j as order-1 series, [i, j], (3, 3, 8)."""
-        return np.array(
-            [[self._order1(self.nlc.N, i + 1, j + 1) for j in range(3)] for i in range(3)]
-        )
+        return self._on_seeds(self.nlc.N)
 
     @cached_property
     def M_val(self) -> np.ndarray:
@@ -246,7 +255,7 @@ class PointContext:
     def g_val(self) -> np.ndarray:
         # contiguous: einsum may sum a strided slice in another order
         g = np.ascontiguousarray(self.g_stack[..., 0])
-        _check_metric_det(g)
+        check_invertible(g, DegenerateMetric, "g")
         return g
 
     @cached_property
@@ -433,11 +442,19 @@ class PointContext:
 
     @cached_property
     def _ricci_set(self) -> RicciSet:
-        return ricci_generic(self.curvatures())
+        curv = self.curvatures()
+        return RicciSet(
+            R=np.einsum("mijm->ij", curv.R_hh),
+            P=np.einsum("mijm->ij", curv.P_hv),
+            S=np.einsum("mijm->ij", curv.S_vv),
+        )
 
     def scalar_curvature(self) -> float:
-        return scalar_curvature_generic(
-            self.ginv_val, self.ricci(), self.h_ser.value
+        """Sc = g^pq R_pq + h11 g^pq S_(p)(q)."""
+        g_up, ric = self.ginv_val, self.ricci()
+        return float(
+            np.einsum("pq,pq->", g_up, ric.R)
+            + self.h_ser.value * np.einsum("pq,pq->", g_up, ric.S)
         )
 
     def tensor_bundle(self) -> DTensorBundle:
@@ -487,24 +504,4 @@ def adapted_derivative(field: Callable, p: JetPoint, nlc: NonlinearConnection, d
         axis, i = _DIRECTIONS[direction if isinstance(direction, str) else tuple(direction)]
     except (KeyError, TypeError):
         raise ValueError(f"unknown direction {direction!r}") from None
-    m = np.array([nlc.M(q, p.t, p.x, p.y) for q in (1, 2, 3)], dtype=float)
-    n = np.array([[nlc.N(q, a, p.t, p.x, p.y) for a in (1, 2, 3)] for q in (1, 2, 3)], dtype=float)
-    return float(adapted_partials(dt.jet_eval(field, p, 1).c, m, n)[axis][i])
-
-
-def ricci_generic(curv: CurvatureSet) -> RicciSet:
-    return RicciSet(
-        R=np.einsum("mijm->ij", curv.R_hh),
-        P=np.einsum("mijm->ij", curv.P_hv),
-        S=np.einsum("mijm->ij", curv.S_vv),
-    )
-
-
-def scalar_curvature_generic(
-    g_upper: np.ndarray, ricci: RicciSet, h11: float
-) -> float:
-    """Sc = g^pq R_pq + h11 g^pq S_(p)(q)."""
-    return float(
-        np.einsum("pq,pq->", g_upper, ricci.R)
-        + h11 * np.einsum("pq,pq->", g_upper, ricci.S)
-    )
+    return float(adapted_partials(dt.jet_eval(field, p, 1).c, *nlc.frame(p))[axis][i])

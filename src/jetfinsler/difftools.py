@@ -91,23 +91,26 @@ def _build_mul_tables():
 _MUL = _build_mul_tables()
 
 
-def _build_diff_tables():
+def _build_first_partials():
+    """Per order k >= 1, the tables (src, fac), each (7, NCOEF[k - 1]), of the
+    first partials of an order-k series: d/dv has coefficient
+    ``c[src[v, d]] * fac[v, d]`` at slot d."""
     tables = {}
-    for v in range(NVARS):
-        for k in range(1, MAX_ORDER + 1):
-            nout = NCOEF[k - 1]
-            src = np.empty(nout, dtype=np.int64)
-            fac = np.empty(nout)
+    for k in range(1, MAX_ORDER + 1):
+        nout = NCOEF[k - 1]
+        src = np.empty((NVARS, nout), dtype=np.int64)
+        fac = np.empty((NVARS, nout))
+        for v in range(NVARS):
             for d in range(nout):
                 e = list(_EXPONENTS[d])
                 e[v] += 1
-                src[d] = _POS[tuple(e)]
-                fac[d] = e[v]
-            tables[(v, k)] = (src, fac)
+                src[v, d] = _POS[tuple(e)]
+                fac[v, d] = e[v]
+        tables[k] = (src, fac)
     return tables
 
 
-_DIFF = _build_diff_tables()
+_FIRST_PARTIALS = _build_first_partials()
 
 #: Slot of the first partial d/dv among the coefficients of a series of any
 #: order >= 1 (the graded order puts the seven first-order monomials first).
@@ -272,10 +275,12 @@ def deriv(u: Taylor, var: Union[int, str]) -> Taylor:
     order-(k-1) Taylor polynomial of the corresponding partial of f.
     """
     idx = var if isinstance(var, int) else _COORD_INDEX[var]
+    if not 0 <= idx < NVARS:
+        raise ValueError(f"no coordinate slot {idx}")
     if u.order == 0:
         raise ValueError("cannot differentiate an order-0 series")
-    src, fac = _DIFF[(idx, u.order)]
-    return Taylor(u.c[src] * fac, u.order - 1)
+    src, fac = _FIRST_PARTIALS[u.order]
+    return Taylor(u.c[src[idx]] * fac[idx], u.order - 1)
 
 
 # -- stacked series ----------------------------------------------------------
@@ -301,15 +306,6 @@ def first_partials(c: np.ndarray) -> np.ndarray:
     ``out[..., v, :]`` is ``deriv(Taylor(c[...], k), v).c``."""
     src, fac = _FIRST_PARTIALS[NCOEF.index(c.shape[-1])]
     return c[..., src] * fac
-
-
-_FIRST_PARTIALS = {
-    k: (
-        np.stack([_DIFF[(v, k)][0] for v in range(NVARS)]),
-        np.stack([_DIFF[(v, k)][1] for v in range(NVARS)]),
-    )
-    for k in range(1, MAX_ORDER + 1)
-}
 
 
 def compose_univariate(u: Taylor, cs: Sequence[float]) -> Taylor:

@@ -195,12 +195,8 @@ def conservation_residuals(
     ``stress_energy_mixed(cf, K)``."""
     _check(cf, K)
     p, tm = cf.point, cf.tm
-    apriori = NonlinearConnection.apriori(tm)
     # M^q and N^q_j at p, evaluated once for all the adapted derivatives below
-    m_at = np.array([apriori.M(q + 1, p.t, p.x, p.y) for q in range(3)])
-    n_at = np.array(
-        [[apriori.N(q + 1, j + 1, p.t, p.x, p.y) for j in range(3)] for q in range(3)]
-    )
+    m_at, n_at = NonlinearConnection.apriori(tm).frame(p)
     kappa, L, C, G_t = cf.kappa, cf["L"], cf["C"], cf["G_time"]
 
     # The mixed components as order-1 series on the closed forms' seed set;

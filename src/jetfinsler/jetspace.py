@@ -17,7 +17,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -257,62 +257,25 @@ class CubicForm:
         return total
 
 
-@dataclass(frozen=True)
-class TimeReparam:
-    """Monotone time map t -> t~ with its rate dt~/dt."""
-
-    map: Callable[[float], float]
-    rate: Callable[[float], float]
-
-    @classmethod
-    def identity(cls) -> "TimeReparam":
-        return cls(map=lambda t: t, rate=lambda t: 1.0)
-
-    @classmethod
-    def scaling(cls, factor: float) -> "TimeReparam":
-        return cls(map=lambda t: factor * t, rate=lambda t: factor)
+def check_invertible(m: np.ndarray, error: type, name: str) -> None:
+    """Raise ``error`` if the 3x3 matrix ``m`` (called ``name`` in the message)
+    is numerically singular: |det m| <= 1e-12 |m|^3, with the Frobenius norm."""
+    det = float(np.linalg.det(m))
+    norm = float(np.linalg.norm(m))
+    if abs(det) <= 1e-12 * norm**3:
+        raise error(f"det({name}) = {det} with norm {norm}")
 
 
-@dataclass(frozen=True)
-class SpatialDiffeo:
-    """Spatial map x -> x~ with its Jacobian dx~^p/dx^q."""
-
-    map: Callable[[Sequence[float]], Sequence[float]]
-    jacobian: Callable[[Sequence[float]], np.ndarray]
-
-    @classmethod
-    def identity(cls) -> "SpatialDiffeo":
-        return cls(map=lambda x: tuple(x), jacobian=lambda x: np.eye(3))
-
-    @classmethod
-    def scaling(cls, factors: Sequence[float]) -> "SpatialDiffeo":
-        f = tuple(float(v) for v in factors)
-        return cls(
-            map=lambda x: tuple(fi * xi for fi, xi in zip(f, x)),
-            jacobian=lambda x: np.diag(f),
-        )
-
-    @classmethod
-    def permutation(cls, order: Sequence[int]) -> "SpatialDiffeo":
-        """x~^p = x^{order[p]} with 1-based labels, e.g. (2, 3, 1)."""
-        idx = tuple(int(i) - 1 for i in order)
-        jac = np.zeros((3, 3))
-        for p, q in enumerate(idx):
-            jac[p, q] = 1.0
-        return cls(map=lambda x: tuple(x[q] for q in idx), jacobian=lambda x: jac)
-
-
-def transform_jet(p: JetPoint, reparam: TimeReparam, diffeo: SpatialDiffeo) -> JetPoint:
-    """Transformed jet point under a time reparametrization and spatial diffeo."""
-    rate = float(reparam.rate(p.t))
+def transform_jet(p: JetPoint, A=None, rate: float = 1.0) -> JetPoint:
+    """The point p in the coordinates t~ = rate t and x~ = A x, for a constant
+    rate and a constant 3x3 matrix A (the identity if None), so that
+    y~ = A y / rate."""
+    rate = float(rate)
     if rate == 0.0:
         raise SingularChange("time reparametrization has zero rate")
-    jac = np.asarray(diffeo.jacobian(p.x), dtype=float)
-    norm = np.linalg.norm(jac)
-    if abs(np.linalg.det(jac)) <= 1e-12 * norm**3:
-        raise SingularChange("spatial Jacobian is singular")
-    y_new = jac @ np.asarray(p.y) / rate
-    return JetPoint.of(reparam.map(p.t), diffeo.map(p.x), y_new)
+    A = np.eye(3) if A is None else np.asarray(A, dtype=float)
+    check_invertible(A, SingularChange, "A")
+    return JetPoint.of(rate * p.t, A @ np.asarray(p.x), A @ np.asarray(p.y) / rate)
 
 
 _SPECIES = {"T", "S", "F"}

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     SingularDenominator,
 )
-from .jetspace import CubicForm, JetPoint, TemporalMetric
+from .jetspace import CubicForm, JetPoint, TemporalMetric, check_invertible
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ def contract_cubic(cubic: CubicForm, p: JetPoint) -> CubicContractions:
     g111 = float(np.einsum("pqr,p,q,r->", vals, y, y, y))
     gi11 = 3.0 * np.einsum("ipq,p,q->i", vals, y, y)
     gij1 = 6.0 * np.einsum("ijp,p->ij", vals, y)
-    det = float(np.linalg.det(gij1))
-    norm = float(np.linalg.norm(gij1))
-    if abs(det) <= 1e-12 * norm**3:
-        raise DegenerateCubic(f"det(G_ij1) = {det} with norm {norm}")
+    check_invertible(gij1, DegenerateCubic, "G_ij1")
     gup = np.linalg.inv(gij1)
     script = float(np.einsum("pq,p,q->", gup, gi11, gi11)) / 3.0
     g1_up = gup @ gi11
@@ -86,13 +83,6 @@ def finsler_F_squared_field(cubic: CubicForm, tm: TemporalMetric):
     return field
 
 
-def _check_metric_det(g: np.ndarray) -> None:
-    det = float(np.linalg.det(g))
-    norm = float(np.linalg.norm(g))
-    if abs(det) <= 1e-12 * norm**3:
-        raise DegenerateMetric(f"det(g) = {det} with norm {norm}")
-
-
 def metric_lower_generic(cubic: CubicForm, p: JetPoint) -> np.ndarray:
     """Fundamental metric g_ij from the closed contraction formula."""
     cc = contract_cubic(cubic, p)
@@ -101,7 +91,7 @@ def metric_lower_generic(cubic: CubicForm, p: JetPoint) -> np.ndarray:
         cc.Gij1 - np.outer(cc.Gi11, cc.Gi11) / (3.0 * cc.G111)
     )
     g = 0.5 * (g + g.T)
-    _check_metric_det(g)
+    check_invertible(g, DegenerateMetric, "g")
     return g
 
 

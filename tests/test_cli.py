@@ -120,6 +120,20 @@ class TestScenarioValidation:
         assert "conservation" not in sc.outputs
         assert "em" in sc.outputs
 
+    @pytest.mark.parametrize("outputs", [["einstein", "conservation"], ["stress_energy"]])
+    def test_field_theory_of_generic_cubic_exits_two(self, tmp_path, capsys, outputs):
+        # the field theory reads the Berwald-Moor closed forms: asked for a
+        # generic cubic, it would be skipped on every point of a passing run
+        doc = json.loads((DATA / "golden_generic_scenario.json").read_text())
+        doc["outputs"] = outputs
+        assert main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ")
+        assert f"output {outputs[0]!r} is defined only for the Berwald-Moor cubic" in err
+        # "all" still expands to every group; evaluate_point skips the three
+        doc["outputs"] = ["all"]
+        assert "conservation" in parse_scenario(doc).outputs
+
     def test_zero_einstein_constant_rejected(self):
         doc = base_scenario()
         doc["einstein_constant"] = 0

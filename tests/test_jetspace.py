@@ -12,9 +12,7 @@ from jetfinsler.jetspace import (
     CubicForm,
     DTensorBundle,
     JetPoint,
-    SpatialDiffeo,
     TemporalMetric,
-    TimeReparam,
     transform_jet,
 )
 from jetfinsler.metric_engine import finsler_F_squared_field
@@ -74,38 +72,45 @@ class TestTemporalMetric:
 class TestTransformJet:
     def test_identity(self):
         p = JetPoint.of(0.5, (1, 2, 3), (4, 5, 6))
-        q = transform_jet(p, TimeReparam.identity(), SpatialDiffeo.identity())
-        assert q == p
+        assert transform_jet(p) == p
+        assert transform_jet(p, np.eye(3), 1.0) == p
 
     def test_time_scaling(self):
         # t~ = 2t so dt/dt~ = 1/2
         p = JetPoint.of(1.0, (0, 0, 0), (1.0, 2.0, 3.0))
-        q = transform_jet(p, TimeReparam.scaling(2.0), SpatialDiffeo.identity())
+        q = transform_jet(p, rate=2.0)
         assert q.t == 2.0
+        assert q.x == (0.0, 0.0, 0.0)
         assert q.y == (0.5, 1.0, 1.5)
 
     def test_spatial_permutation(self):
+        # x~^p = x^{(2, 3, 1)[p]}
+        A = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         p = JetPoint.of(0.0, (7.0, 8.0, 9.0), (1.0, 2.0, 3.0))
-        q = transform_jet(
-            p, TimeReparam.identity(), SpatialDiffeo.permutation((2, 3, 1))
-        )
+        q = transform_jet(p, A)
+        assert q.t == 0.0
         assert q.x == (8.0, 9.0, 7.0)
         assert q.y == (2.0, 3.0, 1.0)
 
+    def test_linear_map_and_rate(self):
+        A = [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 3.0]]
+        p = JetPoint.of(0.5, (1.0, 1.0, 1.0), (1.0, 2.0, 4.0))
+        q = transform_jet(p, A, rate=4.0)
+        assert q == JetPoint.of(2.0, (3.0, 1.0, 2.0), (1.25, 0.5, 2.5))
+
     def test_singular_rate(self):
         p = JetPoint.of(0.0, (0, 0, 0), (1, 1, 1))
-        bad = TimeReparam(map=lambda t: 0.0, rate=lambda t: 0.0)
-        with pytest.raises(SingularChange):
-            transform_jet(p, bad, SpatialDiffeo.identity())
+        with pytest.raises(SingularChange, match="zero rate"):
+            transform_jet(p, rate=0.0)
 
     def test_singular_jacobian(self):
         p = JetPoint.of(0.0, (0, 0, 0), (1, 1, 1))
-        bad = SpatialDiffeo(
-            map=lambda x: (x[0], x[0], x[2]),
-            jacobian=lambda x: np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]]),
-        )
+        bad = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1.0]])
+        with pytest.raises(SingularChange, match=r"det\(A\)"):
+            transform_jet(p, bad)
+        # nearly singular at the 1e-12 relative guard
         with pytest.raises(SingularChange):
-            transform_jet(p, TimeReparam.identity(), bad)
+            transform_jet(p, np.diag([1.0, 1.0, 1e-13]))
 
     @given(
         lams=st.tuples(*[st.floats(0.3, 3.0) for _ in range(3)]),
@@ -120,7 +125,7 @@ class TestTransformJet:
         cubic = CubicForm.berwald_moor()
         F2 = finsler_F_squared_field(cubic, tm)
         p = JetPoint.of(0.0, (0.4, -0.2, 0.9), y)
-        q = transform_jet(p, TimeReparam.identity(), SpatialDiffeo.scaling(lams))
+        q = transform_jet(p, np.diag(lams))
         expected = (lams[0] * lams[1] * lams[2]) ** (2.0 / 3.0) * F2(*p.coords())
         assert F2(*q.coords()) == pytest.approx(expected, rel=1e-12)
 
