@@ -32,7 +32,7 @@ import numpy as np
 from . import difftools as dt
 from .errors import DegenerateMetric
 from .jetspace import CubicForm, DTensorBundle, JetPoint, TemporalMetric, check_invertible
-from .metric_engine import finsler_F_squared_field
+from .metric_engine import f2_slots, finsler_F_squared_field, h11_slots
 
 
 class NonlinearConnection:
@@ -203,15 +203,17 @@ class PointContext:
         fld = finsler_F_squared_field(self.cubic, self.tm)
         if self.deriv_mode == "fd":
             # only ``g_stack`` reads this jet, through two y-derivatives, so
-            # the coefficients of y-degree below 2 are never sampled
-            return dt.fd_jet(fld, self.point, 4, min_fiber_degree=2)
+            # the coefficients of y-degree below 2 are never sampled; nor are
+            # those of a coordinate F^2 does not depend on, which are 0
+            slots = f2_slots(self.cubic, self.tm)
+            return dt.fd_jet(fld, self.point, 4, active=slots, min_fiber_degree=2)
         return dt.jet_eval(fld, self.point, 4)
 
     @cached_property
     def h_ser(self) -> dt.Taylor:
         if self.deriv_mode == "fd":
             fld = lambda t, *rest: self.tm.h11_eval(t)
-            return dt.fd_jet(fld, self.point, 4, active=(0,))
+            return dt.fd_jet(fld, self.point, 4, active=h11_slots(self.tm))
         return self.tm.h11_jet(self.point.t, 4)
 
     @cached_property

@@ -32,13 +32,15 @@ MAX_INT_POWER = 64
 class Expression:
     """A parsed expression over a fixed variable set.
 
-    The validated tree is compiled once; evaluation is a plain ``eval`` of the
-    code object with the grammar functions as the only globals, so per-call
-    cost is that of the arithmetic itself.
+    ``names`` holds the variables the source uses (function names are not
+    variables).  The validated tree is compiled once; evaluation is a plain
+    ``eval`` of the code object with the grammar functions as the only
+    globals, so per-call cost is that of the arithmetic itself.
     """
 
     source: str
     variables: tuple[str, ...]
+    names: frozenset[str]
     _code: object = field(repr=False, compare=False)
 
     def evaluate(self, env: dict):
@@ -59,18 +61,23 @@ def parse_expression(source: str, variables=("t", "x1", "x2", "x3")) -> Expressi
     """Parse and validate a grammar expression; raises ConfigError otherwise."""
     if not isinstance(source, str):
         source = repr(float(source))
+    names = set()
     try:
         tree = ast.parse(source, mode="eval")
-        _validate(tree.body, tuple(variables), source)
+        _validate(tree.body, tuple(variables), source, names)
         code = compile(tree, "<jetfinsler-expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {source!r}: {exc}") from None
     except (MemoryError, RecursionError):  # the parser's and compiler's depth limits
         raise ConfigError(f"expression {source!r} is nested too deeply") from None
-    return Expression(source=source, variables=tuple(variables), _code=code)
+    return Expression(
+        source=source, variables=tuple(variables), names=frozenset(names), _code=code
+    )
 
 
-def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
+def _validate(node: ast.AST, variables: tuple[str, ...], source: str, names: set) -> None:
+    """Raise ConfigError unless ``node`` is in the grammar; add the variables
+    it uses to ``names``."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric literal in {source!r}")
@@ -82,17 +89,18 @@ def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
             raise ConfigError(
                 f"unknown variable {node.id!r} in {source!r}; allowed: {variables}"
             )
+        names.add(node.id)
         return
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        _validate(node.operand, variables, source)
+        _validate(node.operand, variables, source, names)
         return
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-            _validate(node.left, variables, source)
-            _validate(node.right, variables, source)
+            _validate(node.left, variables, source, names)
+            _validate(node.right, variables, source, names)
             return
         if isinstance(node.op, ast.Pow):
-            _validate(node.left, variables, source)
+            _validate(node.left, variables, source, names)
             n = _int_exponent(node.right)
             if n is None:
                 raise ConfigError(
@@ -112,7 +120,7 @@ def _validate(node: ast.AST, variables: tuple[str, ...], source: str) -> None:
             and not node.keywords
             and len(node.args) == 1
         ):
-            _validate(node.args[0], variables, source)
+            _validate(node.args[0], variables, source, names)
             return
         raise ConfigError(
             f"only exp/sin/cos calls with one argument are allowed in {source!r}"

@@ -114,6 +114,11 @@ class TemporalMetric:
     def __repr__(self) -> str:
         return f"TemporalMetric({self.expression.source!r})"
 
+    @property
+    def names(self) -> frozenset[str]:
+        """The variables h11 uses: {"t"}, or none for a constant."""
+        return self.expression.names
+
     @_per_t
     def h11(self, t: float) -> float:
         v = float(self.expression.evaluate({"t": float(t)}))
@@ -218,6 +223,13 @@ class CubicForm:
     @property
     def entries(self):
         return dict(self._entries)
+
+    @property
+    def names(self) -> frozenset[str]:
+        """The variables x1..x3 its entries use; a float entry uses none."""
+        return frozenset().union(
+            *(v.names for v in self._entries.values() if isinstance(v, Expression))
+        )
 
     def is_berwald_moor(self) -> bool:
         fixed = {

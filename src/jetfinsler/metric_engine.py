@@ -83,6 +83,25 @@ def finsler_F_squared_field(cubic: CubicForm, tm: TemporalMetric):
     return field
 
 
+def _may_read(obj, name: str) -> bool:
+    """Whether a cubic or temporal metric may read the coordinate ``name``:
+    its ``names`` say, and one without ``names`` may read any."""
+    names = getattr(obj, "names", None)
+    return names is None or name in names
+
+
+def h11_slots(tm: TemporalMetric) -> tuple[int, ...]:
+    """The coordinate slots h11 depends on: t, or none for a constant."""
+    return (0,) if _may_read(tm, "t") else ()
+
+
+def f2_slots(cubic: CubicForm, tm: TemporalMetric) -> tuple[int, ...]:
+    """The coordinate slots F^2 depends on: t if h11 does, x^i if an entry of
+    the cubic names it, and y1..y3."""
+    xs = tuple(v for v in (1, 2, 3) if _may_read(cubic, dt.COORD_NAMES[v]))
+    return h11_slots(tm) + xs + (4, 5, 6)
+
+
 def metric_lower_generic(cubic: CubicForm, p: JetPoint) -> np.ndarray:
     """Fundamental metric g_ij from the closed contraction formula."""
     cc = contract_cubic(cubic, p)

@@ -39,6 +39,19 @@ def test_taylor_evaluation_matches_lambda_derivatives():
         assert dt.partial(field_expr, p, spec) == dt.partial(field_ref, p, spec)
 
 
+@pytest.mark.parametrize(
+    "source, variables, names",
+    [
+        ("exp(2*t)", ("t",), {"t"}),
+        ("1", ("t",), set()),
+        ("0.1*sin(x3)", ("x1", "x2", "x3"), {"x3"}),  # sin is not a variable
+        ("1/6 + 0.05*x1*x2", ("x1", "x2", "x3"), {"x1", "x2"}),
+    ],
+)
+def test_names_are_the_variables_used(source, variables, names):
+    assert parse_expression(source, variables=variables).names == names
+
+
 def test_numeric_constant_coerces():
     e = parse_expression(4, variables=("t",))
     assert e.evaluate({"t": 0.0}) == 4.0

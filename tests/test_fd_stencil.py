@@ -14,7 +14,9 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +24,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
-from jetfinsler.cli import parse_scenario, run_scenario, sample_points
+from jetfinsler.cli import load_scenario, parse_scenario, run_scenario, sample_points
 from jetfinsler.connection_engine import NonlinearConnection, PointContext
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
-from jetfinsler.metric_engine import finsler_F_squared_field
+from jetfinsler.metric_engine import f2_slots, finsler_F_squared_field, h11_slots
 
 from fields_corpus import CORPUS
+
+DATA = Path(__file__).parent / "data"
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,10 +233,101 @@ class TestUnreadCoefficients:
             assert cubic.g111(p.x, p.y) > 0.1
             ctx = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
             ref = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
-            ref.f2_ser = dt.fd_jet(finsler_F_squared_field(cubic, tm), p, 4)
+            fld = finsler_F_squared_field(cubic, tm)
+            ref.f2_ser = dt.fd_jet(fld, p, 4, active=f2_slots(cubic, tm))
             for name in ("g_stack", "g_val", "ginv_stack"):
                 got, want = getattr(ctx, name), getattr(ref, name)
                 assert got.tobytes() == want.tobytes(), (p, name)
+
+
+def _touches(pos, slots) -> bool:
+    """Whether the monomial of coefficient ``pos`` has a coordinate outside
+    ``slots``."""
+    return any(m and v not in slots for v, m in enumerate(dt._EXPONENTS[pos]))
+
+
+class TestFieldSlots:
+    """fd mode samples only the coordinates a field reads: every other
+    coefficient is 0, as in exact mode, and every sampled one is that of the
+    jet over all seven coordinates."""
+
+    @pytest.mark.parametrize("metric", ["exp(2*t)", "1"])
+    def test_engine_jets_against_all_slots(self, metric):
+        cubic, tm = CubicForm.berwald_moor(), TemporalMetric(metric)
+        f2 = finsler_F_squared_field(cubic, tm)
+        h11 = lambda t, *rest: tm.h11_eval(t)
+        slots = {"exp(2*t)": (0, 4, 5, 6), "1": (4, 5, 6)}[metric]
+        assert f2_slots(cubic, tm) == slots
+        assert h11_slots(tm) == slots[:-3]
+        nlc = NonlinearConnection.apriori(tm)
+        for p in POINTS:
+            ctx = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
+            for got, fld, full, kept in (
+                (ctx.f2_ser, f2, dt.fd_jet(f2, p, 4, min_fiber_degree=2), slots),
+                (ctx.h_ser, h11, dt.fd_jet(h11, p, 4), slots[:-3]),
+            ):
+                exact = dt.jet_eval(fld, p, 4)
+                for pos in range(dt.NCOEF[4]):
+                    if _touches(pos, kept):
+                        assert _same_bytes(got.c[pos], 0.0), (p, pos)
+                        assert exact.c[pos] == 0.0, (p, pos)
+                    else:
+                        assert _same_bytes(got.c[pos], full.c[pos]), (p, pos)
+
+    def test_cubic_names_its_slots(self):
+        tm = TemporalMetric("exp(2*t)")
+        cubic = CubicForm.from_entries({"111": "0.3*x1", "123": "1/6"})
+        assert f2_slots(cubic, tm) == (0, 1, 4, 5, 6)
+        golden = load_scenario(str(DATA / "golden_generic_scenario.json"))
+        assert f2_slots(golden.cubic, golden.tm) == tuple(range(dt.NVARS))
+        assert f2_slots(GENERIC, TemporalMetric("1")) == (1, 2, 3, 4, 5, 6)
+
+    def test_unnamed_variables_keep_every_slot(self):
+        # a cubic or metric that does not say which variables it reads
+        unnamed = types.SimpleNamespace()
+        assert f2_slots(unnamed, unnamed) == tuple(range(dt.NVARS))
+        assert h11_slots(unnamed) == (0,)
+
+    def test_no_active_slot_gives_the_value(self):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return F2_BM(*args)
+
+        p = POINTS[0]
+        jet = dt.fd_jet(counting, p, 4, active=())
+        assert len(calls) == 1
+        assert _same_bytes(jet.c[0], F2_BM(*p.coords()))
+        assert not jet.c[1:].any()
+
+
+class TestBerwaldMoorMargin:
+    """Berwald-Moor fd mode passes with a 5x margin on every row gated at
+    fd_rel.  F^2 does not depend on x, so no x stencil is sampled: their
+    small steps near x = 0 gave round-off near fd_rel."""
+
+    def test_worst_fd_row(self):
+        worst = 0.0
+        for seed in range(1, 7):
+            doc = {
+                "temporal_metric": "exp(2*t)",
+                "cubic": "berwald_moor",
+                "connection": "apriori",
+                "points": {"sampler": {"count": 30, "seed": seed}},
+                "derivative_mode": "fd",
+                "outputs": ["all"],
+            }
+            sc = parse_scenario(doc)
+            report, ok = run_scenario(sc)
+            assert ok and report["summary"]["points_errored"] == 0, seed
+            fd_rel = sc.tolerances["fd_rel"]
+            for record in report["points"]:
+                for section in ("comparisons", "identities"):
+                    for row in record[section].values():
+                        if row["tolerance"] == fd_rel:
+                            worst = max(worst, row["max_rel_dev"])
+        assert 0.0 < worst <= fd_rel / 5
 
 
 _POOL = [
