@@ -19,6 +19,7 @@ header.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -83,20 +84,54 @@ S_DIVERGENCE_TOL = 1e-10
 INVERSE_COND_FACTOR = 100.0
 
 
-def rel_dev(value, ref) -> float:
-    """Max entrywise deviation over max(|value|, |ref|, 1)."""
-    v = np.asarray(value, dtype=float)
-    r = np.asarray(ref, dtype=float)
-    scale = max(float(np.abs(v).max()), float(np.abs(r).max()), 1.0)
-    return float(np.abs(v - r).max() / scale)
+def _segment_starts(arrays) -> list[int]:
+    """Offsets of the arrays (a number counts as one entry) in their
+    concatenation."""
+    return [0, *itertools.accumulate(getattr(a, "size", 1) for a in arrays[:-1])]
 
 
-def identity_dev(residual, reference) -> float:
-    """Max residual entry over max(|reference|, 1)."""
-    res = np.asarray(residual, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    scale = max(float(np.abs(ref).max()), 1.0)
-    return float(np.abs(res).max() / scale)
+def _per_row(rows, pair_devs: list) -> list[float]:
+    """One deviation per row of pairs: Python's ``max`` over the deviations
+    ``pair_devs`` of its pairs, which run through all rows in order."""
+    out, start = [], 0
+    for row in rows:
+        out.append(max(pair_devs[start : start + len(row)]))
+        start += len(row)
+    return out
+
+
+def rel_dev(rows) -> list[float]:
+    """One deviation per row, a row being a list of (value, ref) pairs of
+    arrays of one shape: the max over its pairs of the max entrywise
+    deviation over max(|value|, |ref|, 1).  All pairs are reduced in one pass, as segment
+    maxima over their concatenation."""
+    if not rows:
+        return []
+    values, refs = zip(*(pair for row in rows for pair in row))
+    v = np.concatenate(values, axis=None)
+    r = np.concatenate(refs, axis=None)
+    dev, v_max, r_max = np.maximum.reduceat(
+        np.abs((v - r, v, r)), _segment_starts(values), axis=1
+    ).tolist()
+    return _per_row(rows, [d / max(a, b, 1.0) for d, a, b in zip(dev, v_max, r_max)])
+
+
+def identity_dev(rows) -> list[float]:
+    """One deviation per row, a row being a list of (residual, reference)
+    pairs of arrays: the max over its pairs of the max residual entry over
+    max(|reference|, 1).  All pairs are reduced in one pass, as segment
+    maxima over their concatenation."""
+    if not rows:
+        return []
+    residuals, references = zip(*(pair for row in rows for pair in row))
+    dev, scale = (
+        np.maximum.reduceat(
+            np.abs(np.concatenate(arrays, axis=None)),
+            _segment_starts(arrays),
+        ).tolist()
+        for arrays in (residuals, references)
+    )
+    return _per_row(rows, [d / max(s, 1.0) for d, s in zip(dev, scale)])
 
 
 def _row(dev: float, tol: float) -> dict:
@@ -401,18 +436,21 @@ def _listify(value):
 
 def _s_raised_divergence_dev(cf: bm.ClosedForms) -> float:
     """sum_m d S^m11_i / dy_m against (2/3)(1/y_i) G111^(-2/3), via the kernel."""
-    s_up = cf.s_raised_stack
-    d_y = dt.D1_SLOTS[4:]
+    d_y = cf.s_raised_stack[..., dt.D1_SLOTS[4:]].tolist()  # [m][i][k]
     worst = 0.0
     for i in range(3):
-        total = sum(float(s_up[m, i, d_y[m]]) for m in range(3))
+        total = sum(d_y[m][i][m] for m in range(3))
         ref = (2.0 / 3.0) / cf.point.y[i] * cf.g23inv
         worst = max(worst, abs(total - ref) / max(abs(ref), 1.0))
     return worst
 
 
+@np.errstate(all="ignore")
 def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) -> dict:
-    """All requested tensors, comparisons and identity rows at one point."""
+    """All requested tensors, comparisons and identity rows at one point.
+
+    A value that leaves the double range raises no floating-point warning
+    here: it is recorded as the error of the point or shows in its rows."""
     tm = scenario.tm
     cubic = scenario.cubic
     is_bm = cubic.is_berwald_moor()
@@ -445,48 +483,43 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
     }
 
     if closed is not None:
-        for name in requested:
-            dev = rel_dev(generic[name], closed[name])
-            record["comparisons"][name] = _row(dev, tol_engine)
+        devs = rel_dev([[(generic[n], closed[n])] for n in requested])
+        record["comparisons"] = {n: _row(d, tol_engine) for n, d in zip(requested, devs)}
+
+    # identity name -> (deviation, tolerance); a deviation still to be taken
+    # is the row's list of (residual, reference) pairs, all reduced at the end
+    identities = {}
 
     def identity(name, dev, tol):
-        record["identities"][name] = _row(dev, tol)
+        identities[name] = (dev, tol)
 
     y = np.asarray(p.y)
     cc = contract_cubic(cubic, p)
-    euler = max(
-        identity_dev(cc.Gi11 @ y - 3.0 * cc.G111, 3.0 * cc.G111),
-        identity_dev(cc.Gij1 @ y - 2.0 * cc.Gi11, 2.0 * cc.Gi11),
-        identity_dev(y @ cc.Gij1 @ y - 6.0 * cc.G111, 6.0 * cc.G111),
-    )
+    euler = [
+        (cc.Gi11 @ y - 3.0 * cc.G111, 3.0 * cc.G111),
+        (cc.Gij1 @ y - 2.0 * cc.Gi11, 2.0 * cc.Gi11),
+        (y @ cc.Gij1 @ y - 6.0 * cc.G111, 6.0 * cc.G111),
+    ]
     identity("euler_chain", euler, tol_id)
     g = generic["g_lower"]
     cond_tol = INVERSE_COND_FACTOR * float(np.linalg.cond(g)) * sys.float_info.epsilon
     identity(
         "metric_inverse",
-        identity_dev(g @ generic["g_upper"] - np.eye(3), np.eye(3)),
+        [(g @ generic["g_upper"] - np.eye(3), np.eye(3))],
         max(tol_jet_id, cond_tol),
     )
     C = generic["C"]
-    identity("C_symmetry", identity_dev(C - C.transpose(0, 2, 1), C), tol_jet_id)
-    identity(
-        "C_y_contraction", identity_dev(np.einsum("ijm,m->ij", C, y), C), tol_jet_id
-    )
+    identity("C_symmetry", [(C - C.transpose(0, 2, 1), C)], tol_jet_id)
+    identity("C_y_contraction", [(np.einsum("ijm,m->ij", C, y), C)], tol_jet_id)
     S = generic["S_vv"]
-    identity(
-        "S_antisymmetry", identity_dev(S + S.transpose(0, 1, 3, 2), S), tol_jet_id
-    )
-    identity(
-        "S_equal_fiber_zero",
-        identity_dev(np.einsum("lijj->lij", S), S),
-        tol_jet_id,
-    )
+    identity("S_antisymmetry", [(S + S.transpose(0, 1, 3, 2), S)], tol_jet_id)
+    identity("S_equal_fiber_zero", [(np.einsum("lijj->lij", S), S)], tol_jet_id)
     if is_bm:
-        identity("C_trace", identity_dev(np.einsum("mjm->j", C), C), tol_jet_id)
+        identity("C_trace", [(np.einsum("mjm->j", C), C)], tol_jet_id)
         s_up = closed["S_raised"]
         identity(
             "S_raised_contraction",
-            identity_dev(np.einsum("mr,rim->i", s_up, closed["C"]), s_up),
+            [(np.einsum("mr,rim->i", s_up, closed["C"]), s_up)],
             tol_id,
         )
         identity(
@@ -505,12 +538,10 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
             "t_spatial_fiber": _listify(blocks.t_spatial_fiber),
             "t_fiber_spatial": _listify(blocks.t_fiber_spatial),
         }
-        sym = max(
-            identity_dev(blocks.T_ij - blocks.T_ij.T, blocks.T_ij),
-            identity_dev(
-                blocks.t_spatial_fiber - blocks.t_fiber_spatial, blocks.T_ij
-            ),
-        )
+        sym = [
+            (blocks.T_ij - blocks.T_ij.T, blocks.T_ij),
+            (blocks.t_spatial_fiber - blocks.t_fiber_spatial, blocks.T_ij),
+        ]
         identity("einstein_symmetry", sym, tol_id)
 
     if is_bm and {"stress_energy", "conservation"} & set(scenario.outputs):
@@ -518,10 +549,12 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
 
     if is_bm and "stress_energy" in scenario.outputs:
         sec = ft.stress_energy_contracted(blocks, closed)
-        two_path = max(
-            rel_dev(getattr(se, name), getattr(sec, name))
-            for name in ("tt", "st", "ft", "ts", "ss", "fs", "tf", "sf", "ff")
-        )
+        (two_path,) = rel_dev([
+            [
+                (getattr(se, name), getattr(sec, name))
+                for name in ("tt", "st", "ft", "ts", "ss", "fs", "tf", "sf", "ff")
+            ]
+        ])
         record["stress_energy"] = {
             "tt": se.tt,
             "ss": _listify(se.ss),
@@ -544,8 +577,8 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
             abs(cons.law1_lhs - cons.law1_rhs) / max(abs(cons.law1_rhs), 1.0),
             tol_ad,
         )
-        identity("conservation_law2", identity_dev(cons.law2_lhs, 1.0), tol_ad)
-        identity("conservation_law3", identity_dev(cons.law3_lhs, 1.0), tol_ad)
+        identity("conservation_law2", [(cons.law2_lhs, 1.0)], tol_ad)
+        identity("conservation_law3", [(cons.law3_lhs, 1.0)], tol_ad)
 
     if "em" in scenario.outputs:
         em = ft.em_two_form(ctx)
@@ -555,19 +588,18 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
             "D": _listify(em.D),
             "d_em": _listify(em.d_em),
         }
-        identity(
-            "em_antisymmetry", identity_dev(em.F_em + em.F_em.T, em.d_em), tol_jet_id
-        )
+        identity("em_antisymmetry", [(em.F_em + em.F_em.T, em.d_em)], tol_jet_id)
         if is_bm:
-            identity("em_triviality", identity_dev(em.F_em, 1.0), tol_jet_id)
+            identity("em_triviality", [(em.F_em, 1.0)], tol_jet_id)
             emd = ft.em_covariant_derivatives(ctx)
-            dev = max(
-                identity_dev(emd.F_time, 1.0),
-                identity_dev(emd.F_spatial, 1.0),
-                identity_dev(emd.F_fiber, 1.0),
-            )
-            identity("em_derivatives", dev, tol_jet_ad)
+            derivs = [(emd.F_time, 1.0), (emd.F_spatial, 1.0), (emd.F_fiber, 1.0)]
+            identity("em_derivatives", derivs, tol_jet_ad)
 
+    devs = iter(identity_dev([dev for dev, _ in identities.values() if isinstance(dev, list)]))
+    record["identities"] = {
+        name: _row(next(devs) if isinstance(dev, list) else dev, tol)
+        for name, (dev, tol) in identities.items()
+    }
     return record
 
 

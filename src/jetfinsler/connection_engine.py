@@ -309,9 +309,11 @@ class PointContext:
     def dgdx_stack(self) -> np.ndarray:
         """delta g_ij / delta x^a (adapted), [a, i, j]."""
         dg = self._dg
+        dgdy = dg[:, :, _Y0:, None].transpose(2, 0, 1, 3, 4)  # [p, i, j, 1]
+        n_terms = dt.mul_stacks(self.N_stack[:, None, None], dgdy)  # [p, i, j, a]
         out = dg[:, :, 1:_Y0]  # [i, j, a]
         for p in range(3):
-            out = out - dt.mul_stacks(self.N_stack[p], dg[:, :, None, _Y0 + p])
+            out = out - n_terms[p]
         return out.transpose(2, 0, 1, 3)
 
     @cached_property
@@ -327,9 +329,11 @@ class PointContext:
     def G_time_stack(self) -> np.ndarray:
         """G^k_j1 = (g^km / 2) delta g_mj / delta t, [k, j]."""
         dg = self._dg
+        dgdy = dg[:, :, _Y0:].transpose(2, 0, 1, 3)  # [p, m, j]
+        m_terms = dt.mul_stacks(self.M_stack[:, None, None], dgdy)  # [p, m, j]
         dgdt = dg[:, :, 0]  # [m, j]
         for p in range(3):
-            dgdt = dgdt - dt.mul_stacks(self.M_stack[p], dg[:, :, _Y0 + p])
+            dgdt = dgdt - m_terms[p]
         terms = dt.mul_stacks(self.ginv_stack[:, None], dgdt.transpose(1, 0, 2)[None])
         return 0.5 * _accumulate(terms)
 
@@ -406,9 +410,14 @@ class PointContext:
         L0 = self.L_val
         p_mixed = self.torsions().P_mixed
 
-        frame = self.M_val, self.N_val
-        # [l, i, j, a] = delta C^l_i(j)/delta x^a, [l, i, j, k] = d C^l_i(j) / dy_k
-        _, dCdx, dC = adapted_partials(self.C_stack, *frame)
+        # [l, i, j, a] = delta C^l_i(j)/delta x^a and delta L^l_ij / delta x^a,
+        # [l, i, j, k] = d C^l_i(j) / dy_k and d L^l_ij / dy_k, from one stack;
+        # L enters as [i, j, l], its memory order, so that R_hh and P_hv keep
+        # the layout in which the Ricci einsums sum them
+        both = np.stack((self.C_stack, self.L_stack.transpose(1, 2, 0, 3)))
+        _, d_x, d_y = adapted_partials(both, self.M_val, self.N_val)
+        dCdx, dC = d_x[0], d_y[0]
+        dLdx, dLdy = d_x[1].transpose(2, 0, 1, 3), d_y[1].transpose(2, 0, 1, 3)
         s_vv = (
             dC
             - dC.transpose(0, 1, 3, 2)
@@ -424,8 +433,6 @@ class PointContext:
             - np.einsum("lim,mkj->likj", C0, L0)
         )
 
-        # [l, i, j, a] = delta L^l_ij / delta x^a, [l, i, j, k] = d L^l_ij / dy_k
-        _, dLdx, dLdy = adapted_partials(self.L_stack, *frame)
         p_hv = (
             dLdy
             - c_bar.transpose(0, 1, 3, 2)

@@ -697,6 +697,8 @@ _FD_SHIFT = tuple(4 * (NVARS - 1 - v) for v in range(NVARS))
 _FD_PLACE = np.array([1 << s for s in _FD_SHIFT], dtype=np.int32)
 _FD_ORDER_SHIFT = 4 * NVARS
 _FD_OFFSETS = np.arange(-4.0, 5.0)  # the offset o of each digit o + 5
+#: The code digits o + 5 of the offsets o of the m-th derivative's stencil.
+_FD_DIGITS = {m: (offsets + 5).astype(np.int32) for m, (offsets, _) in _FD_STENCIL.items()}
 
 
 class _FdSignature(NamedTuple):
@@ -786,18 +788,16 @@ def _fd_plan(positions: tuple) -> _FdPlan:
 def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray, out: np.ndarray):
     """Write to the (S, N) ``out`` the codes of the nodes of the stencils with
     these exponents on the S coordinate tuples ``slots``, in
-    ``itertools.product`` order."""
-    np.matmul(_FD_PLACE[slots], _fd_digit_grid(exps).T, out=out)
-    out += order << _FD_ORDER_SHIFT
-
-
-@lru_cache(maxsize=None)
-def _fd_digit_grid(exps: tuple) -> np.ndarray:
-    """(N, k) code digits o + 5 of the offsets o of the nodes of a stencil
-    with these exponents, one column per stencil variable, in
-    ``itertools.product`` order."""
-    digits = [_FD_STENCIL[m][0].astype(np.int32) + 5 for m in exps]
-    return np.stack(np.meshgrid(*digits, indexing="ij"), axis=-1).reshape(-1, len(exps))
+    ``itertools.product`` order: each stencil variable adds its digit times
+    its coordinate's place, broadcast along its own axis of the node grid."""
+    k = len(exps)
+    grid = out.reshape(slots.shape[0], *(_FD_STENCIL[m][0].size for m in exps))
+    grid[...] = order << _FD_ORDER_SHIFT
+    place = _FD_PLACE[slots].reshape(-1, *[1] * k, k)  # [s, ..., v]
+    for v, m in enumerate(exps):
+        axis = [1] * k
+        axis[v] = -1
+        grid += place[..., v] * _FD_DIGITS[m].reshape(axis)
 
 
 @np.errstate(all="ignore")

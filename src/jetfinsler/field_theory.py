@@ -112,7 +112,7 @@ def _check(cf: ClosedForms, K: float) -> None:
 def _finite(group: str, result):
     """``result``, unless one of its values left the double range: then a
     ``NonFiniteOutput`` naming the output group, to be recorded on the point."""
-    if not all(np.isfinite(v).all() for v in vars(result).values()):
+    if not np.isfinite(np.concatenate(list(vars(result).values()), axis=None)).all():
         raise NonFiniteOutput(
             f"{group} values are not finite (Einstein constant out of range?)"
         )
@@ -197,7 +197,7 @@ def conservation_residuals(
     p, tm = cf.point, cf.tm
     # M^q and N^q_j at p, evaluated once for all the adapted derivatives below
     m_at, n_at = NonlinearConnection.apriori(tm).frame(p)
-    kappa, L, C, G_t = cf.kappa, cf["L"], cf["C"], cf["G_time"]
+    kappa = cf.kappa
 
     # The mixed components as order-1 series on the closed forms' seed set;
     # the nonzero ones are products of kappa, h11, xi11 G111^(-2/3) and S^m11_i.
@@ -220,12 +220,22 @@ def conservation_residuals(
     # T^m_1, T^(m)_(1)1, T^1_i and T^1(1)_(i) vanish; their derivatives still
     # enter the sums, as the (signed) zeros the frame operations give.
     zero = np.zeros(dt.NCOEF[1])
-    tt_t, _, _ = adapted_partials(xi_g.c, m_at, n_at)
-    zero_t, zero_x, zero_y = adapted_partials(zero, m_at, n_at)
-    _, ss_x, _ = adapted_partials(field(0.25 * kap * kap / K, True), m_at, n_at)
-    _, _, fs_y = adapted_partials(field(0.5 * h11 * kap / K), m_at, n_at)
-    _, sf_x, _ = adapted_partials(field(0.5 * kap / K), m_at, n_at)
-    _, _, ff_y = adapted_partials(field(h11 / K, True), m_at, n_at)
+    (tt_t, zero_t), (_, zero_x), (_, zero_y) = (
+        d.tolist() for d in adapted_partials(np.stack((xi_g.c, zero)), m_at, n_at)
+    )
+    # T^m_i, T^(m)_(1)i, T^m(1)_(i) and T^(m)(1)_(1)(i), stacked
+    fields = np.stack((
+        field(0.25 * kap * kap / K, True),
+        field(0.5 * h11 * kap / K),
+        field(0.5 * kap / K),
+        field(h11 / K, True),
+    ))
+    _, f_x, f_y = adapted_partials(fields, m_at, n_at)
+    (ss_x, _, sf_x, _), (_, fs_y, _, ff_y) = f_x.tolist(), f_y.tolist()
+
+    # The sums run on Python floats, which round as the arrays' entries do.
+    L, C, G_t = cf["L"].tolist(), cf["C"].tolist(), cf["G_time"].tolist()
+    st, ft, ts, tf = se.st.tolist(), se.ft.tolist(), se.ts.tolist(), se.tf.tolist()
 
     # Law 1: T^1_1/1 + T^m_1|m + T^(m)_(1)1 |^(1)_(m)
     law1 = tt_t + se.tt * kappa - se.tt * kappa
@@ -233,8 +243,8 @@ def conservation_residuals(
         law1 += zero_x[m]
         law1 += zero_y[m]
         for r in range(3):
-            law1 += se.st[r] * L[m, r, m]
-            law1 += se.ft[r] * C[m, r, m]
+            law1 += st[r] * L[m][r][m]
+            law1 += ft[r] * C[m][r][m]
 
     h2 = tm.h11_jet(p.t, 2)
     h = h2.value
@@ -248,36 +258,41 @@ def conservation_residuals(
         """``acc`` plus T^m_i|m + T^(m)_(1)i |^(1)_(m) for the spatial and
         fiber components ``s``, ``f`` and their derivatives ``s_x``, ``f_y``."""
         for m in range(3):
-            acc += s_x[m, i, m]
-            acc += f_y[m, i, m]
+            acc += s_x[m][i][m]
+            acc += f_y[m][i][m]
             for r in range(3):
-                acc += s[r, i] * L[m, r, m] - s[m, r] * L[r, i, m]
-                acc += f[r, i] * C[m, r, m] - f[m, r] * C[r, i, m]
+                acc += s[r][i] * L[m][r][m] - s[m][r] * L[r][i][m]
+                acc += f[r][i] * C[m][r][m] - f[m][r] * C[r][i][m]
         return acc
 
     # Law 2: T^1_i/1 + T^m_i|m + T^(m)_(1)i |^(1)_(m)
-    law2 = np.zeros(3)
+    ss, fs = se.ss.tolist(), se.fs.tolist()
+    law2 = []
     for i in range(3):
-        acc = zero_t + se.ts[i] * kappa
+        acc = zero_t + ts[i] * kappa
         for r in range(3):
-            acc -= se.ts[r] * G_t[r, i]
-        law2[i] = divergence(acc, i, ss_x, fs_y, se.ss, se.fs)
+            acc -= ts[r] * G_t[r][i]
+        law2.append(divergence(acc, i, ss_x, fs_y, ss, fs))
 
     # Law 3: T^1(1)_(i)/1 + T^m(1)_(i)|m + T^(m)(1)_(1)(i) |^(1)_(m)
-    law3 = np.zeros(3)
-    for i in range(3):
-        acc = zero_t + 2.0 * se.tf[i] * kappa
-        law3[i] = divergence(acc, i, sf_x, ff_y, se.sf, se.ff)
+    sf, ff = se.sf.tolist(), se.ff.tolist()
+    law3 = [
+        divergence(zero_t + 2.0 * tf[i] * kappa, i, sf_x, ff_y, sf, ff)
+        for i in range(3)
+    ]
 
     return _finite("conservation", ConservationReport(
-        law1_lhs=float(law1), law1_rhs=float(law1_rhs), law2_lhs=law2, law3_lhs=law3
+        law1_lhs=float(law1),
+        law1_rhs=float(law1_rhs),
+        law2_lhs=np.array(law2),
+        law3_lhs=np.array(law3),
     ))
 
 
-def _ordered_sum(terms) -> np.ndarray:
-    """Elementwise sum of same-shape arrays, added one at a time onto 0.0 in
-    the given order: the floats of Python's ``sum`` over each entry's terms,
-    which also turns a leading -0.0 into +0.0."""
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of stacked arrays over the first axis, added one at a time onto
+    0.0 in index order: the floats of Python's ``sum`` over each entry's
+    terms, which also turns a leading -0.0 into +0.0."""
     acc = 0.0
     for term in terms:
         acc = acc + term
@@ -293,6 +308,8 @@ def em_two_form(ctx: PointContext) -> EMSet:
         Dbar^{(1)}_{(i)1} = (h^11/2) (delta g_im/delta t) y^m
         D^{(1)}_{(i)j} = h^11 g_ip [-N^p_j + L^p_jm y^m]
         d^{(1)(1)}_{(i)(j)} = h^11 [g_ij + g_ip C^p_m(j) y^m]
+
+    Each sum over an index is taken over one stacked array of its terms.
     """
     f_em = ctx.em_form_stack[..., 0]
     y = np.asarray(ctx.point.y)
@@ -302,13 +319,13 @@ def em_two_form(ctx: PointContext) -> EMSet:
     C = ctx.C_val
     # delta g_im / delta t
     dgdt, _, _ = adapted_partials(ctx.g_stack, ctx.M_val, ctx.N_val)
-    d_bar = 0.5 * h_up * _ordered_sum(dgdt[:, m] * y[m] for m in range(3))
-    Ly = _ordered_sum(L[:, :, m] * y[m] for m in range(3))  # [q, j]
-    D = h_up * _ordered_sum(g[:, q, None] * (-ctx.N_val[q] + Ly[q]) for q in range(3))
-    gCy = _ordered_sum(
-        g[:, q, None] * C[q, m] * y[m] for q in range(3) for m in range(3)
-    )
-    d_em = h_up * (g + gCy)
+    d_bar = 0.5 * h_up * _ordered_sum((dgdt * y).T)  # terms [m, i]
+    Ly = _ordered_sum((L * y).transpose(2, 0, 1))  # terms [m, q, j]
+    # terms [q, i, j]: g_iq (-N^q_j + L^q_jm y^m)
+    D = h_up * _ordered_sum(g.T[:, :, None] * (-ctx.N_val + Ly)[:, None])
+    # terms [q, m, i, j]: g_iq C^q_m(j) y^m
+    gCy = g.T[:, None, :, None] * C[:, :, None] * y[:, None, None]
+    d_em = h_up * (g + _ordered_sum(gCy.reshape(9, 3, 3)))
     return EMSet(F_em=f_em, D_bar=d_bar, D=D, d_em=d_em)
 
 
@@ -321,18 +338,17 @@ def em_covariant_derivatives(ctx: PointContext) -> EMDerivatives:
     f_dt, f_dx, f_dy = adapted_partials(f, ctx.M_val, ctx.N_val)
     kappa = ctx.kappa
     G_t, L, C = ctx.G_time_val, ctx.L_val, ctx.C_val
-    # [i, j]: f0[m, j] G_t[m, i] + f0[i, m] G_t[m, j]
+    # terms [m, i, j]: f0[m, j] G_t[m, i] + f0[i, m] G_t[m, j]
     f_time = f_dt + f0 * kappa - _ordered_sum(
-        f0[m] * G_t[m, :, None] + f0[:, m, None] * G_t[m] for m in range(3)
+        f0[:, None, :] * G_t[:, :, None] + f0.T[:, :, None] * G_t[:, None]
     )
-
-    def corrections(conn):
-        """[i, j, k]: f0[m, j] conn[m, i, k] + f0[i, m] conn[m, j, k]"""
-        return _ordered_sum(
-            f0[m, None, :, None] * conn[m, :, None] + f0[:, m, None, None] * conn[m]
-            for m in range(3)
-        )
-
-    f_spatial = f_dx - corrections(L)
-    f_fiber = f_dy - corrections(C)
+    # terms [m, c, i, j, k]: f0[m, j] conn[m, i, k] + f0[i, m] conn[m, j, k]
+    # for the connections conn = L, C
+    conn = np.stack((L, C), axis=1)  # [m, c, i, k]
+    corrections = _ordered_sum(
+        f0[:, None, None, :, None] * conn[:, :, :, None]
+        + f0.T[:, None, :, None, None] * conn[:, :, None]
+    )
+    f_spatial = f_dx - corrections[0]
+    f_fiber = f_dy - corrections[1]
     return EMDerivatives(F_time=f_time, F_spatial=f_spatial, F_fiber=f_fiber)

@@ -1,21 +1,28 @@
 import importlib
 import json
+import math
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jetfinsler.berwald_moor import ClosedForms
 from jetfinsler.cli import (
     COMPARISON_NAMES,
     FORMULA_TABLE,
+    identity_dev,
     load_scenario,
     main,
     parse_scenario,
     print_formula_table,
+    rel_dev,
     run_scenario,
     sample_points,
 )
@@ -634,3 +641,76 @@ class TestEmOutputs:
         for point in report["points"]:
             flat = [v for row in point["em"]["F_em"] for v in row]
             assert max(abs(v) for v in flat) <= 1e-12
+
+
+def _rel_dev_pair(value, ref) -> float:
+    """One pair's deviation, as each comparison row computed it on its own:
+    max entrywise deviation over max(|value|, |ref|, 1)."""
+    v = np.asarray(value, dtype=float)
+    r = np.asarray(ref, dtype=float)
+    scale = max(float(np.abs(v).max()), float(np.abs(r).max()), 1.0)
+    return float(np.abs(v - r).max() / scale)
+
+
+def _identity_dev_pair(residual, reference) -> float:
+    """One pair's deviation, as each identity row computed it on its own:
+    max residual entry over max(|reference|, 1)."""
+    res = np.asarray(residual, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    scale = max(float(np.abs(ref).max()), 1.0)
+    return float(np.abs(res).max() / scale)
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+_ENTRIES = st.floats(width=64) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.0, -1e308]
+)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+
+
+@st.composite
+def _value_pairs(draw):
+    """Two arrays of one shape (0-d included)."""
+    shape = draw(_SHAPES)
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=_ENTRIES)) for _ in "vr")
+
+
+@st.composite
+def _residual_pairs(draw):
+    """A residual array and a reference: an array of any shape, or 1.0."""
+    residual = draw(hnp.arrays(np.float64, _SHAPES, elements=_ENTRIES))
+    reference = draw(st.just(1.0) | hnp.arrays(np.float64, _SHAPES, elements=_ENTRIES))
+    return residual, reference
+
+
+def _rows(pairs):
+    return st.lists(st.lists(pairs, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+class TestBatchedRows:
+    """``rel_dev`` and ``identity_dev`` reduce the rows of a point in one pass;
+    each row is bit for bit the per-pair definition (Python's ``max`` over
+    the pairs of a multi-pair row such as ``euler_chain`` or
+    ``stress_two_path``)."""
+
+    @given(rows=_rows(_value_pairs()))
+    @settings(max_examples=300, deadline=None)
+    def test_rel_dev(self, rows):
+        with np.errstate(all="ignore"):
+            got = rel_dev(rows)
+            want = [max(_rel_dev_pair(v, r) for v, r in row) for row in rows]
+        assert _bits(got) == _bits(want)
+
+    @given(rows=_rows(_residual_pairs()))
+    @settings(max_examples=300, deadline=None)
+    def test_identity_dev(self, rows):
+        with np.errstate(all="ignore"):
+            got = identity_dev(rows)
+            want = [max(_identity_dev_pair(v, r) for v, r in row) for row in rows]
+        assert _bits(got) == _bits(want)
+
+    def test_no_rows(self):
+        assert rel_dev([]) == [] and identity_dev([]) == []

@@ -603,10 +603,11 @@ class TestMetricStack:
 
         monkeypatch.setattr(_backend, "poly_mul", counted)
         ctx.tensor_bundle()
-        # g: one order-2 product; ginv 4, C 1, dg/dx 3, L 1 and G_time 4 at order 1
-        assert sorted(stacked) == [dt.NCOEF[1]] * 13 + [dt.NCOEF[2]]
+        # g: one order-2 product; ginv 4, C 1, dg/dx 1 (all N^p terms), L 1
+        # and G_time 2 (all M^p terms, then g^km) at order 1
+        assert sorted(stacked) == [dt.NCOEF[1]] * 9 + [dt.NCOEF[2]]
         ctx.em_form_stack
-        assert stacked.count(dt.NCOEF[1]) == 13 + 6
+        assert stacked.count(dt.NCOEF[1]) == 9 + 6
 
 
 class TestMemoContract:

@@ -138,6 +138,21 @@ class TestConservationLaws:
         assert np.abs(other.law2_lhs - base.law2_lhs).max() > 1e-3
         assert np.array_equal(other.law3_lhs, base.law3_lhs)
 
+    def test_two_frame_calls(self, random_points, monkeypatch):
+        # the order-1 series of the components go through the adapted frame
+        # in two stacks: the scalars and the four fields
+        frame = ft.adapted_partials
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return frame(*args)
+
+        monkeypatch.setattr(ft, "adapted_partials", counted)
+        cf = ClosedForms(random_points[0], TemporalMetric("exp(2*t)"))
+        ft.conservation_residuals(ft.stress_energy_mixed(cf, 1.0), cf, 1.0)
+        assert calls == [(2, 8), (4, 3, 3, 8)]
+
     def test_nontrivial_einstein_constant(self, unit_point):
         cons = _conservation(unit_point, TemporalMetric("exp(2*t)"), 4.0)
         assert cons.law1_rhs == pytest.approx(-0.125, abs=1e-14)

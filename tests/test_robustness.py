@@ -1,7 +1,10 @@
 """Scenario robustness: a malformed scenario is a ConfigError, and a numeric
 failure at a point is recorded on that point, never raised out of a run."""
 
+import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,6 +18,8 @@ from jetfinsler.cli import (
     run_scenario,
 )
 from jetfinsler.errors import ConfigError
+
+from helpers import subprocess_env
 
 # extreme inputs overflow on purpose; the reports record what follows
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -174,3 +179,25 @@ def test_run_scenario_records_point_errors(doc):
     evaluated = summary["points_errored"] < summary["points_total"]
     assert ok == (summary["points_failed"] == 0 and evaluated)
     assert math.isfinite(report["wall_time_seconds"])
+
+
+def test_overflow_recorded_without_warnings(tmp_path):
+    # a fiber at the top of the double range overflows the exact jet of F^2:
+    # the point records the error, and numpy's floating-point warnings stay
+    # silent, so the run also completes with RuntimeWarning made an error
+    doc = _valid_base()
+    doc["points"] = {"explicit": [{"t": 0.0, "x": [0.0, 0.0, 0.0], "y": [1e308] * 3}]}
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(doc))
+    report = tmp_path / "overflow.report.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "jetfinsler.cli",
+         "run", str(scenario), "--out", str(report)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    (point,) = json.loads(report.read_text())["points"]
+    assert point["error"] == "DomainError: fractional power of a non-finite field value"
