@@ -5,7 +5,10 @@ coefficient arrays: ``poly_mul`` scatters the products ``a[ia] * b[ib]`` into
 the output slots ``ic``, accumulating each slot from 0.0 in table order.  It
 multiplies single series (``Taylor.__mul__``) and stacks of series alike, and
 every caller reaches it through this module's attribute, so a profiler can
-count all products by replacing ``poly_mul`` here.
+count all products by replacing ``poly_mul`` here.  Stacks pass the full
+table of their order; a ``Taylor`` product passes that table restricted to
+the pairs inside the slots its factors depend on (``difftools._mul_table``),
+so ``len(ia)`` is the number of multiply-adds a single product makes.
 """
 
 from __future__ import annotations

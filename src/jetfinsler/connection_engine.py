@@ -128,12 +128,14 @@ _DT, _DX, _DY = int(dt.D1_SLOTS[0]), dt.D1_SLOTS[1:_Y0], dt.D1_SLOTS[_Y0:]
 def stack_coefficients(nested) -> np.ndarray:
     """Coefficients of a nested list of same-order series as one array, with
     the coefficients on the last axis (8 of them at order 1); a number stands
-    for a constant order-1 series."""
+    for a constant order-1 series, its value followed by zeros."""
     if isinstance(nested, dt.Taylor):
         return nested.c
     if isinstance(nested, (list, tuple)):
         return np.array([stack_coefficients(e) for e in nested])
-    return dt.taylor_constant(float(nested), 1).c
+    row = np.zeros(dt.NCOEF[1])
+    row[0] = nested
+    return row
 
 
 def adapted_partials(s: np.ndarray, m: np.ndarray, n: np.ndarray):

@@ -90,6 +90,26 @@ def _build_mul_tables():
 
 _MUL = _build_mul_tables()
 
+#: Bit set of every coordinate slot, bit v standing for slot v.
+ALL_SLOTS = (1 << NVARS) - 1
+_SUPPORT = (_EXPONENT_ARRAY > 0) @ (1 << np.arange(NVARS))  # slots of each monomial
+#: Per order k, the slots the two monomials of each pair of ``_MUL[k]`` use.
+_PAIR_SLOTS = {
+    k: (_SUPPORT[ia] | _SUPPORT[ib]).astype(np.uint8) for k, (ia, ib, _, _) in _MUL.items()
+}
+_MUL_BY_SLOTS = [None] * ((MAX_ORDER + 1) << NVARS)  # filled by _mul_table
+
+
+def _mul_table(k: int, slots: int):
+    """``_MUL[k]`` restricted to the pairs whose two monomials use only the
+    slots of the bit set ``slots``, in table order; built on first use."""
+    table = _MUL_BY_SLOTS[k << NVARS | slots]
+    if table is None:
+        ia, ib, ic, n = _MUL[k]
+        keep = (_PAIR_SLOTS[k] & (ALL_SLOTS ^ slots)) == 0
+        table = _MUL_BY_SLOTS[k << NVARS | slots] = (ia[keep], ib[keep], ic[keep], n)
+    return table
+
 
 def _build_first_partials():
     """Per order k >= 1, the tables (src, fac), each (7, NCOEF[k - 1]), of the
@@ -127,13 +147,25 @@ class Taylor:
     partial divided by the multi-index factorial.  Instances are treated as
     immutable: every operation allocates a fresh coefficient array, so slices
     of ``c`` may be shared freely.
+
+    ``deps`` is the bit set of the coordinate slots the series may depend on
+    (bit v for slot v): every coefficient of a monomial that uses another
+    slot is zero.  A seed has its own slot, a constant none, and a series
+    built from raw coefficients all seven.  Each operation takes the union of
+    its operands' sets, and a product multiplies only the pairs of
+    coefficients whose monomials both lie inside that union (``_mul_table``).
+    A pair it drops only feeds a coefficient outside the union, which is the
+    +0.0 the full product sums there from zero terms: for finite
+    coefficients every float equals the one of the product over the full
+    table.
     """
 
-    __slots__ = ("c", "order")
+    __slots__ = ("c", "order", "deps")
 
-    def __init__(self, coeffs: np.ndarray, order: int):
+    def __init__(self, coeffs: np.ndarray, order: int, deps: int = ALL_SLOTS):
         self.c = coeffs
         self.order = order
+        self.deps = deps
 
     @property
     def value(self) -> float:
@@ -144,7 +176,7 @@ class Taylor:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
-        return Taylor(self.c[: NCOEF[order]], order)
+        return Taylor(self.c[: NCOEF[order]], order, self.deps)
 
     def partial(self, *spec) -> float:
         """The mixed partial named by ``spec`` (coordinate names or slots, in
@@ -168,10 +200,10 @@ class Taylor:
         if isinstance(other, Taylor):
             k = min(self.order, other.order)
             n = NCOEF[k]
-            return Taylor(self.c[:n] + other.c[:n], k)
+            return Taylor(self.c[:n] + other.c[:n], k, self.deps | other.deps)
         c = self.c.copy()
         c[0] += float(other)
-        return Taylor(c, self.order)
+        return Taylor(c, self.order, self.deps)
 
     __radd__ = __add__
 
@@ -179,35 +211,35 @@ class Taylor:
         if isinstance(other, Taylor):
             k = min(self.order, other.order)
             n = NCOEF[k]
-            return Taylor(self.c[:n] - other.c[:n], k)
+            return Taylor(self.c[:n] - other.c[:n], k, self.deps | other.deps)
         c = self.c.copy()
         c[0] -= float(other)
-        return Taylor(c, self.order)
+        return Taylor(c, self.order, self.deps)
 
     def __rsub__(self, other):
         c = -self.c
         c[0] += float(other)
-        return Taylor(c, self.order)
+        return Taylor(c, self.order, self.deps)
 
     def __neg__(self):
-        return Taylor(-self.c, self.order)
+        return Taylor(-self.c, self.order, self.deps)
 
     def __mul__(self, other):
         if isinstance(other, Taylor):
             k = min(self.order, other.order)
-            n = NCOEF[k]
-            ia, ib, ic, nout = _MUL[k]
+            deps = self.deps | other.deps
+            ia, ib, ic, n = _mul_table(k, deps)
             return Taylor(
-                _backend.poly_mul(self.c[:n], other.c[:n], ia, ib, ic, nout), k
+                _backend.poly_mul(self.c[:n], other.c[:n], ia, ib, ic, n), k, deps
             )
-        return Taylor(self.c * float(other), self.order)
+        return Taylor(self.c * float(other), self.order, self.deps)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Taylor):
             return self * other._recip()
-        return Taylor(self.c / float(other), self.order)
+        return Taylor(self.c / float(other), self.order, self.deps)
 
     def __rtruediv__(self, other):
         return self._recip() * float(other)
@@ -240,7 +272,7 @@ class Taylor:
 def taylor_constant(value: float, order: int) -> Taylor:
     c = np.zeros(NCOEF[order])
     c[0] = value
-    return Taylor(c, order)
+    return Taylor(c, order, 0)
 
 
 def taylor_variable(var: Union[int, str], value: float, order: int) -> Taylor:
@@ -249,9 +281,8 @@ def taylor_variable(var: Union[int, str], value: float, order: int) -> Taylor:
     c = np.zeros(NCOEF[order])
     c[0] = value
     if order >= 1:
-        unit = tuple(1 if i == idx else 0 for i in range(NVARS))
-        c[_POS[unit]] = 1.0
-    return Taylor(c, order)
+        c[D1_SLOTS[idx]] = 1.0
+    return Taylor(c, order, 1 << idx)
 
 
 def as_taylor(value, order: int) -> Taylor:
@@ -280,7 +311,7 @@ def deriv(u: Taylor, var: Union[int, str]) -> Taylor:
     if u.order == 0:
         raise ValueError("cannot differentiate an order-0 series")
     src, fac = _FIRST_PARTIALS[u.order]
-    return Taylor(u.c[src[idx]] * fac[idx], u.order - 1)
+    return Taylor(u.c[src[idx]] * fac[idx], u.order - 1, u.deps)
 
 
 # -- stacked series ----------------------------------------------------------
@@ -312,7 +343,9 @@ def compose_univariate(u: Taylor, cs: Sequence[float]) -> Taylor:
     """Evaluate sum_n cs[n] * (u - u.value)^n by Horner's scheme.
 
     ``cs[n]`` must be ``f^(n)(u.value) / n!`` for the function being composed;
-    ``len(cs)`` must be ``u.order + 1``.
+    ``len(cs)`` must be ``u.order + 1``.  The result depends on the slots
+    ``u`` depends on (``u.deps``), so each Horner product multiplies only
+    the pairs inside them.
     """
     w = u - float(u.c[0])
     out = taylor_constant(cs[-1], u.order)

@@ -61,8 +61,9 @@ _FLOAT_BITS = struct.Struct("<d").pack  # tells -0.0 from 0.0, unlike ==
 
 def _per_t(method):
     """Remember ``method(self, t, *args)`` for the most recent t (see
-    ``TemporalMetric``): keyed on t's bits for a float t, also on the order
-    and coefficient bytes for a ``Taylor`` t; any other t is not remembered."""
+    ``TemporalMetric``): keyed on t's bits for a float t, also on the order,
+    the slot set and the coefficient bytes for a ``Taylor`` t; any other t is
+    not remembered."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -70,7 +71,8 @@ def _per_t(method):
         if type(t) is float:
             value, key = t, (name, *args)
         elif isinstance(t, dt.Taylor):
-            value, key = t.value, (name, *args, t.order, t.c.dtype.str, t.c.tobytes())
+            value = t.value
+            key = (name, *args, t.order, t.deps, t.c.dtype.str, t.c.tobytes())
         else:
             return method(self, t, *args)
         slot = self._memo
@@ -95,9 +97,9 @@ class TemporalMetric:
     remember their results for the most recent t: one point's engines, closed
     forms and field theory share one evaluation per method and argument.  The
     memo is keyed on the exact bits of t, and for a ``Taylor`` argument on its
-    order and coefficient bytes too, so a hit returns the object a fresh
-    instance would compute (results are numbers and ``Taylor`` values, which
-    are never modified in place).  A t that is neither a Python float nor a
+    order, its slot set (``deps``) and its coefficient bytes too, so a hit
+    returns the object a fresh instance would compute (results are numbers
+    and ``Taylor`` values, which are never modified in place).  A t that is neither a Python float nor a
     ``Taylor``, such as an array of stencil nodes, is evaluated every time; a
     call that raises stores nothing.  The memo is one ``(t, dict)`` slot replaced as a whole when t
     changes, so threads evaluating at different times can only make each

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from jetfinsler import _backend
 from jetfinsler import difftools as dt
 from jetfinsler.errors import DomainError, OrderTooHigh
-from jetfinsler.jetspace import JetPoint
+from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
+from jetfinsler.metric_engine import finsler_F_squared_field
 
 from fields_corpus import CORPUS
 from helpers import central_difference
@@ -327,3 +329,87 @@ def test_import_time_tables_match_loop_definitions():
         assert got[3] == n
         for a, b in zip(got[:3], (ia, ib, ic)):
             assert a.dtype == np.int64 and a.shape == b.shape and (a == b).all(), k
+
+
+# -- products restricted to the slots a series depends on ----------------------
+
+#: Inside a series' slot set: signed zeros, subnormals, large finite values.
+_INSIDE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1.7976931348623157e308]),
+)
+
+
+def _uses_only(exponents, slots: int) -> bool:
+    return all(not e or slots >> v & 1 for v, e in enumerate(exponents))
+
+
+@st.composite
+def _series_on(draw, order):
+    """A series of ``order`` on a drawn slot set, zero outside it."""
+    slots = draw(st.integers(0, dt.ALL_SLOTS))
+    c = draw(hnp.arrays(float, dt.NCOEF[order], elements=_INSIDE))
+    for i, e in enumerate(dt._EXPONENTS[: dt.NCOEF[order]]):
+        if not _uses_only(e, slots):
+            c[i] = 0.0
+    return dt.Taylor(c, order, slots)
+
+
+@given(data=st.data(), ka=st.integers(0, dt.MAX_ORDER), kb=st.integers(0, dt.MAX_ORDER))
+@settings(max_examples=300, deadline=None)
+def test_restricted_product_matches_full_table(data, ka, kb):
+    a, b = data.draw(_series_on(ka)), data.draw(_series_on(kb))
+    k, union = min(ka, kb), a.deps | b.deps
+    poly_mul, tables = _backend.poly_mul, []
+
+    def recording_poly_mul(x, y, ia, ib, ic, n):
+        tables.append((ia, ib))
+        return poly_mul(x, y, ia, ib, ic, n)
+
+    n = dt.NCOEF[k]
+    with mock.patch.object(_backend, "poly_mul", recording_poly_mul), np.errstate(all="ignore"):
+        got = a * b
+        full = poly_mul(a.c[:n], b.c[:n], *dt._MUL[k])
+    assert got.order == k and got.deps == union
+    assert got.c.tobytes() == full.tobytes()
+    for i, e in enumerate(dt._EXPONENTS[:n]):
+        if not _uses_only(e, union):
+            assert got.c[i].tobytes() == bytes(8), i  # +0.0
+    # exactly the pairs of the full table whose monomials both lie in the union
+    ia, ib = dt._MUL[k][:2]
+    keep = [
+        _uses_only(dt._EXPONENTS[i], union) and _uses_only(dt._EXPONENTS[j], union)
+        for i, j in zip(ia.tolist(), ib.tolist())
+    ]
+    ((got_ia, got_ib),) = tables
+    assert got_ia.tolist() == ia[keep].tolist() and got_ib.tolist() == ib[keep].tolist()
+
+
+def test_slot_sets_of_seeds_and_operations():
+    t = dt.taylor_variable("t", 0.5, 3)
+    y1 = dt.taylor_variable(4, 2.0, 3)
+    assert t.deps == 0b1 and y1.deps == 0b10000
+    assert dt.taylor_constant(3.0, 3).deps == 0 and dt.as_taylor(3.0, 3).deps == 0
+    assert dt.Taylor(np.zeros(dt.NCOEF[2]), 2).deps == dt.ALL_SLOTS
+    for u in (t + y1, t - y1, t * y1, t / y1, dt.exp(t) * dt.sqrt(y1), 2.0 - t * y1):
+        assert u.deps == 0b10001
+    for u in (t**3, -t, dt.exp(t), dt.log(t), t.truncate(1), dt.deriv(t * t, 0)):
+        assert u.deps == 0b1
+
+
+@pytest.mark.parametrize(
+    "entries, slots",
+    [
+        (None, (0, 4, 5, 6)),  # Berwald-Moor: t and y1..y3
+        ({"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}, range(7)),
+    ],
+)
+def test_f2_jet_carries_its_slots_and_matches_full_seeds(entries, slots):
+    cubic = CubicForm.berwald_moor() if entries is None else CubicForm.from_entries(entries)
+    field = finsler_F_squared_field(cubic, TemporalMetric("exp(2*t)"))
+    p = JetPoint.of(0.3, (0.4, -0.2, 0.7), (1.1, 0.7, 2.0))
+    jet = dt.jet_eval(field, p, 4)
+    assert jet.deps == sum(1 << v for v in slots)
+    # seeds that claim every slot: every product runs over the full table
+    seeds = (dt.Taylor(s.c, 4) for s in dt.seed_point(p.coords(), 4))
+    assert jet.c.tobytes() == field(*seeds).c.tobytes()

@@ -30,10 +30,10 @@ METRICS = ("exp(2*t)", "1 + t*t", "2 + sin(3*t)", "1")
 
 
 def as_bytes(value):
-    """A result as comparable bytes: a float's bits, a series' order and
-    coefficients (int results of constant metrics stay ints)."""
+    """A result as comparable bytes: a float's bits, a series' order, slot
+    set and coefficients (int results of constant metrics stay ints)."""
     if isinstance(value, dt.Taylor):
-        return ("taylor", value.order, value.c.tobytes())
+        return ("taylor", value.order, value.deps, value.c.tobytes())
     if isinstance(value, float):
         return ("float", struct.pack("<d", value))
     return (type(value).__name__, value)
@@ -57,6 +57,10 @@ def calls(t):
     # a series in another direction with the same value must not collide
     other = dt.taylor_variable("x1", t, 1)
     out.append(("h11_eval_x1", lambda tm: tm.h11_eval(other)))
+    # nor one with the t seed's coefficients that claims every slot
+    full = dt.Taylor(dt.taylor_variable("t", t, 2).c, 2)
+    out.append(("h11_eval_all_slots", lambda tm: tm.h11_eval(full)))
+    out.append(("kappa_eval_all_slots", lambda tm: tm.kappa_eval(full)))
     return out
 
 

@@ -14,6 +14,7 @@ from jetfinsler.cli import (
     COMPARISON_NAMES,
     GROUP_NAMES,
     Scenario,
+    main,
     parse_scenario,
     run_scenario,
 )
@@ -201,3 +202,44 @@ def test_overflow_recorded_without_warnings(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     (point,) = json.loads(report.read_text())["points"]
     assert point["error"] == "DomainError: fractional power of a non-finite field value"
+
+
+_GENERIC_ENTRIES = {"123": "1/6 + 0.05*x1*x2", "111": "0.3*x1", "223": "0.1*sin(x3)"}
+
+
+def _generic_g111(x, y) -> float:
+    """G_pqr y^p y^q y^r of the entries above, on plain floats: each stored
+    entry counted once per distinct permutation of its indices."""
+    return (
+        6 * (1 / 6 + 0.05 * x[0] * x[1]) * y[0] * y[1] * y[2]
+        + 0.3 * x[0] * y[0] ** 3
+        + 3 * 0.1 * math.sin(x[2]) * y[1] * y[1] * y[2]
+    )
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_generic_cubic_run_errors_only_where_g111_is_not_positive(s, tmp_path, capsys):
+    # the benchmark's generic-cubic input shape, at sampler seeds 1000 s
+    doc = {
+        "temporal_metric": "exp(2*t)",
+        "cubic": {"entries": _GENERIC_ENTRIES},
+        "connection": "apriori",
+        "points": {"sampler": {"count": 100, "seed": 1000 * s, "y_box": [0.2, 5.0],
+                               "t_range": [-1.0, 1.0], "x_range": [-1.0, 1.0]}},
+        "einstein_constant": 1.0,
+        "derivative_mode": "exact",
+        "outputs": ["all"],
+    }
+    scenario, out = tmp_path / "generic.json", tmp_path / "generic.report.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["run", str(scenario), "--out", str(out)])
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert rc == (0 if report["summary"]["all_pass"] else 1)
+    assert len(report["points"]) == 100
+    for rec in report["points"]:
+        g111 = _generic_g111(rec["point"]["x"], rec["point"]["y"])
+        if g111 <= 0.0:
+            assert rec["error"] is not None and rec["error"].startswith("DomainError: ")
+        else:
+            assert rec["error"] is None, (rec["index"], g111)
