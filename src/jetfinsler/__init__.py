@@ -10,7 +10,6 @@ from .difftools import (
     PartialSpec,
     Taylor,
     fd_jet,
-    fd_partial,
     jet_eval,
     partial,
 )

@@ -14,18 +14,10 @@ arithmetic, so derivatives of polynomial, rational and power fields are exact
 to floating-point rounding.  The truncation order is capped at
 :data:`MAX_ORDER` = 4, the deepest derivative needed anywhere downstream.
 
-Finite differences appear only in :func:`fd_partial` / :func:`fd_jet`, an
-optional path used to cross-check the exact kernel; they are never the
-default.  Both evaluate the distinct nodes of their stencils in a few calls
-of the field on :class:`NodeArray` coordinates, one element per node.  numpy's
-``+ - * /`` round each element as Python's float operations do, but its
-array powers and transcendental functions do not, so ``**`` on a
-:class:`NodeArray` and the helpers below apply Python's ``**`` and
-:mod:`math` to each distinct element value: every node value, and so every
-stencil sum, is bit-identical to evaluating the field node by node on
-floats.  If a call raises or gives a non-finite value, the field is called
-once per distinct node instead, on floats, in coefficient order, and the
-stencils are summed from those values by the same code.
+Sampled derivatives appear only in :func:`fd_jet`, an optional path used to
+cross-check the exact kernel; it is never the default.  It reads the jet off
+contour integrals: one call of the field on a complex array of nodes on
+circles around the point, one circle per direction.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -365,62 +357,11 @@ def univariate_coefficients(u: Taylor, var: Union[int, str], count: int):
     return out
 
 
-# -- stencil node arrays --------------------------------------------------------
-
-
-class NodeArray(np.ndarray):
-    """Float64 values at finite-difference stencil nodes (see :func:`fd_partial`).
-
-    numpy's ``+ - * /`` round each element as Python's float operations do,
-    but array ``**`` does not (it differs from Python's in a few percent of
-    cases), so ``**`` takes the power of each element as a Python float, once
-    per distinct element (:func:`_elementwise`).
-    """
-
-    def __pow__(self, e):
-        return _elementwise(pow, self, e)
-
-    def __rpow__(self, b):
-        return _elementwise(lambda v: b**v, self)
-
-
-def _elementwise(fn, u: np.ndarray, *args) -> NodeArray:
-    """``fn(v, *args)`` for each element v of ``u`` taken as a Python float
-    (as a Python int or bool for such arrays).
-
-    ``fn`` is called once per distinct bit pattern of the elements, and its
-    result gathered back to every element with that pattern: equal bits give
-    equal results, so the values are those of one call per element.  Keying
-    on bits keeps +0.0 and -0.0, and NaNs of different payloads, apart.  The
-    nodes of a stencil chunk repeat their coordinates: the elementwise calls
-    of the fd F^2 jet take 8,487 elements of 451 distinct values for the
-    Berwald-Moor cubic with h11 = exp(2*t), and 102,055 of 35,421 for a
-    cubic whose entries name x1, x2 and x3.
-    If a call raises, ``fn`` is called per element, in order, so that the
-    first element that raises raises.
-    """
-    flat = np.ravel(u)
-    if flat.dtype.kind not in "biuf":
-        flat = flat.astype(float)
-    bits = flat.view(f"i{flat.itemsize}")
-    distinct = np.sort(bits)
-    new = np.empty(bits.size, dtype=bool)  # where a pattern starts
-    new[:1] = True
-    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
-    distinct = distinct[new]
-    try:
-        calls = map(fn, distinct.view(flat.dtype).tolist(), *map(itertools.repeat, args))
-        values = np.fromiter(calls, float, distinct.size)[np.searchsorted(distinct, bits)]
-    except Exception:
-        calls = map(fn, flat.tolist(), *map(itertools.repeat, args))
-        values = np.fromiter(calls, float, flat.size)
-    return values.reshape(np.shape(u)).view(NodeArray)
-
-
 # -- analytic helpers usable on floats, Taylor values and node arrays ---------
 #
-# On arrays each helper calls ``math`` (or Python's ``**``) once per distinct
-# element: numpy's own exp, log and fractional powers round differently.
+# On a numpy array, such as the complex contour nodes of ``fd_jet``, each
+# helper is numpy's function on its principal branch, with no domain check:
+# ``fd_jet`` checks the values it gets.
 
 
 def exp(u):
@@ -429,7 +370,7 @@ def exp(u):
         cs = [v / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
-        return _elementwise(math.exp, u)
+        return np.exp(u)
     return math.exp(u)
 
 
@@ -442,9 +383,7 @@ def log(u):
         cs += [(-1.0) ** (n - 1) / (n * u0**n) for n in range(1, u.order + 1)]
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
-        if (u <= 0.0).any():
-            raise DomainError("log of a non-positive value")
-        return _elementwise(math.log, u)
+        return np.log(u)
     if u <= 0.0:
         raise DomainError("log of a non-positive value")
     return math.log(u)
@@ -457,7 +396,7 @@ def sin(u):
         cs = [cycle[n % 4] / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
-        return _elementwise(math.sin, u)
+        return np.sin(u)
     return math.sin(u)
 
 
@@ -468,12 +407,13 @@ def cos(u):
         cs = [cycle[n % 4] / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
-        return _elementwise(math.cos, u)
+        return np.cos(u)
     return math.cos(u)
 
 
 def powf(u, alpha: float):
-    """Real power u**alpha, defined only for positive finite u (single branch)."""
+    """Real power u**alpha, defined only for positive finite u (single branch);
+    on an array, the principal branch."""
     if isinstance(u, Taylor):
         u0 = float(u.c[0])
         if u0 <= 0.0:
@@ -490,12 +430,7 @@ def powf(u, alpha: float):
             raise DomainError(f"the series of {u0!r} ** {alpha!r} overflows") from None
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
-        if (u <= 0.0).any():
-            raise DomainError("fractional power of a non-positive value")
-        if not np.isfinite(u).all():
-            raise DomainError("fractional power of a non-finite value")
-        # math.pow calls C pow, as float ** float does for positive bases
-        return _elementwise(math.pow, u, alpha)
+        return np.power(u, alpha)
     if u <= 0.0:
         raise DomainError("fractional power of a non-positive value")
     if not math.isfinite(u):
@@ -581,315 +516,131 @@ def jet_eval(field: Callable, point, order: int) -> Taylor:
     return as_taylor(field(*seed_point(coords, order)), order)
 
 
-# -- finite-difference fallback ----------------------------------------------
+# -- contour jets: the finite-difference cross-check ---------------------------
+#
+# Along a direction w, the Taylor coefficients of z -> f(p + z w) are Cauchy
+# integrals over a circle, which the trapezoidal rule on N equispaced nodes
+# gives up to aliasing from degree N on (Lyness & Moler, SIAM J. Numer. Anal.
+# 4 (1967) 202-210; Fornberg, ACM TOMS 7 (1981) 512-526).  Along w = i r, for
+# the i of |i| = order over the active slots and radii r, the degree-d one is
+# sum_{|a| = d} c_a r^a i^a, and these determine the jet coefficients c_a of
+# every degree d <= order (Griewank, Utke & Walther, Math. Comp. 69 (2000)).
 
-# Relative steps per total derivative order, tuned so that the 6th-order
-# stencils below balance truncation against roundoff on smooth power-law
-# fields over fiber coordinates down to 0.2.
-_FD_REL_STEP = {1: 3e-3, 2: 6e-3, 3: 2e-2, 4: 4e-2}
-_FD_SCALE_FLOOR = 0.1
-
-
-#: Offsets and weights of the central stencil of the m-th derivative on the
-#: offsets -r..r, r = (m + 5) // 2, 6th-order accurate: the exact rational
-#: weights (Fornberg, Math. Comp. 51 (1988) 699-706), each correctly rounded.
-#: The centre of the odd-order stencils has weight 0 and is left out.
-_FD_STENCIL = {
-    m: (np.array(offsets), np.array(weights))
-    for m, offsets, weights in (
-        (
-            1,
-            (-3, -2, -1, 1, 2, 3),
-            (-1 / 60, 3 / 20, -3 / 4, 3 / 4, -3 / 20, 1 / 60),
-        ),
-        (
-            2,
-            (-3, -2, -1, 0, 1, 2, 3),
-            (1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90),
-        ),
-        (
-            3,
-            (-4, -3, -2, -1, 1, 2, 3, 4),
-            (-7 / 240, 3 / 10, -169 / 120, 61 / 30, -61 / 30, 169 / 120, -3 / 10, 7 / 240),
-        ),
-        (
-            4,
-            (-4, -3, -2, -1, 0, 1, 2, 3, 4),
-            (7 / 240, -2 / 5, 169 / 60, -122 / 15, 91 / 8, -122 / 15, 169 / 60, -2 / 5, 7 / 240),
-        ),
-    )
-}
-
-
-def fd_partial(field: Callable, point, spec) -> float:
-    """Mixed partial via tensor-product central differences (cross-check path).
-
-    Far less accurate than :func:`partial`; relative error is about 1e-6 on
-    smooth O(1) fields, degrading with the derivative order.
-
-    The value is the sum over the stencil nodes, in ``itertools.product``
-    order of the per-variable stencils, of the product of the per-variable
-    weights, taken left to right from 1.0, times the field evaluated on
-    Python floats at the node; the sum runs from 0.0 one node at a time and
-    is divided by the product of the step powers last (:func:`_fd_sums`).
-    """
-    spec = PartialSpec.coerce(spec)
-    coords = _coords_of(point)
-    if spec.order == 0:
-        return float(field(*coords))
-    return float(_fd_values(field, coords, (_POS[spec.exponents],))[0])
+#: Nodes per circle, the radius factor rho before halving, how often it is
+#: halved at most, the share of |f(p)| by which a node value may differ from
+#: f(p) (which keeps powers such as G111^(2/3) on their principal branch and
+#: the circles inside the disc of convergence), and the floor of |c_v|.
+_FD_NODES, _FD_RHO, _FD_HALVINGS, _FD_IMAGE, _FD_SCALE_FLOOR = 32, 0.25, 20, 0.5, 0.1
 
 
 def fd_jet(
     field: Callable, point, order: int, active=None, min_fiber_degree: int = 0
 ) -> Taylor:
-    """Taylor coefficients assembled from finite differences (drop-in for the
-    exact jet; used by the engine's ``fd`` derivative mode).
+    """Taylor coefficients from contour integrals (drop-in for the exact jet;
+    used by the engine's ``fd`` derivative mode).
 
-    ``active`` optionally lists the coordinate slots the field depends on;
-    coefficients of monomials touching other slots are zero without being
-    sampled (the engine passes the slots its F^2 and h11 expressions name,
-    ``metric_engine.f2_slots`` and ``h11_slots``; with none, the jet is the
-    value alone).  Likewise coefficients of monomials whose degree in the
-    fiber coordinates y1..y3 is below ``min_fiber_degree`` are zero without
-    being sampled: a caller that only reads k-th y-derivatives of the jet (the
-    metric takes two of F^2) needs no lower ones, since ``deriv`` only
-    gathers coefficients.  The value ``c[0]`` is always sampled, so the
-    point's own domain check comes before any stencil's.
+    The field is called on floats for ``c[0]`` (so the point's own domain
+    check comes first), then on one complex array per radius: active
+    coordinate v is ``c_v + i_v r_v z`` at the N nodes z of the unit circle,
+    per direction i, r_v = rho max(|c_v|, 0.1) / order.  rho = 0.25 halves,
+    up to 20 times, until no node raises ``DomainError`` and every value is
+    within 0.5 |f(p)| of f(p); else ``DomainError`` is raised.
 
-    Each sampled coefficient is ``fd_partial``'s divided by the multi-index
-    factorial, bit for bit; stencils of one derivative order share nodes,
-    and each distinct node is evaluated once.
+    Coefficients of monomials that touch a slot outside ``active`` (default
+    all; the engine passes ``metric_engine.f2_slots`` and ``h11_slots``), or
+    of y-degree below ``min_fiber_degree`` (the metric reads two
+    y-derivatives of F^2), are zero; the others do not depend on it.
     """
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the maximum {MAX_ORDER}")
     coords = _coords_of(point)
-    active = frozenset(range(NVARS) if active is None else active)
     c = np.zeros(NCOEF[order])
-    c[0] = float(field(*coords))
-    positions = _fd_positions(order, active, min_fiber_degree)
-    rows = list(positions)
-    c[rows] = _fd_values(field, coords, positions) / _FACT[rows]
+    c[0] = value = float(field(*coords))
+    slots = tuple(sorted(set(range(NVARS) if active is None else active)))
+    if order == 0 or not slots:
+        return Taylor(c, order)
+    positions, exps, fiber, dirs, blocks, circle, dft = _contour_maps(order, slots)
+    scale = np.array([max(abs(coords[v]), _FD_SCALE_FLOOR) for v in slots]) / order
+    for halvings in range(_FD_HALVINGS + 1):
+        radius = _FD_RHO / 2**halvings * scale
+        got = _on_circles(field, coords, slots, dirs * radius, circle, value)
+        if got is not None:
+            break
+    else:
+        raise DomainError(f"no contour radius keeps the field near its value {value!r}")
+    along = (got @ dft).real  # [direction, degree]: the trapezoidal sums
+    scaled = np.zeros(len(positions))  # c_a r^a
+    for d, (block, inverse) in enumerate(blocks, start=1):
+        if d >= min_fiber_degree:
+            scaled[block] = np.einsum("ai,i->a", inverse, along[:, d])
+    scaled[fiber < min_fiber_degree] = 0.0
+    c[positions] = scaled / np.prod(radius**exps, axis=1)
     return Taylor(c, order)
 
 
-@lru_cache(maxsize=None)
-def _fd_positions(order: int, active: frozenset, min_fiber_degree: int) -> tuple:
-    """The coefficients ``fd_jet`` samples, in coefficient order."""
-    e = _EXPONENT_ARRAY[: NCOEF[order]]
-    keep = e[:, _FIBER].sum(axis=1) >= min_fiber_degree
-    keep &= ~e[:, [v for v in range(NVARS) if v not in active]].any(axis=1)
-    keep[0] = False
-    return tuple(np.flatnonzero(keep).tolist())
-
-
-def _fd_values(field: Callable, coords, positions: tuple) -> np.ndarray:
-    """``fd_partial``'s value of each coefficient in ``positions``: the
-    stencils of their node plan summed from the node values of the batched
-    calls or, if one of those fails, of one call per distinct node."""
-    plan = _fd_plan(positions)
-    own = np.reshape(coords, (-1, 1))
-    steps, tables = {}, {}
-    for d in {d for _, _, d, _ in plan.chunks}:
-        # the steps and each coordinate's digit values, as fd_partial has them
-        steps[d] = [_FD_REL_STEP[d] * max(abs(x), _FD_SCALE_FLOOR) for x in coords]
-        with np.errstate(all="ignore"):
-            tables[d] = np.hstack([own, own + np.multiply.outer(steps[d], _FD_OFFSETS)])
+@np.errstate(all="ignore")
+def _on_circles(field: Callable, coords, slots, steps, circle, value):
+    """The field at the nodes ``coords[v] + steps[i, j] z``, v = slots[j],
+    (directions, N); None if it raises ``DomainError`` or a value is not
+    finite or farther than _FD_IMAGE |value| from ``value``."""
+    args = list(coords)
+    for j, v in enumerate(slots):
+        args[v] = coords[v] + np.multiply.outer(steps[:, j], circle)
     try:
-        values = _fd_batched(field, coords, plan, tables)
-    except Exception:  # raised again by the node that fails
-        values = None
-    if values is None:
-        values = _fd_node_by_node(field, plan, steps, tables)
-    return _fd_sums(plan, values, steps)
-
-
-# A stencil node of the coefficients of total derivative order d is named by
-# d and one digit per coordinate that says how the node's value of it is
-# computed: digit 0 is the point's own value (a coordinate the stencil does
-# not vary), and digit o + 5 is ``coords[v] + o * step[v]`` at the stencil
-# offset o, the steps depending only on d and the point.  So a varied
-# coordinate at offset 0 has a digit of its own: ``c + 0.0 * step`` is c,
-# except for c = -0.0, where it is +0.0.  Stencils of one order share nodes:
-# the Berwald-Moor F^2 jet of fd mode (slots t and y1..y3) has 6,468 stencil
-# nodes, of which 4,308 are distinct; that of a cubic whose entries name
-# every x^i (all seven slots) has 48,219, of which 41,847.  A node's int32
-# code holds d above the digits, 4 bits per coordinate, t the most
-# significant, so the nodes of one order are contiguous in code order.
-#
-# The distinct nodes of each order are cut into chunks of ``_FD_CHUNK``
-# nodes, one batched call each: 3 calls for the Berwald-Moor F^2 jet, 12 on
-# all seven slots.  A call passes each coordinate that is the same at all
-# nodes of its chunk as a Python float, the others as :class:`NodeArray`
-# columns.
-
-#: Nodes per batched field call, and stencil terms per summed block: bounds
-#: the arrays held at once.
-_FD_CHUNK = 4096
-_FD_SHIFT = tuple(4 * (NVARS - 1 - v) for v in range(NVARS))
-_FD_PLACE = np.array([1 << s for s in _FD_SHIFT], dtype=np.int32)
-_FD_ORDER_SHIFT = 4 * NVARS
-_FD_OFFSETS = np.arange(-4.0, 5.0)  # the offset o of each digit o + 5
-#: The code digits o + 5 of the offsets o of the m-th derivative's stencil.
-_FD_DIGITS = {m: (offsets + 5).astype(np.int32) for m, (offsets, _) in _FD_STENCIL.items()}
-
-
-class _FdSignature(NamedTuple):
-    """Stencils of one order with the same exponents, in variable order."""
-
-    order: int
-    rows: np.ndarray  # (S,) their coefficients' indices in ``_FdPlan.positions``
-    nodes: np.ndarray  # (S, N) node indices, in ``itertools.product`` order
-    weight: np.ndarray  # (N,) products of the per-variable weights
-    slots: np.ndarray  # (S, k) the coordinate of each stencil variable
-    exps: tuple  # (k,) the exponent of each stencil variable
-
-
-class _FdPlan(NamedTuple):
-    positions: tuple  # the coefficients sampled, in coefficient order
-    codes: np.ndarray  # (n,) int32 codes of the distinct nodes
-    chunks: tuple  # (start, stop, order, digit per coordinate or None) per call
-    signatures: tuple
+        got = np.broadcast_to(field(*args), (len(steps), len(circle)))
+    except DomainError:
+        return None
+    return got if (np.abs(got - value) <= _FD_IMAGE * abs(value)).all() else None
 
 
 @lru_cache(maxsize=None)
-def _fd_plan(positions: tuple) -> _FdPlan:
-    """Which nodes are evaluated for these coefficients and how their
-    stencils are summed; it depends on the coefficients only, not on the
-    point or the field."""
-    groups = {}
-    for row, pos in enumerate(positions):
-        e = _EXPONENTS[pos]
-        slots = tuple(v for v in range(NVARS) if e[v])
-        key = (_DEGREE[pos], tuple(e[v] for v in slots))
-        groups.setdefault(key, []).append((row, slots))
-    if not groups:
-        return _FdPlan(positions, np.zeros(0, dtype=np.int32), (), ())
-    sigs = [
-        (d, ms, np.array([r for r, _ in members]), np.array([s for _, s in members]))
-        for (d, ms), members in sorted(groups.items())
-    ]
-    sizes = [
-        slots.shape[0] * math.prod(_FD_STENCIL[m][0].size for m in ms)
-        for _, ms, _, slots in sigs
-    ]
-    codes = np.empty(sum(sizes), dtype=np.int32)
-    start = 0
-    for (d, ms, _, slots), size in zip(sigs, sizes):
-        _fd_node_codes(d, ms, slots, codes[start : start + size].reshape(slots.shape[0], -1))
-        start += size
-    # the distinct codes in increasing order, and each code's index among them
-    by_code = np.argsort(codes, kind="stable")  # fast on the sorted runs
-    codes = codes[by_code]
-    first = np.empty(codes.size, dtype=bool)
-    first[0] = True
-    first[1:] = np.diff(codes)  # nonzero where a new code starts
-    distinct = codes[first]
-    del codes
-    index = np.cumsum(first, dtype=np.min_scalar_type(distinct.size))
-    del first
-    index -= 1
-    index[by_code] = index.copy()
-    del by_code
-    signatures, start = [], 0
-    for (d, ms, rows, slots), size in zip(sigs, sizes):
-        weight = np.array(1.0)
-        for m in ms:
-            weight = np.multiply.outer(weight, _FD_STENCIL[m][1])
-        nodes = index[start : start + size].reshape(slots.shape[0], -1)
-        signatures.append(_FdSignature(d, rows, nodes, weight.ravel(), slots, ms))
-        start += size
-    # the nodes of one order are contiguous; each order is cut into chunks
-    orders = distinct >> _FD_ORDER_SHIFT
-    bounds = [0, *(np.flatnonzero(np.diff(orders)) + 1).tolist(), distinct.size]
-    chunks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        for a in range(lo, hi, _FD_CHUNK):
-            b = min(a + _FD_CHUNK, hi)
-            # a coordinate whose digit is the same at all nodes of the chunk
-            # is passed as a float, the others as columns
-            head = int(distinct[a])
-            differ = int(np.bitwise_or.reduce(distinct[a:b] ^ head))
-            fixed = tuple(
-                None if (differ >> shift) & 15 else (head >> shift) & 15
-                for shift in _FD_SHIFT
-            )
-            chunks.append((a, b, int(orders[lo]), fixed))
-    return _FdPlan(positions, distinct, tuple(chunks), tuple(signatures))
+def _contour_maps(order: int, slots: tuple):
+    """For the coefficients of degree 1..order on these slots: positions,
+    exponents over the slots, fiber degrees; the directions; per degree d,
+    the block of its coefficients and the map from the directional
+    coefficients to their c_a r^a, the inverse of V[i, a] = i^a (square for
+    d = order, normal equations below); the nodes z and weights z^-d / N.
+    einsum calls no BLAS, which runs on threads for larger arrays."""
+    others = ALL_SLOTS ^ sum(1 << v for v in slots)
+    positions = 1 + np.flatnonzero(_SUPPORT[1 : NCOEF[order]] & others == 0)
+    full = _EXPONENT_ARRAY[positions]  # in graded order, so each degree is a block
+    exps, degree = full[:, slots], full.sum(axis=1)
+    dirs = exps[degree == order]
+    powers = np.arange(order + 1.0)[:, None] ** np.arange(order + 1)  # [base, exponent]
+    vander = np.ones((len(dirs), len(exps)))
+    for j in range(len(slots)):
+        vander *= powers[dirs[:, j, None], exps[:, j]]
+    blocks = []
+    for d in range(1, order + 1):
+        block = slice(*np.searchsorted(degree, [d, d + 1]))
+        v = vander[:, block]
+        if d < order:
+            m = np.linalg.solve(np.einsum("ia,ib->ab", v, v), v.T)
+        else:  # LAPACK below 100 rows (see _square_inverse)
+            m = np.linalg.solve(v, np.eye(len(v))) if len(v) < 100 else _square_inverse(v, dirs)
+        blocks.append((block, m))
+    circle = np.exp(2j * np.pi * np.arange(_FD_NODES) / _FD_NODES)
+    dft = np.conj(circle[:, None] ** np.arange(order + 1)) / _FD_NODES
+    return positions, exps, full[:, _FIBER].sum(axis=1), dirs, blocks, circle, dft
 
 
-def _fd_node_codes(order: int, exps: tuple, slots: np.ndarray, out: np.ndarray):
-    """Write to the (S, N) ``out`` the codes of the nodes of the stencils with
-    these exponents on the S coordinate tuples ``slots``, in
-    ``itertools.product`` order: each stencil variable adds its digit times
-    its coordinate's place, broadcast along its own axis of the node grid."""
-    k = len(exps)
-    grid = out.reshape(slots.shape[0], *(_FD_STENCIL[m][0].size for m in exps))
-    grid[...] = order << _FD_ORDER_SHIFT
-    place = _FD_PLACE[slots].reshape(-1, *[1] * k, k)  # [s, ..., v]
-    for v, m in enumerate(exps):
-        axis = [1] * k
-        axis[v] = -1
-        grid += place[..., v] * _FD_DIGITS[m].reshape(axis)
-
-
-@np.errstate(all="ignore")
-def _fd_batched(field: Callable, coords, plan: _FdPlan, tables: dict):
-    """The plan's node values from one field call per chunk of distinct
-    nodes, or None if a call gives a non-finite value."""
-    values = np.empty(plan.codes.size)
-    for a, b, d, fixed in plan.chunks:
-        args = list(coords)
-        for v, digit in enumerate(fixed):
-            if digit is None:
-                digits = (plan.codes[a:b] >> _FD_SHIFT[v]) & 15
-                args[v] = tables[d][v].take(digits).view(NodeArray)
-            elif digit:
-                args[v] = float(tables[d][v][digit])
-        got = np.asarray(field(*args), dtype=float)
-        if got.shape not in ((), (b - a,)) or not np.isfinite(got).all():
-            return None
-        values[a:b] = got
-    return values
-
-
-def _fd_node_by_node(field: Callable, plan: _FdPlan, steps: dict, tables: dict):
-    """The plan's node values from one field call per distinct node, on
-    Python floats read from the digit tables: the stencils in coefficient
-    order, each one's step powers before its nodes and its nodes in
-    ``itertools.product`` order, as ``fd_partial`` takes them, so that the
-    first node that fails raises its own exception."""
-    at = {d: table.tolist() for d, table in tables.items()}
-    values = {}
-    stencils = ((sig, j) for sig in plan.signatures for j in range(sig.rows.size))
-    for sig, j in sorted(stencils, key=lambda stencil: stencil[0].rows[stencil[1]]):
-        for v, m in zip(sig.slots[j].tolist(), sig.exps):
-            steps[sig.order][v] ** m  # an overflow raises here, as in fd_partial
-        for node in sig.nodes[j].tolist():
-            if node not in values:
-                code = int(plan.codes[node])
-                args = [at[sig.order][v][(code >> s) & 15] for v, s in enumerate(_FD_SHIFT)]
-                values[node] = float(field(*args))
-    return np.array([values[node] for node in range(plan.codes.size)])
-
-
-@np.errstate(all="ignore")
-def _fd_sums(plan: _FdPlan, values: np.ndarray, steps: dict) -> np.ndarray:
-    """Each stencil of the plan summed from the node values as in
-    ``fd_partial``: the weighted terms in the stencil's node order, stencils
-    of one signature together by 2-D ``np.add.accumulate``, divided by the
-    product of the step powers."""
-    out = np.empty(len(plan.positions))
-    for sig in plan.signatures:
-        denom = 1.0  # from the powers the stencils use: others may overflow
-        for column, m in zip(sig.slots.T.tolist(), sig.exps):
-            denom = denom * np.array([steps[sig.order][v] ** m for v in column])
-        step = max(1, _FD_CHUNK // sig.weight.size)
-        for r in range(0, sig.rows.size, step):
-            block = slice(r, r + step)
-            terms = values[sig.nodes[block]] * sig.weight
-            # fd_partial sums from 0.0; that start changes a sum only when
-            # every term is -0.0, into +0.0, which is what ``+ 0.0`` does
-            total = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
-            out[sig.rows[block]] = total / denom[block]
-    return out
+def _square_inverse(vander: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The inverse of V[i, a] = i^a over the same exponents ``exps``, by
+    forward substitution: i^a is 0 unless the slots of a lie in those of i,
+    so V is block lower triangular by number of slots, each block diagonal
+    by slot set.  OpenBLAS factors 100 rows or more on threads: LAPACK took
+    0.1-0.7 s for seven slots (210) on 2 shared vCPUs after idling."""
+    used = exps > 0
+    bits, size = used @ (1 << np.arange(exps.shape[1])), used.sum(axis=1)
+    inverse = np.zeros_like(vander)
+    for s in range(1, size.max() + 1):  # (np.unique would import numpy.ma)
+        rows = np.flatnonzero(size == s)
+        rows = rows[np.argsort(bits[rows], kind="stable")]  # by slot set
+        rhs = -np.einsum("ik,kj->ij", vander[rows][:, size < s], inverse[size < s])
+        rhs[np.arange(len(rows)), rows] += 1.0
+        q = np.count_nonzero(np.diff(bits[rows])) + 1  # slot sets of this size
+        c = len(rows) // q
+        diag = vander[np.ix_(rows, rows)].reshape(q, c, q, c)[np.arange(q), :, np.arange(q)]
+        solved = np.einsum("qab,qbj->qaj", np.linalg.inv(diag), rhs.reshape(q, c, -1))
+        inverse[rows] = solved.reshape(len(rows), -1)
+    return inverse

@@ -99,9 +99,10 @@ class TemporalMetric:
     memo is keyed on the exact bits of t, and for a ``Taylor`` argument on its
     order, its slot set (``deps``) and its coefficient bytes too, so a hit
     returns the object a fresh instance would compute (results are numbers
-    and ``Taylor`` values, which are never modified in place).  A t that is neither a Python float nor a
-    ``Taylor``, such as an array of stencil nodes, is evaluated every time; a
-    call that raises stores nothing.  The memo is one ``(t, dict)`` slot replaced as a whole when t
+    and ``Taylor`` values, which are never modified in place).  A t that is
+    neither a Python float nor a ``Taylor``, such as fd mode's complex array
+    of contour nodes, is evaluated every time; a call that raises stores
+    nothing.  The memo is one ``(t, dict)`` slot replaced as a whole when t
     changes, so threads evaluating at different times can only make each
     other recompute, never read a value of another t.
     """
@@ -129,13 +130,12 @@ class TemporalMetric:
 
     @_per_t
     def h11_eval(self, t_any):
-        """Duck-typed evaluation; checks that the (constant) value, or every
-        value of an array of stencil nodes, is positive and finite."""
+        """Duck-typed evaluation; checks that the value is positive and
+        finite, or every value of an array (fd mode's contour nodes) finite."""
         v = self.expression.evaluate({"t": t_any})
         if isinstance(v, np.ndarray):
-            bad = v[~((v > 0.0) & np.isfinite(v))]
-            if bad.size:
-                _check_h11(float(bad[0]))
+            if not np.isfinite(v).all():
+                raise DomainError(f"h11 = {v[~np.isfinite(v)][0]} is not finite")
             return v
         _check_h11(v.value if isinstance(v, dt.Taylor) else float(v))
         return v

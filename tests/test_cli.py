@@ -353,11 +353,12 @@ class TestCliProcess:
         assert report["summary"]["points_failed"] > 0
 
     def test_exit_one_when_every_point_errors(self, tmp_path, capsys):
-        # h11 = t is positive at the point, negative at nodes of its t stencils
+        # G111 = 6 x1 y1 y2 y3 < 0 at the point, which errors in both
+        # derivative modes
         doc = base_scenario()
-        doc["temporal_metric"] = "t"
+        doc["cubic"] = {"entries": {"123": "x1"}}
         doc["derivative_mode"] = "fd"
-        doc["points"] = {"explicit": [{"t": 0.01, "x": [0, 0, 0], "y": [1, 2, 3]}]}
+        doc["points"] = {"explicit": [{"t": 0.01, "x": [-0.5, 0, 0], "y": [1, 2, 3]}]}
         path = write_scenario(tmp_path, doc)
         out = tmp_path / "report.json"
         assert main(["run", str(path), "--out", str(out)]) == 1

@@ -222,7 +222,7 @@ def test_fd_jet_tracks_exact_jet():
 
 def test_fd_partial_matches_hand_value():
     f = lambda t, x1, x2, x3, y1, y2, y3: t**4
-    got = dt.fd_partial(f, (1.0, 0, 0, 0, 1, 1, 1), ("t", "t", "t", "t"))
+    got = dt.fd_jet(f, (1.0, 0, 0, 0, 1, 1, 1), 4).partial("t", "t", "t", "t")
     assert got == pytest.approx(24.0, rel=1e-6)
 
 

@@ -1,21 +1,21 @@
-"""The finite-difference path evaluates the distinct nodes of its stencils
-with a few array calls of the field, for one partial (``fd_partial``) or a
-whole jet (``fd_jet``); these tests hold both to the per-node definition bit
-for bit.
+"""fd mode's jets come from contour integrals (``difftools.fd_jet``): one
+call of the field on a complex array of nodes on circles around the point,
+one circle per direction.  These tests hold the jet to a node-by-node
+reference of that definition, to the exact jet, and to its rules for the
+radius, the unsampled coefficients and the domain.  (The file is named for
+the finite-difference stencils that fd mode used before the contour jet.)
 
-``_fd_partial_per_node`` is the reference: the node-by-node loop that
-defines ``fd_partial``, kept here verbatim in its arithmetic, on stencil
-weights solved exactly in this module, and ``_fd_jet_per_node`` the jet built
-from it.  Coefficients are compared as bytes, and reports and error strings
-as exact equality."""
+``_fd_jet_per_node`` is the reference: the field on one complex node at a
+time, each direction's trapezoidal sums written out, and a least-squares
+solve per degree, none of it shared with ``fd_jet``.  The two agree to
+rounding in the scaled coefficients c_a r^a, relative to the field's value
+at the point."""
 
-import functools
 import itertools
 import json
 import math
 import tracemalloc
 import types
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,90 +24,95 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
-from jetfinsler.cli import load_scenario, parse_scenario, run_scenario, sample_points
+from jetfinsler.cli import (
+    DEFAULT_TOLERANCES,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
+    sample_points,
+)
 from jetfinsler.connection_engine import NonlinearConnection, PointContext
+from jetfinsler.errors import DomainError
 from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
 from jetfinsler.metric_engine import f2_slots, finsler_F_squared_field, h11_slots
 
 from fields_corpus import CORPUS
 
 DATA = Path(__file__).parent / "data"
+FD_REL = DEFAULT_TOLERANCES["fd_rel"]
+
+# The contour jet's definition: nodes per circle, the radius factor before
+# halving, the most halvings, and the share of |f(p)| a node value may be
+# off f(p).
+NODES, RHO, HALVINGS, IMAGE = 32, 0.25, 20, 0.5
 
 
-@functools.lru_cache(maxsize=None)
-def _exact_stencil(m):
-    """The offsets -r..r, r = (m + 5) // 2, and the weights of the m-th
-    derivative that is exact on polynomials of degree <= 2r: the Vandermonde
-    system sum_j w_j o_j^k = m! [k == m], solved in ``Fraction``s."""
-    r = (m + 5) // 2
-    offsets = list(range(-r, r + 1))
-    n = len(offsets)
-    rows = [
-        [Fraction(o) ** k for o in offsets] + [Fraction(math.factorial(m) if k == m else 0)]
-        for k in range(n)
-    ]
-    for col in range(n):  # Gauss-Jordan elimination
-        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return offsets, [row[-1] for row in rows]
-
-
-def _fd_partial_per_node(field, point, spec):
-    """One field call per stencil node, accumulated in a running sum."""
-    spec = dt.PartialSpec.coerce(spec)
-    coords = list(dt._coords_of(point))
-    if spec.order == 0:
-        return float(field(*coords))
-    active = [(v, m) for v, m in enumerate(spec.exponents) if m > 0]
-    rel = dt._FD_REL_STEP[spec.order]
-    columns = []
-    denom = 1.0
-    for v, m in active:
-        step = rel * max(abs(coords[v]), dt._FD_SCALE_FLOOR)
-        denom *= step**m
-        nodes, weights = _exact_stencil(m)
-        columns.append(
-            (v, [(float(w), coords[v] + n * step) for n, w in zip(nodes, weights) if w])
-        )
-    acc = 0.0
-    for picks in itertools.product(*(col for _, col in columns)):
-        w = 1.0
-        shifted = coords.copy()
-        for (v, _col), (wj, cj) in zip(columns, picks):
-            w *= wj
-            shifted[v] = cj
-        acc += w * field(*shifted)
-    return acc / denom
+def _radii(coords, slots, order, halvings):
+    return [RHO / 2**halvings * max(abs(coords[v]), 0.1) / order for v in slots]
 
 
 def _fd_jet_per_node(field, point, order, active=None, min_fiber_degree=0):
-    """``fd_jet``'s definition: the sampled coefficients in coefficient order,
-    each from ``_fd_partial_per_node``."""
-    coords = dt._coords_of(point)
-    active = range(dt.NVARS) if active is None else active
+    """The contour jet and the halvings of its radius, one node at a time."""
+    coords = list(dt._coords_of(point))
     c = np.zeros(dt.NCOEF[order])
-    c[0] = float(field(*coords))
-    for pos in range(1, dt.NCOEF[order]):
-        exps = dt._EXPONENTS[pos]
-        if any(m > 0 and v not in active for v, m in enumerate(exps)):
+    c[0] = value = float(field(*coords))
+    slots = sorted(set(range(dt.NVARS) if active is None else active))
+    if order == 0 or not slots:
+        return dt.Taylor(c, order), None
+    dirs = [i for i in itertools.product(range(order + 1), repeat=len(slots)) if sum(i) == order]
+    circle = [np.exp(2j * math.pi * k / NODES) for k in range(NODES)]
+    for halvings in range(HALVINGS + 1):
+        radius = _radii(coords, slots, order, halvings)
+        try:
+            g = [[_at_node(field, coords, slots, radius, i, z) for z in circle] for i in dirs]
+        except DomainError:
             continue
-        if sum(exps[4:]) < min_fiber_degree:
-            continue
-        spec = [v for v, m in enumerate(exps) for _ in range(m)]
-        c[pos] = _fd_partial_per_node(field, coords, spec) / dt._FACT[pos]
-    return dt.Taylor(c, order)
+        if all(abs(v - value) <= IMAGE * abs(value) for row in g for v in row):
+            break
+    else:
+        raise DomainError("no contour radius passes")
+    for d in range(1, order + 1):
+        b = [sum(v * z**-d for v, z in zip(row, circle)).real / NODES for row in g]
+        exps = [a for a in itertools.product(range(d + 1), repeat=len(slots)) if sum(a) == d]
+        vander = [[math.prod(k**a for k, a in zip(i, e)) for e in exps] for i in dirs]
+        x = np.linalg.lstsq(np.array(vander, dtype=float), np.array(b), rcond=None)[0]
+        for e, xe in zip(exps, x.tolist()):
+            full = [0] * dt.NVARS
+            for v, a in zip(slots, e):
+                full[v] = a
+            if sum(full[4:]) >= min_fiber_degree:
+                c[dt._POS[tuple(full)]] = xe / math.prod(r**a for r, a in zip(radius, e))
+    return dt.Taylor(c, order), halvings
 
 
-def _specs():
-    """The slots of every mixed partial of order 1..4, in coefficient order."""
-    return [
-        [v for v, m in enumerate(e) for _ in range(m)] for e in dt._EXPONENTS[1:]
-    ]
+def _at_node(field, coords, slots, radius, direction, z):
+    args = list(coords)
+    for v, r, k in zip(slots, radius, direction):
+        args[v] = np.array([coords[v] + k * r * z])  # one node, as an array
+    return complex(np.ravel(field(*args))[0])
+
+
+def _counting(field, calls):
+    def counted(*args):
+        calls.append(np.broadcast(*args).shape)
+        return field(*args)
+
+    return counted
+
+
+def _assert_matches_per_node(field, point, order=4, active=None, min_fiber_degree=0):
+    """``fd_jet`` takes the reference's radius, in one array call, and its
+    scaled coefficients c_a r^a agree to 1e-14 of the field's value."""
+    ref, halvings = _fd_jet_per_node(field, point, order, active, min_fiber_degree)
+    calls = []
+    got = dt.fd_jet(_counting(field, calls), point, order, active, min_fiber_degree)
+    assert len(calls) == halvings + 2  # the point, then one call per radius
+    coords = dt._coords_of(point)
+    radius = _radii(coords, range(dt.NVARS), order, halvings)
+    scaled = [math.prod(r**a for r, a in zip(radius, e)) for e in dt._EXPONENTS[: dt.NCOEF[order]]]
+    dev = np.abs(got.c - ref.c) * scaled
+    assert dev.max() <= 1e-14 * abs(ref.c[0]), dev.max()
+    return got
 
 
 def _same_bytes(a, b) -> bool:
@@ -119,25 +124,26 @@ GENERIC = CubicForm.from_entries(
 )
 
 
+POINTS = [
+    JetPoint.of(0.35, (0.1, -0.2, 0.3), (0.7, 1.9, 3.1)),
+    JetPoint.of(-0.74, (0.9, 0.24, -0.26), (2.65, 3.38, 1.52)),
+    JetPoint.of(-0.72, (0.58, 0.34, 0.02), (4.12, 2.84, 4.91)),
+    JetPoint.of(-0.59, (0.11, -0.03, -0.29), (3.04, 1.33, 4.05)),
+    JetPoint.of(0.6, (-0.3, 0.5, 0.8), (1.2, 0.4, 2.5)),
+]
+
+
 class TestAgainstPerNode:
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
     def test_corpus_jets(self, entry):
-        # the whole order-4 jet: most stencils leave the field constant, which
-        # returns one scalar for all nodes
-        point = entry.points[0]
-        jet = dt.fd_jet(entry.field, point, 4)
-        for pos, spec in enumerate(_specs(), start=1):
-            ref = _fd_partial_per_node(entry.field, point, spec) / dt._FACT[pos]
-            assert _same_bytes(jet.c[pos], ref), (entry.name, spec)
+        # the whole order-4 jet on all seven slots
+        _assert_matches_per_node(entry.field, entry.points[0])
 
     @pytest.mark.parametrize("metric", ["1", "exp(2*t)", "t**2 + 1"])
     def test_f_squared_jet(self, metric):
         fld = finsler_F_squared_field(CubicForm.berwald_moor(), TemporalMetric(metric))
         p = JetPoint.of(0.35, (0.1, -0.2, 0.3), (0.7, 1.9, 3.1))
-        jet = dt.fd_jet(fld, p, 4)
-        for pos, spec in enumerate(_specs(), start=1):
-            ref = _fd_partial_per_node(fld, p, spec) / dt._FACT[pos]
-            assert _same_bytes(jet.c[pos], ref), spec
+        _assert_matches_per_node(fld, p)
 
     @given(
         t=st.floats(-1.0, 1.0),
@@ -145,31 +151,98 @@ class TestAgainstPerNode:
         y=st.tuples(*[st.floats(0.2, 5.0)] * 3),
         generic=st.booleans(),
         metric=st.sampled_from(["1", "exp(2*t)", "t**2 + 1"]),
-        spec=st.sampled_from(_specs()),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_f_squared_partials_over_points(self, t, x, y, generic, metric, spec):
+    @settings(max_examples=25, deadline=None)
+    def test_f_squared_partials_over_points(self, t, x, y, generic, metric):
+        # the engine's F^2 jet: its slots, y-degree >= 2
         cubic = GENERIC if generic else CubicForm.berwald_moor()
-        fld = finsler_F_squared_field(cubic, TemporalMetric(metric))
+        tm = TemporalMetric(metric)
+        fld = finsler_F_squared_field(cubic, tm)
         p = JetPoint.of(t, x, y)
-        try:
-            ref = _fd_partial_per_node(fld, p, spec)
-        except Exception as exc:  # e.g. a stencil crossing G111 <= 0
-            with pytest.raises(type(exc)) as info:
-                dt.fd_partial(fld, p, spec)
-            assert str(info.value) == str(exc)
+        kwargs = dict(active=f2_slots(cubic, tm), min_fiber_degree=2)
+        if cubic.g111(p.x, p.y) <= 0.0:
+            with pytest.raises(DomainError, match="non-positive"):
+                dt.fd_jet(fld, p, 4, **kwargs)
             return
-        assert _same_bytes(dt.fd_partial(fld, p, spec), ref)
+        _assert_matches_per_node(fld, p, **kwargs)
 
 
-class TestFallbackOrder:
-    """Near G111 = 0 the stencils leave the domain, and the order of the
-    fallback's one call per node alone decides which error a jet raises:
-    that of its first failing node."""
+def _own_slots(jet) -> list[int]:
+    """The slots of the nonzero coefficients of an exact jet."""
+    return [v for v in range(dt.NVARS) if any(c and e[v] for c, e in zip(jet.c, dt._EXPONENTS))]
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_corpus_against_exact(self, entry):
+        # on the slots the field depends on, as the engine passes them
+        for p in entry.points:
+            exact = dt.jet_eval(entry.field, p, 4)
+            got = dt.fd_jet(entry.field, p, 4, active=_own_slots(exact))
+            dev = np.abs(got.c - exact.c) / np.maximum(np.abs(exact.c), 1.0)
+            assert dev.max() <= 1e-6, (p, dev.max())
+
+    @pytest.mark.parametrize("generic", [False, True], ids=["berwald_moor", "generic"])
+    def test_f_squared_against_exact(self, generic):
+        cubic = GENERIC if generic else CubicForm.berwald_moor()
+        tm = TemporalMetric("exp(2*t)")
+        fld = finsler_F_squared_field(cubic, tm)
+        for p in POINTS:
+            exact = dt.jet_eval(fld, p, 4)
+            got = dt.fd_jet(fld, p, 4, active=f2_slots(cubic, tm))
+            dev = np.abs(got.c - exact.c) / np.maximum(np.abs(exact.c), 1.0)
+            assert dev.max() <= 1e-6, (p, dev.max())
+
+
+class TestContourRules:
+    def test_halving_on_fast_fields(self):
+        # exp(k x1) changes by a factor e^(k rho |x1|) over the widest
+        # circle: k = 0.5 passes at rho = 0.25, k = 40 needs a smaller rho
+        p = (0.0, 0.3, 0.0, 0.0, 1.0, 1.0, 1.0)
+        for k, halvings in ((0.5, 0), (40.0, 3)):
+            fld = lambda t, x1, x2, x3, y1, y2, y3: dt.exp(k * x1)
+            calls = []
+            got = dt.fd_jet(_counting(fld, calls), p, 4, active=(1,))
+            assert calls == [()] + [(1, NODES)] * (halvings + 1), k
+            exact = dt.jet_eval(fld, p, 4)
+            dev = np.abs(got.c - exact.c) / np.abs(exact.c).max()
+            assert dev.max() <= 1e-9, (k, dev.max())
+
+    def test_domain_error_nodes_shrink_the_radius(self):
+        # exp(800 t) is finite at t = 0.85 and overflows on the wider circles
+        # of t, where h11_eval raises DomainError: the radius halves
+        tm = TemporalMetric("exp(800*t)")
+        fld = lambda t, *rest: tm.h11_eval(t)
+        calls = []
+        got = dt.fd_jet(_counting(fld, calls), (0.85, 0, 0, 0, 1, 1, 1), 4, active=(0,))
+        assert len(calls) > 3
+        exact = tm.h11_jet(0.85, 4)
+        t_only = exact.c != 0.0
+        assert not got.c[~t_only].any()
+        assert np.abs(got.c[t_only] / exact.c[t_only] - 1.0).max() <= 1e-9
+
+    def test_domain_error_when_no_radius_passes(self):
+        # a field that vanishes at the point and not at its nodes
+        calls = []
+        fld = _counting(lambda t, x1, x2, x3, y1, y2, y3: x1 * y1, calls)
+        with pytest.raises(DomainError, match="no contour radius"):
+            dt.fd_jet(fld, (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0), 4)
+        assert len(calls) == 1 + HALVINGS + 1
+
+    def test_bitwise_determinism(self):
+        fld = finsler_F_squared_field(GENERIC, TemporalMetric("t**2 + 1"))
+        first = dt.fd_jet(fld, POINTS[1], 4)
+        assert dt.fd_jet(fld, POINTS[1], 4).c.tobytes() == first.c.tobytes()
+        dt._contour_maps.cache_clear()  # the maps are rebuilt to the same bits
+        assert dt.fd_jet(fld, POINTS[1], 4).c.tobytes() == first.c.tobytes()
+
+
+class TestDomainEdge:
+    """Near G111 = 0 the circles shrink until they stay inside the domain:
+    fd mode errors only where G111 <= 0 at the point, as exact mode does."""
 
     @given(
-        # the t stencils of order 3 reach h11 = t <= 0, so which of h11 and
-        # G111 fails first depends on the coefficient order
+        # h11 = t: the t circles of rho = 0.25 reach t <= 0
         t=st.floats(0.001, 0.005),
         x23=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
         y=st.tuples(*[st.floats(0.2, 5.0)] * 3),
@@ -177,7 +250,7 @@ class TestFallbackOrder:
         metric=st.sampled_from(["t**2 + 1", "t"]),
         order=st.integers(2, 3),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_jet_near_g111_zero(self, t, x23, y, share, metric, order):
         # G111 is affine in x1: take the x1 at which it is ``share`` y1 y2 y3
         at0 = GENERIC.g111((0.0, *x23), y)
@@ -187,24 +260,44 @@ class TestFallbackOrder:
         assume(abs(x1) <= 10.0)
         fld = finsler_F_squared_field(GENERIC, TemporalMetric(metric))
         p = (t, x1, *x23, *y)
-        try:
-            ref = _fd_jet_per_node(fld, p, order, min_fiber_degree=2)
-        except Exception as exc:  # a node with G111 <= 0 or h11 <= 0
-            with pytest.raises(type(exc)) as info:
+        g111 = GENERIC.g111((x1, *x23), y)
+        if g111 <= 0.0:
+            with pytest.raises(DomainError, match="non-positive"):
                 dt.fd_jet(fld, p, order, min_fiber_degree=2)
-            assert str(info.value) == str(exc)
             return
-        jet = dt.fd_jet(fld, p, order, min_fiber_degree=2)
-        assert jet.c.tobytes() == ref.c.tobytes()
+        if g111 < 1e-4 * y[0] * y[1] * y[2]:
+            # the circles may need more than 20 halvings this near the edge
+            try:
+                jet = dt.fd_jet(fld, p, order, min_fiber_degree=2)
+            except DomainError as exc:
+                assert str(exc).startswith("no contour radius")
+                return
+        else:
+            jet = dt.fd_jet(fld, p, order, min_fiber_degree=2)
+        assert np.isfinite(jet.c).all()
+        assert _same_bytes(jet.c[0], fld(*p))
 
 
-POINTS = [
-    JetPoint.of(0.35, (0.1, -0.2, 0.3), (0.7, 1.9, 3.1)),
-    JetPoint.of(-0.74, (0.9, 0.24, -0.26), (2.65, 3.38, 1.52)),
-    JetPoint.of(-0.72, (0.58, 0.34, 0.02), (4.12, 2.84, 4.91)),
-    JetPoint.of(-0.59, (0.11, -0.03, -0.29), (3.04, 1.33, 4.05)),
-    JetPoint.of(0.6, (-0.3, 0.5, 0.8), (1.2, 0.4, 2.5)),
-]
+class TestComplexNodes:
+    def test_helpers_are_numpy_functions(self):
+        rng = np.random.default_rng(6)
+        z = rng.uniform(0.1, 30.0, 500) + 1j * rng.uniform(-1.0, 1.0, 500)
+        for helper, ref in (
+            (dt.exp, np.exp),
+            (dt.log, np.log),
+            (dt.sin, np.sin),
+            (dt.cos, np.cos),
+            (dt.sqrt, lambda u: np.power(u, 0.5)),  # not u**0.5, which is np.sqrt
+            (lambda u: dt.powf(u, 2.0 / 3.0), lambda u: np.power(u, 2.0 / 3.0)),
+        ):
+            assert helper(z).tobytes() == ref(z).tobytes()
+
+    def test_h11_array_finiteness(self):
+        tm = TemporalMetric("exp(800*t)")
+        z = np.array([0.5 + 0.1j, 0.8 - 0.2j])
+        assert tm.h11_eval(z).tobytes() == np.exp(800 * z).tobytes()
+        with pytest.raises(DomainError, match="is not finite"), np.errstate(over="ignore"):
+            tm.h11_eval(np.array([0.5, 0.9 + 0.1j]))
 
 
 class TestUnreadCoefficients:
@@ -262,17 +355,18 @@ class TestFieldSlots:
         nlc = NonlinearConnection.apriori(tm)
         for p in POINTS:
             ctx = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
-            for got, fld, full, kept in (
-                (ctx.f2_ser, f2, dt.fd_jet(f2, p, 4, min_fiber_degree=2), slots),
-                (ctx.h_ser, h11, dt.fd_jet(h11, p, 4), slots[:-3]),
+            for got, fld, kept, fiber in (
+                (ctx.f2_ser, f2, slots, 2),
+                (ctx.h_ser, h11, slots[:-3], 0),
             ):
                 exact = dt.jet_eval(fld, p, 4)
                 for pos in range(dt.NCOEF[4]):
                     if _touches(pos, kept):
                         assert _same_bytes(got.c[pos], 0.0), (p, pos)
                         assert exact.c[pos] == 0.0, (p, pos)
-                    else:
-                        assert _same_bytes(got.c[pos], full.c[pos]), (p, pos)
+                    elif sum(dt._EXPONENTS[pos][4:]) >= fiber:
+                        dev = abs(got.c[pos] - exact.c[pos])
+                        assert dev <= FD_REL * max(1.0, abs(exact.c[pos])), (p, pos)
 
     def test_cubic_names_its_slots(self):
         tm = TemporalMetric("exp(2*t)")
@@ -330,148 +424,7 @@ class TestBerwaldMoorMargin:
         assert 0.0 < worst <= fd_rel / 5
 
 
-_POOL = [
-    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.7, 1.0,
-    -1.5, 3.0, 710.0, 1e300, math.inf, -math.inf, math.nan,
-    # NaNs with other payloads and signs, one of them signalling
-    *np.array(
-        [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64
-    ).view(float).tolist(),
-]
-
-
-def _per_element(fn, u, *args):
-    """``_elementwise``'s definition: one call per element."""
-    values = map(fn, u.ravel().tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, u.size).reshape(u.shape).view(dt.NodeArray)
-
-
-def _outcome(op, arr):
-    try:
-        with np.errstate(all="ignore"):
-            got = op(arr)
-    except Exception as exc:
-        return ("raised", type(exc), str(exc))
-    assert isinstance(got, dt.NodeArray)
-    return ("value", got.shape, got.tobytes())
-
-
-class TestNodeArrays:
-    def test_integer_powers_are_python_powers(self):
-        rng = np.random.default_rng(5)
-        vals = rng.uniform(0.1, 10.0, 2000)
-        arr = vals.view(dt.NodeArray)
-        for n in (2, 3, 4, -1, -2, -3):
-            got = arr**n
-            assert isinstance(got, dt.NodeArray)
-            assert got.tobytes() == np.array([v**n for v in vals.tolist()]).tobytes()
-        assert (2.0**arr).tobytes() == np.array([2.0**v for v in vals.tolist()]).tobytes()
-
-    def test_helpers_call_math_per_element(self):
-        vals = np.random.default_rng(6).uniform(0.1, 30.0, 2000)
-        arr = vals.view(dt.NodeArray)
-        for helper, ref in (
-            (dt.exp, math.exp),
-            (dt.log, math.log),
-            (dt.sin, math.sin),
-            (dt.cos, math.cos),
-            (lambda u: dt.powf(u, 2.0 / 3.0), lambda v: v ** (2.0 / 3.0)),
-        ):
-            got = helper(arr)
-            assert isinstance(got, dt.NodeArray)
-            assert got.tobytes() == np.array([ref(v) for v in vals.tolist()]).tobytes()
-
-    @given(
-        picks=st.lists(st.integers(0, len(_POOL) - 1), max_size=40),
-        two_d=st.booleans(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_memo_matches_per_element_map(self, picks, two_d):
-        # one call per distinct bit pattern gives the bytes of one call per
-        # element, for each helper and for ``**`` and ``rpow``, or raises as
-        # it does
-        arr = np.array([_POOL[i] for i in picks], dtype=float)
-        if two_d and arr.size % 2 == 0:
-            arr = arr.reshape(2, -1)
-        arr = arr.view(dt.NodeArray)
-        ops = [
-            dt.exp, dt.log, dt.sin, dt.cos, dt.sqrt,
-            lambda u: dt.powf(u, 2.0 / 3.0),
-            lambda u: u**2, lambda u: u**-1, lambda u: u**0.5,
-            lambda u: 2.0**u, lambda u: 0.5**u,
-        ]
-        assert _outcome(lambda u: dt._elementwise(lambda v: v, u), arr) == (
-            "value", arr.shape, arr.tobytes()
-        )
-        for op in ops:
-            got = _outcome(op, arr)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(dt, "_elementwise", _per_element)
-                assert got == _outcome(op, arr)
-
-    def test_memo_calls_once_per_bit_pattern(self):
-        nan_a, nan_b = np.array(
-            [0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64
-        ).view(float).tolist()
-        vals = [0.0, -0.0, 1.5, 0.0, nan_a, 1.5, nan_b, -0.0, nan_a, 5e-324]
-        seen = []
-
-        def fn(v, e):
-            seen.append(np.float64(v).tobytes())
-            return v * e
-
-        got = dt._elementwise(fn, np.array(vals * 3).reshape(6, 5), 2.0)
-        assert sorted(seen) == sorted({np.float64(v).tobytes() for v in vals})
-        assert got.shape == (6, 5) and isinstance(got, dt.NodeArray)
-        ref = np.array([v * 2.0 for v in vals * 3])
-        assert got.tobytes() == ref.tobytes()
-
-    def test_elementwise_keeps_python_ints(self):
-        # an integer array is not cast: its elements reach ``fn`` as ints
-        fn = lambda v, e: v**e if type(v) is int else -1.0
-        got = dt._elementwise(fn, np.array([3, 3, 7]), 40)
-        assert got.tobytes() == np.array([float(3**40)] * 2 + [float(7**40)]).tobytes()
-
-    def test_h11_array_positivity(self):
-        tm = TemporalMetric("t")
-        assert (tm.h11_eval(np.array([0.5, 1.0])) == [0.5, 1.0]).all()
-        with pytest.raises(Exception, match="is not positive"):
-            tm.h11_eval(np.array([0.5, -1.0]))
-
-    def test_field_failing_on_arrays_falls_back(self):
-        # ``float()`` of an array raises; the nodes are then evaluated one by
-        # one, with the per-node values and result
-        fld = lambda t, x1, x2, x3, y1, y2, y3: math.exp(float(t)) * y1
-        p = (0.3, 0.0, 0.0, 0.0, 1.2, 1.0, 1.0)
-        for spec in (("t",), ("t", "y1"), ("t",) * 4):
-            assert _same_bytes(dt.fd_partial(fld, p, spec), _fd_partial_per_node(fld, p, spec))
-
-    def test_overflow_on_floats_raises(self):
-        # 5.85**400 is finite, and the powers at the upper nodes of the y1
-        # stencil overflow, which raises on Python floats (numpy scalars
-        # give inf): fd_partial raises as the per-node reference does
-        fld = lambda t, x1, x2, x3, y1, y2, y3: y1**400
-        p = (0.0, 0.0, 0.0, 0.0, 5.85, 1.0, 1.0)
-        assert math.isfinite(fld(*p))
-        with pytest.raises(OverflowError) as ref:
-            _fd_partial_per_node(fld, p, ("y1",))
-        with pytest.raises(OverflowError) as got:
-            dt.fd_partial(fld, p, ("y1",))
-        assert str(got.value) == str(ref.value)
-
-    def test_in_place_update_before_falling_back(self):
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            t += 1.0  # rebinds a float, updates an array in place
-            return math.exp(float(t)) * y1
-
-        p = (0.3, 0.0, 0.0, 0.0, 1.2, 1.0, 1.0)
-        for spec in (("t",), ("t", "y1")):
-            assert _same_bytes(dt.fd_partial(fld, p, spec), _fd_partial_per_node(fld, p, spec))
-
-
-def _report(doc, monkeypatch=None, per_node=False):
-    if per_node:
-        monkeypatch.setattr(dt, "fd_jet", _fd_jet_per_node)
+def _report(doc):
     report, ok = run_scenario(parse_scenario(doc))
     report.pop("wall_time_seconds")
     return report, ok
@@ -494,34 +447,34 @@ GENERIC_DOC = {
 
 
 class TestErrorParity:
-    """A stencil that leaves the domain gives the per-node error string, and
-    reports equal those of the per-node reference jet."""
+    """fd mode errors at a point where exact mode does, with the same error.
+    The cases are points at which the finite-difference stencils that fd
+    mode used before the contour jet left the domain."""
 
     CASES = {
-        # G111 > 0 at the point, <= 0 at nodes of its y1 stencils
+        # G111 > 0 at the point, <= 0 on a y1 stencil
         "g111_crossing": (
             _fd_doc(
                 "t**2 + 1",
                 GENERIC_DOC,
                 {"t": 0.2, "x": [-0.9, 0.4, 0.3], "y": [1.0, 0.5, 0.6]},
             ),
-            "DomainError: fractional power of a non-positive value",
+            None,
         ),
-        # h11 = t > 0 at t = 0.01, negative at nodes of the t stencils
+        # h11 = t > 0 at t = 0.01, negative on a t stencil
         "h11_in_t_stencil": (
             _fd_doc("t", "berwald_moor", {"t": 0.01, "x": [0, 0, 0], "y": [1, 2, 3]}),
-            "NonPositiveMetric: h11 = -0.002 is not positive",
+            None,
         ),
-        # exp(1000 t) is finite at the point and overflows at t-stencil nodes
+        # exp(1000 t) is finite at the point; its series overflows
         "exp_overflow": (
             _fd_doc("exp(1000*t)", "berwald_moor", {"t": 0.7, "x": [0, 0, 0], "y": [1, 2, 3]}),
-            "DomainError: 'exp(1000*t)' overflows: math range error",
+            "DomainError: the reciprocal series of ",
         ),
-        # h11 = 1/(0.002 - t) is finite at t = 0, and a node of the F^2
-        # t stencils of order 3 (step 0.002) lies on its pole
+        # h11 = 1/(0.002 - t) is finite at t = 0, with its pole on a t stencil
         "h11_pole": (
             _fd_doc("1/(0.002 - t)", "berwald_moor", {"t": 0.0, "x": [0, 0, 0], "y": [1, 2, 3]}),
-            "ZeroDivisionError: float division by zero",
+            None,
         ),
     }
 
@@ -530,100 +483,90 @@ class TestErrorParity:
         assert 0.0 < GENERIC.g111(point["x"], point["y"]) < 0.02
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_error_string(self, case, monkeypatch):
+    def test_error_string(self, case):
         doc, expected = self.CASES[case]
-        report, _ = _report(doc)
-        assert report["summary"]["points_errored"] == 1
-        assert report["points"][0]["error"] == expected
-        ref, _ = _report(doc, monkeypatch, per_node=True)
-        assert json.dumps(report) == json.dumps(ref)
+        errors = []
+        for mode in ("fd", "exact"):
+            report, ok = _report({**doc, "derivative_mode": mode})
+            (point,) = report["points"]
+            errors.append(point["error"])
+            assert report["summary"]["points_errored"] == (expected is not None)
+            assert ok == (expected is None)
+        if expected is None:
+            assert errors == [None, None]
+        else:
+            assert all(e.startswith(expected) for e in errors), errors
 
     @pytest.mark.parametrize(
         "cubic", ["berwald_moor", GENERIC_DOC], ids=["berwald_moor", "generic"]
     )
-    def test_signed_zero_points(self, cubic, monkeypatch):
-        # points with a varied -0.0 coordinate (x1, then t) give the reports
-        # of the per-node reference jet.  Neither field tells -0.0 from
-        # +0.0 (t enters as t**2, x1 only in terms added to nonzero ones or
-        # not at all), so this checks the values at such points, not the
-        # sign at their nodes: TestBatchedJet::test_signed_zero_coordinate
-        # has a field that sees it
-        doc = _fd_doc("t**2 + 1", cubic, None)
-        doc["points"]["explicit"] = [
-            {"t": 0.3, "x": [-0.0, 0.4, 0.3], "y": [1.0, 1.5, 0.6]},
-            {"t": -0.0, "x": [0.2, -0.4, 0.3], "y": [1.0, 1.5, 0.6]},
-        ]
-        doc["outputs"] = ["all"]
-        first, second = sample_points(parse_scenario(doc))
-        assert math.copysign(1.0, first.x[0]) < 0 and math.copysign(1.0, second.t) < 0
-        report, _ = _report(doc)
-        assert report["summary"]["points_errored"] == 0
-        ref, _ = _report(doc, monkeypatch, per_node=True)
-        assert json.dumps(report) == json.dumps(ref)
+    def test_signed_zero_points(self, cubic):
+        # points with a -0.0 coordinate (x1, then t) give the records of the
+        # same points with +0.0, apart from the coordinates themselves: the
+        # nodes c + i r z are the same for both signs
+        records = {}
+        for zero in (-0.0, 0.0):
+            doc = _fd_doc("t**2 + 1", cubic, None)
+            doc["points"]["explicit"] = [
+                {"t": 0.3, "x": [zero, 0.4, 0.3], "y": [1.0, 1.5, 0.6]},
+                {"t": zero, "x": [0.2, -0.4, 0.3], "y": [1.0, 1.5, 0.6]},
+            ]
+            doc["outputs"] = ["all"]
+            first, second = sample_points(parse_scenario(doc))
+            assert math.copysign(1.0, first.x[0]) == math.copysign(1.0, second.t) == math.copysign(1.0, zero)
+            report, ok = _report(doc)
+            assert ok and report["summary"]["points_errored"] == 0
+            records[zero] = [{k: v for k, v in r.items() if k != "point"} for r in report["points"]]
+        assert json.dumps(records[-0.0]) == json.dumps(records[0.0])
 
 
 F2_BM = finsler_F_squared_field(CubicForm.berwald_moor(), TemporalMetric("exp(2*t)"))
 
 
-class TestStencilTable:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_weights_are_the_exact_ones_rounded(self, m):
-        offsets, weights = _exact_stencil(m)
-        want = [(o, float(w)) for o, w in zip(offsets, weights) if w]
-        got = list(zip(*(a.tolist() for a in dt._FD_STENCIL[m])))
-        assert got == want
-        assert 0.0 not in dt._FD_STENCIL[m][1]
-
-
 class TestBatchedJet:
-    """``fd_jet`` evaluates each distinct stencil node once, in a few calls."""
+    """``fd_jet`` evaluates all nodes of one radius in one call."""
 
     def test_distinct_nodes_in_few_calls(self):
-        sizes = []
-
-        def counting(*args):
-            sizes.append(np.broadcast(*args).size)
-            return F2_BM(*args)
-
-        dt._fd_plan.cache_clear()
-        jet = dt.fd_jet(counting, POINTS[0], 4, min_fiber_degree=2)
-        stencil_nodes = sum(
-            math.prod(len([w for w in _exact_stencil(m)[1] if w]) for m in e if m)
-            for e in dt._EXPONENTS[1:]
-            if sum(e[4:]) >= 2
-        )
-        assert stencil_nodes == 48_219
-        assert sizes[0] == 1  # the point itself, c[0]
-        assert sum(sizes[1:]) == 41_847  # each distinct stencil node once
-        assert len(sizes) <= 20
-        ref = _fd_jet_per_node(F2_BM, POINTS[0], 4, min_fiber_degree=2)
-        assert jet.c.tobytes() == ref.c.tobytes()
+        # the point, then the 35 directions x 32 nodes on the F^2 slots
+        # t, y1, y2, y3, or the 210 x 32 on all seven
+        for active, directions in (((0, 4, 5, 6), 35), (None, 210)):
+            calls = []
+            dt.fd_jet(_counting(F2_BM, calls), POINTS[0], 4, active, min_fiber_degree=2)
+            assert calls == [(), (directions, NODES)]
 
     def test_plan_built_once(self):
-        dt._fd_plan.cache_clear()
+        # the directions and maps are built once per order and slot set
+        dt._contour_maps.cache_clear()
         dt.fd_jet(F2_BM, POINTS[0], 4, min_fiber_degree=2)
-        before = dt._fd_plan.cache_info()
+        before = dt._contour_maps.cache_info()
         dt.fd_jet(F2_BM, POINTS[1], 4, min_fiber_degree=2)
-        after = dt._fd_plan.cache_info()
+        after = dt._contour_maps.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_positions_match_definition(self, order):
+        # every coefficient of this field is nonzero, so the jet's nonzero
+        # ones are those it samples; the others are exact zeros
+        def fld(t, x1, x2, x3, y1, y2, y3):
+            return dt.exp(0.1 * t + 0.2 * x1 + 0.3 * x2 + 0.4 * x3 + 0.5 * y1 + 0.6 * y2 + 0.7 * y3)
+
         for active in ((), (0,), (4, 5, 6), (0, 2, 5), tuple(range(dt.NVARS))):
             for min_fiber_degree in (0, 1, 2):
-                want = tuple(
+                want = [0] + [
                     pos
                     for pos, e in enumerate(dt._EXPONENTS[1 : dt.NCOEF[order]], start=1)
                     if all(v in active for v, m in enumerate(e) if m)
                     and sum(e[4:]) >= min_fiber_degree
-                )
-                got = dt._fd_positions(order, frozenset(active), min_fiber_degree)
-                assert got == want and all(type(p) is int for p in got)
+                ]
+                jet = dt.fd_jet(fld, POINTS[0], order, active, min_fiber_degree)
+                assert np.flatnonzero(jet.c).tolist() == want
+                unsampled = np.setdiff1d(np.arange(dt.NCOEF[order]), want)
+                assert jet.c[unsampled].tobytes() == bytes(8 * unsampled.size)  # +0.0
 
     def test_cold_jet_memory(self):
-        # the plan is built in this call; its node codes and indices and the
-        # batched arrays stay small (the per-stencil loop peaked at 0.35 MB)
-        dt._fd_plan.cache_clear()
+        # the maps of all seven slots are built in this call; they and the
+        # node arrays stay small
+        dt._contour_maps.cache_clear()
         tracemalloc.start()
         try:
             dt.fd_jet(F2_BM, POINTS[2], 4, min_fiber_degree=2)
@@ -632,94 +575,31 @@ class TestBatchedJet:
             tracemalloc.stop()
         assert peak <= 2_000_000
 
-    @pytest.mark.parametrize("slot", [0, 1], ids=["t", "x1"])
-    def test_signed_zero_coordinate(self, slot):
-        # a field that tells -0.0 from +0.0: stencils that vary the
-        # coordinate see +0.0 at offset 0, the others the point's -0.0
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            sign = np.copysign(1.0, (t, x1)[slot])
-            return (2.0 + sign) * y1**2 * y2 * y3 + x2 * y1
-
-        coords = [0.3, 0.2, -0.4, 0.3, 1.0, 1.5, 0.6]
-        coords[slot] = -0.0
-        jet = dt.fd_jet(fld, coords, 4)
-        assert jet.c.tobytes() == _fd_jet_per_node(fld, coords, 4).c.tobytes()
-        coords[slot] = 0.0
-        assert jet.c.tobytes() != dt.fd_jet(fld, coords, 4).c.tobytes()
-
     def test_signed_zero_point_stays_batched(self):
-        # a varied -0.0 at t and at x1: the F^2 jet takes the batched calls,
-        # not one call per node
+        # a -0.0 at t and at x1: one array call, and the jet of +0.0
         calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return F2_BM(*args)
-
         coords = (-0.0, -0.0, 0.4, 0.3, 1.0, 1.5, 0.6)
-        jet = dt.fd_jet(counting, coords, 4, min_fiber_degree=2)
-        assert len(calls) <= 20
-        ref = _fd_jet_per_node(F2_BM, coords, 4, min_fiber_degree=2)
+        jet = dt.fd_jet(_counting(F2_BM, calls), coords, 4, min_fiber_degree=2)
+        assert len(calls) == 2
+        ref = dt.fd_jet(F2_BM, (0.0, 0.0, *coords[2:]), 4, min_fiber_degree=2)
         assert jet.c.tobytes() == ref.c.tobytes()
 
     def test_unvaried_signed_zero_coordinate(self):
-        # a coordinate that no stencil varies is the point's own at every
-        # node, -0.0 included: it reaches the field as a float, not a column
-        calls = []
+        # a coordinate outside ``active`` is the point's own at every node,
+        # -0.0 included: it reaches the field as a float, not an array
+        arrays = []
 
         def fld(t, x1, x2, x3, y1, y2, y3):
-            calls.append([isinstance(a, np.ndarray) for a in (t, x1, x2, x3, y1, y2, y3)])
+            arrays.append([isinstance(a, np.ndarray) for a in (t, x1, x2, x3, y1, y2, y3)])
             return (2.0 + np.copysign(1.0, x1)) * dt.exp(t) * y1
 
         coords = (0.3, -0.0, 0.2, 0.1, 1.0, 1.5, 0.6)
-        jet = dt.fd_jet(fld, coords, 4, active=(0,))
-        assert len(calls) > 1 and all(c == [True] + [False] * 6 for c in calls[1:])
-        ref = _fd_jet_per_node(fld, coords, 4, active=(0,))
-        assert jet.c.tobytes() == ref.c.tobytes()
+        jet = _assert_matches_per_node(fld, coords, active=(0,))
+        assert arrays[-1] == [True] + [False] * 6
+        assert jet.c[0] == 1.0 * math.exp(0.3)
 
     def test_field_failing_on_arrays(self):
-        # float() of a t column raises: the jet is computed from one call
-        # per node
+        # float() of a complex t array raises: the jet raises it too
         fld = lambda t, x1, x2, x3, y1, y2, y3: math.exp(float(t)) * y1**2 * y2
-        p = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0)
-        jet = dt.fd_jet(fld, p, 4)
-        assert jet.c.tobytes() == _fd_jet_per_node(fld, p, 4).c.tobytes()
-
-    def test_step_power_overflow(self):
-        # at y3 = 1e80 the order-4 step is 4e78, whose 4th power overflows:
-        # the y3**4 stencil, the first of order 4, raises OverflowError
-        # before the later order-4 stencils reach an x1 above 0.11, where
-        # this field raises, as node by node
-        def fld(t, x1, x2, x3, y1, y2, y3):
-            if x1 > 0.11:
-                raise ValueError("x1 beyond the stencils of order <= 3")
-            return y1 * y2
-
-        coords = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1e80)
-        errors = []
-        for jet in (dt.fd_jet, _fd_jet_per_node):
-            with pytest.raises(OverflowError) as info:
-                jet(fld, coords, 4)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
-        # a coordinate that no stencil varies may be as large
-        coords = (0.3, 0.1, 0.0, 1e300, 1.2, 1.0, 1.0)
-        jet = dt.fd_jet(fld, coords, 4, active=(0, 4))
-        assert jet.c.tobytes() == _fd_jet_per_node(fld, coords, 4, active=(0, 4)).c.tobytes()
-
-    def test_fallback_calls_each_distinct_node_once(self):
-        # after the batched call that fails, the field is called once per
-        # distinct node of the plan, on Python floats
-        calls = []
-
-        def fld(*args):
-            calls.append(args)
-            return math.exp(float(args[0])) * args[4] ** 2 * args[5]
-
-        p = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0)
-        jet = dt.fd_jet(fld, p, 4)
-        arrays = [i for i, args in enumerate(calls) if any(type(a) is not float for a in args)]
-        plan = dt._fd_plan(dt._fd_positions(4, frozenset(range(dt.NVARS)), 0))
-        assert len(calls) - arrays[-1] - 1 == plan.codes.size
-        assert all(type(a) is float for args in calls[arrays[-1] + 1 :] for a in args)
-        assert jet.c.tobytes() == _fd_jet_per_node(fld, p, 4).c.tobytes()
+        with pytest.raises(TypeError):
+            dt.fd_jet(fld, (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0), 4)

@@ -217,24 +217,30 @@ def _generic_g111(x, y) -> float:
     )
 
 
-@pytest.mark.parametrize("s", range(1, 13))
-def test_generic_cubic_run_errors_only_where_g111_is_not_positive(s, tmp_path, capsys):
-    # the benchmark's generic-cubic input shape, at sampler seeds 1000 s
+def _run_generic(tmp_path, capsys, seed: int, mode: str):
+    """The benchmark's generic-cubic input shape at this sampler seed, run by
+    the CLI: its exit code and report."""
     doc = {
         "temporal_metric": "exp(2*t)",
         "cubic": {"entries": _GENERIC_ENTRIES},
         "connection": "apriori",
-        "points": {"sampler": {"count": 100, "seed": 1000 * s, "y_box": [0.2, 5.0],
+        "points": {"sampler": {"count": 100, "seed": seed, "y_box": [0.2, 5.0],
                                "t_range": [-1.0, 1.0], "x_range": [-1.0, 1.0]}},
         "einstein_constant": 1.0,
-        "derivative_mode": "exact",
+        "derivative_mode": mode,
         "outputs": ["all"],
     }
-    scenario, out = tmp_path / "generic.json", tmp_path / "generic.report.json"
+    scenario, out = tmp_path / f"generic_{mode}.json", tmp_path / f"generic_{mode}.report.json"
     scenario.write_text(json.dumps(doc))
     rc = main(["run", str(scenario), "--out", str(out)])
     capsys.readouterr()
-    report = json.loads(out.read_text())
+    return rc, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_generic_cubic_run_errors_only_where_g111_is_not_positive(s, tmp_path, capsys):
+    # at sampler seeds 1000 s
+    rc, report = _run_generic(tmp_path, capsys, 1000 * s, "exact")
     assert rc == (0 if report["summary"]["all_pass"] else 1)
     assert len(report["points"]) == 100
     for rec in report["points"]:
@@ -243,3 +249,24 @@ def test_generic_cubic_run_errors_only_where_g111_is_not_positive(s, tmp_path, c
             assert rec["error"] is not None and rec["error"].startswith("DomainError: ")
         else:
             assert rec["error"] is None, (rec["index"], g111)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_generic_cubic_fd_run_errors_where_exact_mode_does(seed, tmp_path, capsys):
+    # fd mode passes on the generic cubic, and its points error where those
+    # of exact mode do (G111 <= 0), each with a DomainError
+    rc, report = _run_generic(tmp_path, capsys, seed, "fd")
+    assert rc == 0 and report["summary"]["all_pass"]
+    _, exact = _run_generic(tmp_path, capsys, seed, "exact")
+    errored = {rec["index"] for rec in report["points"] if rec["error"] is not None}
+    assert errored == {rec["index"] for rec in exact["points"] if rec["error"] is not None}
+    assert errored == {
+        rec["index"]
+        for rec in report["points"]
+        if _generic_g111(rec["point"]["x"], rec["point"]["y"]) <= 0.0
+    }
+    assert all(
+        rec["error"].startswith("DomainError: ")
+        for rec in report["points"]
+        if rec["index"] in errored
+    )
