@@ -574,7 +574,8 @@ def fd_jet(
         if d >= min_fiber_degree:
             scaled[block] = np.einsum("ai,i->a", inverse, along[:, d])
     scaled[fiber < min_fiber_degree] = 0.0
-    c[positions] = scaled / np.prod(radius**exps, axis=1)
+    with np.errstate(over="ignore"):  # r^a past the float range: c_a is +0.0
+        c[positions] = scaled / np.prod(radius**exps, axis=1)
     return Taylor(c, order)
 
 

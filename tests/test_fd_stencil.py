@@ -16,6 +16,8 @@ import json
 import math
 import tracemalloc
 import types
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +110,12 @@ def _assert_matches_per_node(field, point, order=4, active=None, min_fiber_degre
     got = dt.fd_jet(_counting(field, calls), point, order, active, min_fiber_degree)
     assert len(calls) == halvings + 2  # the point, then one call per radius
     coords = dt._coords_of(point)
-    radius = _radii(coords, range(dt.NVARS), order, halvings)
-    scaled = [math.prod(r**a for r, a in zip(radius, e)) for e in dt._EXPONENTS[: dt.NCOEF[order]]]
+    slots = range(dt.NVARS) if active is None else active
+    radius = dict(zip(slots, _radii(coords, slots, order, halvings)))  # the rest sample nothing
+    scaled = [
+        math.prod(radius.get(v, 1.0) ** a for v, a in enumerate(e))
+        for e in dt._EXPONENTS[: dt.NCOEF[order]]
+    ]
     dev = np.abs(got.c - ref.c) * scaled
     assert dev.max() <= 1e-14 * abs(ref.c[0]), dev.max()
     return got
@@ -278,7 +284,9 @@ class TestDomainEdge:
         assert _same_bytes(jet.c[0], fld(*p))
 
 
-class TestComplexNodes:
+class TestNodeArrays:
+    """The helpers and h11 on fd mode's complex node arrays."""
+
     def test_helpers_are_numpy_functions(self):
         rng = np.random.default_rng(6)
         z = rng.uniform(0.1, 30.0, 500) + 1j * rng.uniform(-1.0, 1.0, 500)
@@ -298,6 +306,28 @@ class TestComplexNodes:
         assert tm.h11_eval(z).tobytes() == np.exp(800 * z).tobytes()
         with pytest.raises(DomainError, match="is not finite"), np.errstate(over="ignore"):
             tm.h11_eval(np.array([0.5, 0.9 + 0.1j]))
+
+    def test_overflow_on_floats_raises(self):
+        # the point is evaluated on Python floats, where 2000.0**100 raises
+        # OverflowError as the field does; on the complex nodes a power that
+        # overflows is not finite, which halves the radius: 1000.0**100 is
+        # finite, and its circles shrink until their values are too
+        fld = lambda t, x1, x2, x3, y1, y2, y3: y1**100
+        p = (0.0, 0.0, 0.0, 0.0, 2000.0, 1.0, 1.0)
+        with pytest.raises(OverflowError) as ref:
+            fld(*p)
+        with pytest.raises(OverflowError) as got:
+            dt.fd_jet(fld, p, 4)
+        assert str(got.value) == str(ref.value)
+        p = (0.0, 0.0, 0.0, 0.0, 1000.0, 1.0, 1.0)
+        assert math.isfinite(fld(*p))
+        calls = []
+        dt.fd_jet(_counting(fld, calls), p, 4, active=(4,))
+        assert len(calls) > 2  # the point, then more than one radius
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference's nodes
+            jet = _assert_matches_per_node(fld, p, active=(4,))
+        exact = dt.jet_eval(fld, p, 4)
+        assert np.abs(jet.c / np.where(exact.c, exact.c, 1.0) - (exact.c != 0)).max() <= 1e-9
 
 
 class TestUnreadCoefficients:
@@ -522,6 +552,77 @@ class TestErrorParity:
 
 F2_BM = finsler_F_squared_field(CubicForm.berwald_moor(), TemporalMetric("exp(2*t)"))
 
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _exact_unit(turns: Fraction) -> complex:
+    """exp(2 pi i turns), each part rounded once from 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        turns %= 1  # an angle in [0, 2 pi), where 80 terms converge
+        x = 2 * _PI * turns.numerator / turns.denominator
+        cos, sin, term = Decimal(0), Decimal(0), Decimal(1)
+        for n in range(80):  # term = x^n / n!
+            if n % 2:
+                sin += term if n % 4 == 1 else -term
+            else:
+                cos += term if n % 4 == 0 else -term
+            term = term * x / (n + 1)
+    return complex(float(cos), float(sin))
+
+
+def _exact_inverse(a):
+    """Gauss-Jordan inverse of a square matrix of Fractions."""
+    n = len(a)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
+
+
+class TestStencilTable:
+    """The contour jet's table for order m: the trapezoidal weights z^-d / N
+    at the N nodes of the unit circle, and per degree d the map from the
+    directional coefficients to c_a r^a, the inverse of V[i, a] = i^a for
+    d = m and the least-squares one, (V^T V)^-1 V^T, below.  Both are the
+    exact ones, in Decimal and Fraction arithmetic, up to rounding: that of
+    the node angles and of the m complex products of a weight, and that of
+    a float solve of V, whose condition number here is at most 489."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_weights_are_the_exact_ones_rounded(self, m):
+        eps = np.finfo(float).eps
+        for slots in ((0, 4, 5, 6), (2,)):  # the Berwald-Moor F^2's, one slot
+            _, exps, _, dirs, blocks, circle, dft = dt._contour_maps(m, slots)
+            nodes = [_exact_unit(Fraction(k, NODES)) for k in range(NODES)]
+            assert np.abs(circle - nodes).max() <= 4 * eps
+            weights = [[_exact_unit(Fraction(-k * d, NODES)) / NODES for d in range(m + 1)]
+                       for k in range(NODES)]
+            assert dft.shape == (NODES, m + 1)
+            assert np.abs(dft - weights).max() <= 4 * m * eps / NODES
+            assert [block.stop - block.start for block, _ in blocks] == [
+                math.comb(d + len(slots) - 1, d) for d in range(1, m + 1)
+            ]
+            for d, (block, got) in enumerate(blocks, start=1):
+                v = [[Fraction(math.prod(int(k) ** int(a) for k, a in zip(i, e)))
+                      for e in exps[block]] for i in dirs]
+                vt = [list(col) for col in zip(*v)]
+                if d == m:
+                    exact = _exact_inverse(v)
+                else:
+                    vtv = [[sum(x * y for x, y in zip(r, c)) for c in vt] for r in vt]
+                    exact = [[sum(x * y for x, y in zip(r, c)) for c in v]
+                             for r in _exact_inverse(vtv)]
+                exact = np.array(exact, dtype=float)
+                assert got.shape == exact.shape
+                assert np.abs(got - exact).max() <= 64 * eps * np.abs(exact).max(), (m, d)
+
 
 class TestBatchedJet:
     """``fd_jet`` evaluates all nodes of one radius in one call."""
@@ -575,6 +676,28 @@ class TestBatchedJet:
             tracemalloc.stop()
         assert peak <= 2_000_000
 
+    @pytest.mark.parametrize("slot", [0, 1], ids=["t", "x1"])
+    def test_signed_zero_coordinate(self, slot):
+        # a -0.0 that the circles vary reaches the field as -0.0 at the point
+        # and as -0.0 + i_v r_v z at the nodes, which equal those of +0.0 in
+        # value: the generic F^2 gives the reference's jet, and that of +0.0
+        # bit for bit
+        fld = finsler_F_squared_field(GENERIC, TemporalMetric("t**2 + 1"))
+        seen = []
+
+        def recording(*args):
+            seen.append(args[slot])
+            return fld(*args)
+
+        coords = [0.3, 0.2, -0.4, 0.3, 1.0, 1.5, 0.6]
+        coords[slot] = -0.0
+        jet = dt.fd_jet(recording, coords, 4)
+        assert type(seen[0]) is float and math.copysign(1.0, seen[0]) == -1.0
+        assert seen[1].dtype == complex and (seen[1] != 0.0).any()
+        _assert_matches_per_node(fld, coords)
+        coords[slot] = 0.0
+        assert jet.c.tobytes() == dt.fd_jet(fld, coords, 4).c.tobytes()
+
     def test_signed_zero_point_stays_batched(self):
         # a -0.0 at t and at x1: one array call, and the jet of +0.0
         calls = []
@@ -603,3 +726,23 @@ class TestBatchedJet:
         fld = lambda t, x1, x2, x3, y1, y2, y3: math.exp(float(t)) * y1**2 * y2
         with pytest.raises(TypeError):
             dt.fd_jet(fld, (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1.0), 4)
+
+    def test_step_power_overflow(self):
+        # at y3 = 1e80 the order-4 radius of y3 is about 6e78, whose 4th
+        # power overflows: the coefficients it scales are zeros, without an
+        # overflow warning, and the others agree with the exact jet in c_a r^a
+        fld = lambda t, x1, x2, x3, y1, y2, y3: y1 * y2 * y3**2
+        coords = (0.3, 0.1, 0.0, 0.0, 1.2, 1.0, 1e80)
+        calls = []
+        jet = dt.fd_jet(_counting(fld, calls), coords, 4)
+        exact = dt.jet_eval(fld, coords, 4)
+        radius = _radii(coords, range(dt.NVARS), 4, len(calls) - 2)
+        with np.errstate(over="ignore"):
+            scaled = np.prod(np.array(radius) ** dt._EXPONENT_ARRAY[: dt.NCOEF[4]], axis=1)
+        over = np.isinf(scaled)
+        assert over.any()
+        assert (jet.c[over] == 0.0).all()  # with the sign of the sum's round-off
+        dev = np.abs(jet.c - exact.c)[~over] * scaled[~over]
+        assert dev.max() <= 1e-14 * exact.c[0], dev.max()
+        # a coordinate that no circle varies may be as large
+        _assert_matches_per_node(fld, (0.3, 0.1, 0.0, 1e300, 1.2, 1.0, 1.0), active=(0, 4))
