@@ -523,28 +523,26 @@ def jet_eval(field: Callable, point, order: int) -> Taylor:
 # gives up to aliasing from degree N on (Lyness & Moler, SIAM J. Numer. Anal.
 # 4 (1967) 202-210; Fornberg, ACM TOMS 7 (1981) 512-526).  Along w = i r, for
 # the i of |i| = order over the active slots and radii r, the degree-d one is
-# sum_{|a| = d} c_a r^a i^a, and these determine the jet coefficients c_a of
-# every degree d <= order (Griewank, Utke & Walther, Math. Comp. 69 (2000)).
-
-#: Nodes per circle, the radius factor rho before halving, how often it is
-#: halved at most, the share of |f(p)| by which a node value may differ from
-#: f(p) (which keeps powers such as G111^(2/3) on their principal branch and
-#: the circles inside the disc of convergence), and the floor of |c_v|.
+# sum_{|a| = d} c_a r^a i^a, fixing the c_a (Griewank, Utke & Walther, Math.
+# Comp. 69 (2000)).  Constants: nodes per circle, rho, the most halvings, the
+# share of |f(p)| a node value may stray (keeping G111^(2/3) on its principal
+# branch and the circles in the disc of convergence), floor of |c_v|.
 _FD_NODES, _FD_RHO, _FD_HALVINGS, _FD_IMAGE, _FD_SCALE_FLOOR = 32, 0.25, 20, 0.5, 0.1
 
 
 def fd_jet(
     field: Callable, point, order: int, active=None, min_fiber_degree: int = 0
 ) -> Taylor:
-    """Taylor coefficients from contour integrals (drop-in for the exact jet;
-    used by the engine's ``fd`` derivative mode).
+    """Taylor coefficients from contour integrals, for the engine's ``fd``
+    derivative mode; the field must take complex arrays.
 
     The field is called on floats for ``c[0]`` (so the point's own domain
     check comes first), then on one complex array per radius: active
     coordinate v is ``c_v + i_v r_v z`` at the N nodes z of the unit circle,
     per direction i, r_v = rho max(|c_v|, 0.1) / order.  rho = 0.25 halves,
     up to 20 times, until no node raises ``DomainError`` and every value is
-    within 0.5 |f(p)| of f(p); else ``DomainError`` is raised.
+    within 0.5 |f(p)| of f(p), or finite if f(p) = 0; else ``DomainError`` is
+    raised, as for sin(x1) at x1 = 1e-8 (small against its change).
 
     Coefficients of monomials that touch a slot outside ``active`` (default
     all; the engine passes ``metric_engine.f2_slots`` and ``h11_slots``), or
@@ -574,8 +572,8 @@ def fd_jet(
         if d >= min_fiber_degree:
             scaled[block] = np.einsum("ai,i->a", inverse, along[:, d])
     scaled[fiber < min_fiber_degree] = 0.0
-    with np.errstate(over="ignore"):  # r^a past the float range: c_a is +0.0
-        c[positions] = scaled / np.prod(radius**exps, axis=1)
+    mantissa, exponent = np.frexp(radius)  # r^a = (2m)^a 2^((e-1) a): no overflow
+    c[positions] = np.ldexp(scaled / np.prod((2 * mantissa) ** exps, axis=1), exps @ (1 - exponent))
     return Taylor(c, order)
 
 
@@ -583,7 +581,7 @@ def fd_jet(
 def _on_circles(field: Callable, coords, slots, steps, circle, value):
     """The field at the nodes ``coords[v] + steps[i, j] z``, v = slots[j],
     (directions, N); None if it raises ``DomainError`` or a value is not
-    finite or farther than _FD_IMAGE |value| from ``value``."""
+    finite or farther than _FD_IMAGE |value| from a nonzero ``value``."""
     args = list(coords)
     for j, v in enumerate(slots):
         args[v] = coords[v] + np.multiply.outer(steps[:, j], circle)
@@ -591,17 +589,17 @@ def _on_circles(field: Callable, coords, slots, steps, circle, value):
         got = np.broadcast_to(field(*args), (len(steps), len(circle)))
     except DomainError:
         return None
-    return got if (np.abs(got - value) <= _FD_IMAGE * abs(value)).all() else None
+    near = np.abs(got - value) <= _FD_IMAGE * abs(value) if value else np.isfinite(got)
+    return got if near.all() else None
 
 
 @lru_cache(maxsize=None)
 def _contour_maps(order: int, slots: tuple):
     """For the coefficients of degree 1..order on these slots: positions,
     exponents over the slots, fiber degrees; the directions; per degree d,
-    the block of its coefficients and the map from the directional
-    coefficients to their c_a r^a, the inverse of V[i, a] = i^a (square for
-    d = order, normal equations below); the nodes z and weights z^-d / N.
-    einsum calls no BLAS, which runs on threads for larger arrays."""
+    its block and the map from directional coefficients to c_a r^a, the
+    inverse of V[i, a] = i^a (normal equations below d = order); the nodes z
+    and weights z^-d / N.  einsum calls no BLAS, which threads larger arrays."""
     others = ALL_SLOTS ^ sum(1 << v for v in slots)
     positions = 1 + np.flatnonzero(_SUPPORT[1 : NCOEF[order]] & others == 0)
     full = _EXPONENT_ARRAY[positions]  # in graded order, so each degree is a block
@@ -629,8 +627,9 @@ def _square_inverse(vander: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """The inverse of V[i, a] = i^a over the same exponents ``exps``, by
     forward substitution: i^a is 0 unless the slots of a lie in those of i,
     so V is block lower triangular by number of slots, each block diagonal
-    by slot set.  OpenBLAS factors 100 rows or more on threads: LAPACK took
-    0.1-0.7 s for seven slots (210) on 2 shared vCPUs after idling."""
+    by slot set.  OpenBLAS factors 100 rows or more on threads (LAPACK took
+    0.1-0.7 s for 210 rows after idling) and fewer faster than this: 1.07
+    against 1.40 ms for a process's first Berwald-Moor F^2 jet (35 rows)."""
     used = exps > 0
     bits, size = used @ (1 << np.arange(exps.shape[1])), used.sum(axis=1)
     inverse = np.zeros_like(vander)
