@@ -90,12 +90,28 @@ def _segment_starts(arrays) -> list[int]:
     return [0, *itertools.accumulate(getattr(a, "size", 1) for a in arrays[:-1])]
 
 
+def _worse(dev: float, than: float) -> bool:
+    """Whether a deviation ``dev`` is worse than ``than``: larger, or NaN
+    where ``than`` is not.  A tie is not worse, so the earlier one stays."""
+    return dev > than or (math.isnan(dev) and not math.isnan(than))
+
+
+def _worst(devs) -> float:
+    """The worst of the deviations ``devs``: their max, or their first NaN
+    (Python's ``max`` drops a NaN that follows a number)."""
+    worst, *rest = devs
+    for dev in rest:
+        if _worse(dev, worst):
+            worst = dev
+    return worst
+
+
 def _per_row(rows, pair_devs: list) -> list[float]:
-    """One deviation per row of pairs: Python's ``max`` over the deviations
+    """One deviation per row of pairs: the worst of the deviations
     ``pair_devs`` of its pairs, which run through all rows in order."""
     out, start = [], 0
     for row in rows:
-        out.append(max(pair_devs[start : start + len(row)]))
+        out.append(_worst(pair_devs[start : start + len(row)]))
         start += len(row)
     return out
 
@@ -437,12 +453,12 @@ def _listify(value):
 def _s_raised_divergence_dev(cf: bm.ClosedForms) -> float:
     """sum_m d S^m11_i / dy_m against (2/3)(1/y_i) G111^(-2/3), via the kernel."""
     d_y = cf.s_raised_stack[..., dt.D1_SLOTS[4:]].tolist()  # [m][i][k]
-    worst = 0.0
+    devs = []
     for i in range(3):
         total = sum(d_y[m][i][m] for m in range(3))
         ref = (2.0 / 3.0) / cf.point.y[i] * cf.g23inv
-        worst = max(worst, abs(total - ref) / max(abs(ref), 1.0))
-    return worst
+        devs.append(abs(total - ref) / max(abs(ref), 1.0))
+    return _worst(devs)
 
 
 @np.errstate(all="ignore")
@@ -634,7 +650,7 @@ def run_scenario(scenario: Scenario) -> tuple[dict, bool]:
         for section, worst_rows in worst.items():
             for name, row in record[section].items():
                 best = worst_rows.get(name)
-                if best is None or row["max_rel_dev"] > best["max_rel_dev"]:
+                if best is None or _worse(row["max_rel_dev"], best["max_rel_dev"]):
                     worst_rows[name] = {
                         "max_rel_dev": row["max_rel_dev"],
                         "tolerance": row["tolerance"],

@@ -17,8 +17,9 @@ inverse by cofactor expansion over order-1 series, the connection
 coefficients as stacked order-1 series, and the curvature components as
 their first formal derivatives.  The series coefficients are exactly the
 adapted-frame partials that the defining formulas call for, so the whole
-chain is exact up to rounding.  ``deriv_mode="fd"`` swaps the two base jets (F^2 and h11) for
-finite-difference tables; downstream algebra is unchanged.
+chain is exact up to rounding.  ``deriv_mode="fd"`` reads the two base jets
+(F^2 and h11) off contour integrals instead, to cross-check the exact
+kernel; downstream algebra is unchanged.
 """
 
 from __future__ import annotations
@@ -204,11 +205,8 @@ class PointContext:
     def f2_ser(self) -> dt.Taylor:
         fld = finsler_F_squared_field(self.cubic, self.tm)
         if self.deriv_mode == "fd":
-            # only ``g_stack`` reads this jet, through two y-derivatives, so
-            # the coefficients of y-degree below 2 are never sampled; nor are
-            # those of a coordinate F^2 does not depend on, which are 0
-            slots = f2_slots(self.cubic, self.tm)
-            return dt.fd_jet(fld, self.point, 4, active=slots, min_fiber_degree=2)
+            # the coefficients of a coordinate F^2 does not depend on are 0
+            return dt.fd_jet(fld, self.point, 4, active=f2_slots(self.cubic, self.tm))
         return dt.jet_eval(fld, self.point, 4)
 
     @cached_property

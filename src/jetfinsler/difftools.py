@@ -37,7 +37,6 @@ NVARS = 7
 MAX_ORDER = 4
 COORD_NAMES = ("t", "x1", "x2", "x3", "y1", "y2", "y3")
 _COORD_INDEX = {name: i for i, name in enumerate(COORD_NAMES)}
-_FIBER = slice(4, NVARS)  # the slots of y1, y2, y3
 
 
 def _graded_exponents() -> list[tuple[int, ...]]:
@@ -530,9 +529,7 @@ def jet_eval(field: Callable, point, order: int) -> Taylor:
 _FD_NODES, _FD_RHO, _FD_HALVINGS, _FD_IMAGE, _FD_SCALE_FLOOR = 32, 0.25, 20, 0.5, 0.1
 
 
-def fd_jet(
-    field: Callable, point, order: int, active=None, min_fiber_degree: int = 0
-) -> Taylor:
+def fd_jet(field: Callable, point, order: int, active=None) -> Taylor:
     """Taylor coefficients from contour integrals, for the engine's ``fd``
     derivative mode; the field must take complex arrays.
 
@@ -545,9 +542,8 @@ def fd_jet(
     raised, as for sin(x1) at x1 = 1e-8 (small against its change).
 
     Coefficients of monomials that touch a slot outside ``active`` (default
-    all; the engine passes ``metric_engine.f2_slots`` and ``h11_slots``), or
-    of y-degree below ``min_fiber_degree`` (the metric reads two
-    y-derivatives of F^2), are zero; the others do not depend on it.
+    all; the engine passes ``metric_engine.f2_slots`` and ``h11_slots``) are
+    zero; the others do not depend on it.
     """
     if order > MAX_ORDER:
         raise OrderTooHigh(f"order {order} exceeds the maximum {MAX_ORDER}")
@@ -557,7 +553,7 @@ def fd_jet(
     slots = tuple(sorted(set(range(NVARS) if active is None else active)))
     if order == 0 or not slots:
         return Taylor(c, order)
-    positions, exps, fiber, dirs, blocks, circle, dft = _contour_maps(order, slots)
+    positions, exps, dirs, blocks, circle, dft = _contour_maps(order, slots)
     scale = np.array([max(abs(coords[v]), _FD_SCALE_FLOOR) for v in slots]) / order
     for halvings in range(_FD_HALVINGS + 1):
         radius = _FD_RHO / 2**halvings * scale
@@ -569,9 +565,7 @@ def fd_jet(
     along = (got @ dft).real  # [direction, degree]: the trapezoidal sums
     scaled = np.zeros(len(positions))  # c_a r^a
     for d, (block, inverse) in enumerate(blocks, start=1):
-        if d >= min_fiber_degree:
-            scaled[block] = np.einsum("ai,i->a", inverse, along[:, d])
-    scaled[fiber < min_fiber_degree] = 0.0
+        scaled[block] = np.einsum("ai,i->a", inverse, along[:, d])
     mantissa, exponent = np.frexp(radius)  # r^a = (2m)^a 2^((e-1) a): no overflow
     c[positions] = np.ldexp(scaled / np.prod((2 * mantissa) ** exps, axis=1), exps @ (1 - exponent))
     return Taylor(c, order)
@@ -595,11 +589,11 @@ def _on_circles(field: Callable, coords, slots, steps, circle, value):
 
 @lru_cache(maxsize=None)
 def _contour_maps(order: int, slots: tuple):
-    """For the coefficients of degree 1..order on these slots: positions,
-    exponents over the slots, fiber degrees; the directions; per degree d,
-    its block and the map from directional coefficients to c_a r^a, the
-    inverse of V[i, a] = i^a (normal equations below d = order); the nodes z
-    and weights z^-d / N.  einsum calls no BLAS, which threads larger arrays."""
+    """For the coefficients of degree 1..order on these slots: positions and
+    exponents over the slots; the directions; per degree d, its block and
+    the map from directional coefficients to c_a r^a, the inverse of
+    V[i, a] = i^a (normal equations below d = order); the nodes z and
+    weights z^-d / N.  einsum calls no BLAS, which threads larger arrays."""
     others = ALL_SLOTS ^ sum(1 << v for v in slots)
     positions = 1 + np.flatnonzero(_SUPPORT[1 : NCOEF[order]] & others == 0)
     full = _EXPONENT_ARRAY[positions]  # in graded order, so each degree is a block
@@ -620,7 +614,7 @@ def _contour_maps(order: int, slots: tuple):
         blocks.append((block, m))
     circle = np.exp(2j * np.pi * np.arange(_FD_NODES) / _FD_NODES)
     dft = np.conj(circle[:, None] ** np.arange(order + 1)) / _FD_NODES
-    return positions, exps, full[:, _FIBER].sum(axis=1), dirs, blocks, circle, dft
+    return positions, exps, dirs, blocks, circle, dft
 
 
 def _square_inverse(vander: np.ndarray, exps: np.ndarray) -> np.ndarray:

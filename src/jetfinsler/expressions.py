@@ -30,7 +30,7 @@ MAX_INT_POWER = 64
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression over a fixed variable set.
+    """A parsed expression.
 
     ``names`` holds the variables the source uses (function names are not
     variables).  The validated tree is compiled once; evaluation is a plain
@@ -39,7 +39,6 @@ class Expression:
     """
 
     source: str
-    variables: tuple[str, ...]
     names: frozenset[str]
     _code: object = field(repr=False, compare=False)
 
@@ -53,33 +52,28 @@ class Expression:
         except OverflowError as exc:  # e.g. exp of a large argument
             raise DomainError(f"{self.source!r} overflows: {exc}") from None
 
-    def __call__(self, **env):
-        return self.evaluate(env)
 
-
-def parse_expression(source: str, variables=("t", "x1", "x2", "x3")) -> Expression:
+def parse_expression(source: str, variables: tuple[str, ...]) -> Expression:
     """Parse and validate a grammar expression; raises ConfigError otherwise."""
     if not isinstance(source, str):
         source = repr(float(source))
     names = set()
     try:
         tree = ast.parse(source, mode="eval")
-        _validate(tree.body, tuple(variables), source, names)
+        _validate(tree.body, variables, source, names)
         code = compile(tree, "<jetfinsler-expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {source!r}: {exc}") from None
     except (MemoryError, RecursionError):  # the parser's and compiler's depth limits
         raise ConfigError(f"expression {source!r} is nested too deeply") from None
-    return Expression(
-        source=source, variables=tuple(variables), names=frozenset(names), _code=code
-    )
+    return Expression(source=source, names=frozenset(names), _code=code)
 
 
 def _validate(node: ast.AST, variables: tuple[str, ...], source: str, names: set) -> None:
     """Raise ConfigError unless ``node`` is in the grammar; add the variables
     it uses to ``names``."""
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):  # bool is not a number here
             raise ConfigError(f"non-numeric literal in {source!r}")
         if not _finite_float(node.value):
             raise ConfigError(f"non-finite literal in {source!r}")
@@ -136,13 +130,13 @@ def _finite_float(value) -> bool:
 
 
 def _int_exponent(node: ast.AST):
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+    if isinstance(node, ast.Constant) and type(node.value) is int:  # not bool
         return node.value
     if (
         isinstance(node, ast.UnaryOp)
         and isinstance(node.op, ast.USub)
         and isinstance(node.operand, ast.Constant)
-        and isinstance(node.operand.value, int)
+        and type(node.operand.value) is int
     ):
         return -node.operand.value
     return None

@@ -223,10 +223,6 @@ class CubicForm:
         return cls(entries)
 
     @property
-    def entries(self):
-        return dict(self._entries)
-
-    @property
     def names(self) -> frozenset[str]:
         """The variables x1..x3 its entries use; a float entry uses none."""
         return frozenset().union(
@@ -330,6 +326,3 @@ class DTensorBundle:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.array(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._slots

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -5,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jetfinsler import difftools as dt
+from jetfinsler import field_theory as ft
 from jetfinsler.berwald_moor import ClosedForms
 from jetfinsler.cli import (
     COMPARISON_NAMES,
     FORMULA_TABLE,
+    _s_raised_divergence_dev,
     identity_dev,
     load_scenario,
     main,
@@ -174,6 +179,7 @@ class TestScenarioValidation:
             (("temporal_metric",), "1e400"),
             (("cubic",), {"entries": {"123": "1/6 + 1e999*x1"}}),
             (("temporal_metric",), "1 + t**1000000000"),
+            (("temporal_metric",), "exp(True*t)"),
             (("cubic",), {"entries": {"123": 1 / 6}, "foo": 1}),
             (("cubic",), {"entries": {"123": 1 / 6, "321": 0.5}}),
             (("cubic",), {"entries": {"1,1,2": 0.1, "211": 0.2, "123": 1 / 6}}),
@@ -183,8 +189,8 @@ class TestScenarioValidation:
             "t_range_bool", "count_bool", "seed_bool", "seed_negative", "output_list",
             "tolerance_bool", "tolerance_inf", "einstein_bool", "einstein_nan",
             "cubic_entry_bool", "metric_literal_inf", "cubic_literal_inf",
-            "metric_power_unbounded", "cubic_unknown_field", "cubic_same_component",
-            "cubic_same_component_spelled",
+            "metric_power_unbounded", "metric_bool_literal", "cubic_unknown_field",
+            "cubic_same_component", "cubic_same_component_spelled",
         ],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, path, value):
@@ -288,6 +294,30 @@ class TestRunScenario:
         for row in rows.values():
             assert list(row) == ["max_rel_dev", "tolerance", "point_index", "pass"]
             assert row["point_index"] == 0
+
+    def test_nan_row_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the second pair of the three-pair em_derivatives row fails
+        # the row and the run, and is the summary's worst row, at the
+        # earliest of the points that share it
+        derivatives = ft.em_covariant_derivatives
+
+        def nan_spatial(ctx):
+            emd = derivatives(ctx)
+            return dataclasses.replace(emd, F_spatial=np.full_like(emd.F_spatial, np.nan))
+
+        monkeypatch.setattr(ft, "em_covariant_derivatives", nan_spatial)
+        out = tmp_path / "report.json"
+        path = write_scenario(tmp_path, base_scenario(count=2))
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "RESULT: FAIL" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        for point in report["points"]:
+            row = point["identities"]["em_derivatives"]
+            assert math.isnan(row["max_rel_dev"]) and row["pass"] is False
+        worst = report["summary"]["worst_identities"]["em_derivatives"]
+        assert math.isnan(worst["max_rel_dev"])
+        assert (worst["point_index"], worst["pass"]) == (0, False)
+        assert report["summary"]["points_failed"] == 2
 
     def test_canonical_run_passes(self):
         doc = base_scenario(count=3, seed=10)
@@ -630,6 +660,19 @@ class TestFormulaTable:
             for attr in re.findall(r"\.(\w+)", attrs):
                 assert hasattr(obj, attr), source
 
+    def test_installed_command(self, capsys):
+        # the ``jetfinsler`` command that pyproject.toml installs
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["jetfinsler"]
+        module, _, name = target.partition(":")
+        command = getattr(importlib.import_module(module), name)
+        assert command is main
+        assert command(["table"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"closed-form concordance ({len(FORMULA_TABLE)} operations)\n"
+        )
+
     def test_table_is_stable(self):
         assert print_formula_table() == print_formula_table()
 
@@ -660,6 +703,13 @@ def _identity_dev_pair(residual, reference) -> float:
     ref = np.asarray(reference, dtype=float)
     scale = max(float(np.abs(ref).max()), 1.0)
     return float(np.abs(res).max() / scale)
+
+
+def _row_max(devs: list) -> float:
+    """A row's deviation from those of its pairs: their max, or the first
+    NaN among them."""
+    nans = [d for d in devs if math.isnan(d)]
+    return nans[0] if nans else max(devs)
 
 
 def _bits(values) -> list[bytes]:
@@ -693,16 +743,16 @@ def _rows(pairs):
 
 class TestBatchedRows:
     """``rel_dev`` and ``identity_dev`` reduce the rows of a point in one pass;
-    each row is bit for bit the per-pair definition (Python's ``max`` over
-    the pairs of a multi-pair row such as ``euler_chain`` or
-    ``stress_two_path``)."""
+    each row is bit for bit the per-pair definition (the max over the pairs
+    of a multi-pair row such as ``euler_chain`` or ``stress_two_path``, NaN
+    if one of theirs is NaN)."""
 
     @given(rows=_rows(_value_pairs()))
     @settings(max_examples=300, deadline=None)
     def test_rel_dev(self, rows):
         with np.errstate(all="ignore"):
             got = rel_dev(rows)
-            want = [max(_rel_dev_pair(v, r) for v, r in row) for row in rows]
+            want = [_row_max([_rel_dev_pair(v, r) for v, r in row]) for row in rows]
         assert _bits(got) == _bits(want)
 
     @given(rows=_rows(_residual_pairs()))
@@ -710,8 +760,30 @@ class TestBatchedRows:
     def test_identity_dev(self, rows):
         with np.errstate(all="ignore"):
             got = identity_dev(rows)
-            want = [max(_identity_dev_pair(v, r) for v, r in row) for row in rows]
+            want = [_row_max([_identity_dev_pair(v, r) for v, r in row]) for row in rows]
         assert _bits(got) == _bits(want)
 
     def test_no_rows(self):
         assert rel_dev([]) == [] and identity_dev([]) == []
+
+    def test_nan_in_a_later_pair(self):
+        # Python's max keeps a finite value over a NaN that follows it
+        finite, nan = np.array([0.0]), np.array([np.nan])
+        for pairs in ([(finite, 1.0), (nan, 1.0)], [(nan, 1.0), (finite, 1.0)]):
+            assert math.isnan(identity_dev([pairs])[0])
+            assert math.isnan(rel_dev([[(v, finite) for v, _ in pairs]])[0])
+        # a NaN row leaves the rows around it as they were
+        rows = [[(finite, 1.0)], [(finite, 1.0), (nan, 1.0)], [(finite, 1.0)]]
+        first, second, third = identity_dev(rows)
+        assert (first, third) == (0.0, 0.0) and math.isnan(second)
+
+    def test_nan_divergence_term(self):
+        # _s_raised_divergence_dev takes the worst of three terms: a NaN in
+        # the last one is the result
+        stack = np.zeros((3, 3, dt.NCOEF[1]))
+        stack[2, 2, dt.D1_SLOTS[6]] = np.nan
+        point = JetPoint.of(0.0, (0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        cf = types.SimpleNamespace(s_raised_stack=stack, point=point, g23inv=1.0)
+        assert math.isnan(_s_raised_divergence_dev(cf))
+        stack[2, 2, dt.D1_SLOTS[6]] = 0.0
+        assert _s_raised_divergence_dev(cf) == 2.0 / 3.0

@@ -236,7 +236,7 @@ class TestCrossEngine:
         assert worst < 1e-11
 
     def test_generic_matches_closed_fd(self, bm_cubic):
-        # the finite-difference fallback carries a much looser tolerance
+        # the fd cross-check (contour-integral jets) carries a much looser tolerance
         tm = TemporalMetric("exp(2*t)")
         points = sample_jet_points(seed=99, count=4)
         _compare_against_closed(bm_cubic, tm, points, "fd", 1e-5)

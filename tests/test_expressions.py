@@ -70,6 +70,9 @@ def test_numeric_constant_coerces():
         "[1, 2]",             # non-arithmetic construct
         "t +",                # syntax error
         "'abc'",              # non-numeric literal
+        "True",               # booleans are not numbers
+        "2*t + False",
+        "t**True",            # nor integer exponents
         "t ** 65",            # exponent beyond the bound
         "t ** -65",
         "1 + t**1000000000",

@@ -54,7 +54,7 @@ def _radii(coords, slots, order, halvings):
     return [RHO / 2**halvings * max(abs(coords[v]), 0.1) / order for v in slots]
 
 
-def _fd_jet_per_node(field, point, order, active=None, min_fiber_degree=0):
+def _fd_jet_per_node(field, point, order, active=None):
     """The contour jet and the halvings of its radius, one node at a time."""
     coords = list(dt._coords_of(point))
     c = np.zeros(dt.NCOEF[order])
@@ -84,8 +84,7 @@ def _fd_jet_per_node(field, point, order, active=None, min_fiber_degree=0):
             full = [0] * dt.NVARS
             for v, a in zip(slots, e):
                 full[v] = a
-            if sum(full[4:]) >= min_fiber_degree:
-                c[dt._POS[tuple(full)]] = xe / math.prod(r**a for r, a in zip(radius, e))
+            c[dt._POS[tuple(full)]] = xe / math.prod(r**a for r, a in zip(radius, e))
     return dt.Taylor(c, order), halvings
 
 
@@ -104,12 +103,12 @@ def _counting(field, calls):
     return counted
 
 
-def _assert_matches_per_node(field, point, order=4, active=None, min_fiber_degree=0):
+def _assert_matches_per_node(field, point, order=4, active=None):
     """``fd_jet`` takes the reference's radius, in one array call, and its
     scaled coefficients c_a r^a agree to 1e-14 of the field's value."""
-    ref, halvings = _fd_jet_per_node(field, point, order, active, min_fiber_degree)
+    ref, halvings = _fd_jet_per_node(field, point, order, active)
     calls = []
-    got = dt.fd_jet(_counting(field, calls), point, order, active, min_fiber_degree)
+    got = dt.fd_jet(_counting(field, calls), point, order, active)
     assert len(calls) == halvings + 2  # the point, then one call per radius
     coords = dt._coords_of(point)
     slots = range(dt.NVARS) if active is None else active
@@ -162,17 +161,17 @@ class TestAgainstPerNode:
     )
     @settings(max_examples=60, deadline=None)
     def test_f_squared_partials_over_points(self, t, x, y, generic, metric):
-        # the engine's F^2 jet: its slots, y-degree >= 2
+        # the engine's F^2 jet, on its slots
         cubic = GENERIC if generic else CubicForm.berwald_moor()
         tm = TemporalMetric(metric)
         fld = finsler_F_squared_field(cubic, tm)
         p = JetPoint.of(t, x, y)
-        kwargs = dict(active=f2_slots(cubic, tm), min_fiber_degree=2)
+        active = f2_slots(cubic, tm)
         if cubic.g111(p.x, p.y) <= 0.0:
             with pytest.raises(DomainError, match="non-positive"):
-                dt.fd_jet(fld, p, 4, **kwargs)
+                dt.fd_jet(fld, p, 4, active)
             return
-        _assert_matches_per_node(fld, p, **kwargs)
+        _assert_matches_per_node(fld, p, active=active)
 
 
 def _own_slots(jet) -> list[int]:
@@ -285,34 +284,31 @@ class TestDomainEdge:
         g111 = GENERIC.g111((x1, *x23), y)
         if g111 <= 0.0:
             with pytest.raises(DomainError, match="non-positive"):
-                dt.fd_jet(fld, p, order, min_fiber_degree=2)
+                dt.fd_jet(fld, p, order)
             return
         calls = []
         if g111 < 1e-4 * y[0] * y[1] * y[2]:
             # the circles may need more than 20 halvings this near the edge
             try:
-                jet = dt.fd_jet(_counting(fld, calls), p, order, min_fiber_degree=2)
+                jet = dt.fd_jet(_counting(fld, calls), p, order)
             except DomainError as exc:
                 assert str(exc).startswith("no contour radius")
                 return
         else:
-            jet = dt.fd_jet(_counting(fld, calls), p, order, min_fiber_degree=2)
+            jet = dt.fd_jet(_counting(fld, calls), p, order)
         assert np.isfinite(jet.c).all()
         assert _same_bytes(jet.c[0], fld(*p))
-        # the sampled coefficients (y-degree >= 2) against the exact ones, in
-        # c_a r^a for the radii r that passed: within 1e-6 f(p), and within
-        # fd_rel of c_a where c_a r^a is at least 1e-3 f(p) (measured over
-        # 1,500 points: 1.7e-8 and 4.1e-7)
+        # every coefficient against the exact one, in c_a r^a for the radii r
+        # that passed: within 1e-6 f(p), and within fd_rel of c_a where
+        # c_a r^a is at least 1e-3 f(p) (measured over 14,500 points of this
+        # distribution: at most 9.8e-9 and 5.6e-6)
         exps = dt._EXPONENT_ARRAY[: dt.NCOEF[order]]
-        sampled = exps[:, 4:].sum(axis=1) >= 2
-        assert not jet.c[1:][~sampled[1:]].any()
         exact = dt.jet_eval(fld, p, order)
         radius = np.array(_radii(p, range(dt.NVARS), order, len(calls) - 2))
-        scale = np.prod(radius**exps, axis=1)[sampled] / exact.c[0]
-        got, want = jet.c[sampled], exact.c[sampled]
-        assert (np.abs(got - want) * scale).max() <= 1e-6
-        resolved = np.abs(want) * scale >= 1e-3
-        assert (np.abs(got[resolved] / want[resolved] - 1.0) <= FD_REL).all()
+        scale = np.prod(radius**exps, axis=1) / exact.c[0]
+        assert (np.abs(jet.c - exact.c) * scale).max() <= 1e-6
+        resolved = np.abs(exact.c) * scale >= 1e-3
+        assert (np.abs(jet.c[resolved] / exact.c[resolved] - 1.0) <= FD_REL).all()
 
 
 class TestNodeArrays:
@@ -361,39 +357,6 @@ class TestNodeArrays:
         assert np.abs(jet.c / np.where(exact.c, exact.c, 1.0) - (exact.c != 0)).max() <= 1e-9
 
 
-class TestUnreadCoefficients:
-    """fd mode samples only the F^2 coefficients of y-degree >= 2; the others
-    are never read, so the metric is the one built from the full jet."""
-
-    def test_low_fiber_degree_slots_are_zero(self):
-        fld = finsler_F_squared_field(GENERIC, TemporalMetric("exp(2*t)"))
-        p = POINTS[0]
-        full = dt.fd_jet(fld, p, 4)
-        part = dt.fd_jet(fld, p, 4, min_fiber_degree=2)
-        assert _same_bytes(part.c[0], full.c[0])
-        for pos in range(1, dt.NCOEF[4]):
-            if sum(dt._EXPONENTS[pos][4:]) < 2:
-                assert _same_bytes(part.c[pos], 0.0), dt._EXPONENTS[pos]
-            else:
-                assert _same_bytes(part.c[pos], full.c[pos]), dt._EXPONENTS[pos]
-
-    @pytest.mark.parametrize("metric", ["1", "exp(2*t)", "t**2 + 1"])
-    @pytest.mark.parametrize("generic", [False, True], ids=["berwald_moor", "generic"])
-    def test_metric_matches_full_jet(self, generic, metric):
-        cubic = GENERIC if generic else CubicForm.berwald_moor()
-        tm = TemporalMetric(metric)
-        nlc = NonlinearConnection.apriori(tm)
-        for p in POINTS:
-            assert cubic.g111(p.x, p.y) > 0.1
-            ctx = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
-            ref = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
-            fld = finsler_F_squared_field(cubic, tm)
-            ref.f2_ser = dt.fd_jet(fld, p, 4, active=f2_slots(cubic, tm))
-            for name in ("g_stack", "g_val", "ginv_stack"):
-                got, want = getattr(ctx, name), getattr(ref, name)
-                assert got.tobytes() == want.tobytes(), (p, name)
-
-
 def _touches(pos, slots) -> bool:
     """Whether the monomial of coefficient ``pos`` has a coordinate outside
     ``slots``."""
@@ -416,16 +379,13 @@ class TestFieldSlots:
         nlc = NonlinearConnection.apriori(tm)
         for p in POINTS:
             ctx = PointContext(cubic, tm, nlc, p, deriv_mode="fd")
-            for got, fld, kept, fiber in (
-                (ctx.f2_ser, f2, slots, 2),
-                (ctx.h_ser, h11, slots[:-3], 0),
-            ):
+            for got, fld, kept in ((ctx.f2_ser, f2, slots), (ctx.h_ser, h11, slots[:-3])):
                 exact = dt.jet_eval(fld, p, 4)
                 for pos in range(dt.NCOEF[4]):
                     if _touches(pos, kept):
                         assert _same_bytes(got.c[pos], 0.0), (p, pos)
                         assert exact.c[pos] == 0.0, (p, pos)
-                    elif sum(dt._EXPONENTS[pos][4:]) >= fiber:
+                    else:
                         dev = abs(got.c[pos] - exact.c[pos])
                         assert dev <= FD_REL * max(1.0, abs(exact.c[pos])), (p, pos)
 
@@ -633,7 +593,7 @@ class TestStencilTable:
     def test_weights_are_the_exact_ones_rounded(self, m):
         eps = np.finfo(float).eps
         for slots in ((0, 4, 5, 6), (2,)):  # the Berwald-Moor F^2's, one slot
-            _, exps, _, dirs, blocks, circle, dft = dt._contour_maps(m, slots)
+            _, exps, dirs, blocks, circle, dft = dt._contour_maps(m, slots)
             nodes = [_exact_unit(Fraction(k, NODES)) for k in range(NODES)]
             assert np.abs(circle - nodes).max() <= 4 * eps
             weights = [[_exact_unit(Fraction(-k * d, NODES)) / NODES for d in range(m + 1)]
@@ -663,7 +623,7 @@ class TestStencilTable:
         # rows on six slots, 210 on seven (condition number 431 and 489)
         eps = np.finfo(float).eps
         for slots in ((0, 1, 2, 4, 5, 6), tuple(range(dt.NVARS))):
-            _, exps, _, dirs, blocks, _, _ = dt._contour_maps(m, slots)
+            _, exps, dirs, blocks, _, _ = dt._contour_maps(m, slots)
             block, got = blocks[-1]
             v = [[math.prod(int(k) ** int(a) for k, a in zip(i, e)) for e in exps[block]]
                  for i in dirs]
@@ -679,15 +639,15 @@ class TestBatchedJet:
         # t, y1, y2, y3, or the 210 x 32 on all seven
         for active, directions in (((0, 4, 5, 6), 35), (None, 210)):
             calls = []
-            dt.fd_jet(_counting(F2_BM, calls), POINTS[0], 4, active, min_fiber_degree=2)
+            dt.fd_jet(_counting(F2_BM, calls), POINTS[0], 4, active)
             assert calls == [(), (directions, NODES)]
 
     def test_plan_built_once(self):
         # the directions and maps are built once per order and slot set
         dt._contour_maps.cache_clear()
-        dt.fd_jet(F2_BM, POINTS[0], 4, min_fiber_degree=2)
+        dt.fd_jet(F2_BM, POINTS[0], 4)
         before = dt._contour_maps.cache_info()
-        dt.fd_jet(F2_BM, POINTS[1], 4, min_fiber_degree=2)
+        dt.fd_jet(F2_BM, POINTS[1], 4)
         after = dt._contour_maps.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
@@ -699,17 +659,15 @@ class TestBatchedJet:
             return dt.exp(0.1 * t + 0.2 * x1 + 0.3 * x2 + 0.4 * x3 + 0.5 * y1 + 0.6 * y2 + 0.7 * y3)
 
         for active in ((), (0,), (4, 5, 6), (0, 2, 5), tuple(range(dt.NVARS))):
-            for min_fiber_degree in (0, 1, 2):
-                want = [0] + [
-                    pos
-                    for pos, e in enumerate(dt._EXPONENTS[1 : dt.NCOEF[order]], start=1)
-                    if all(v in active for v, m in enumerate(e) if m)
-                    and sum(e[4:]) >= min_fiber_degree
-                ]
-                jet = dt.fd_jet(fld, POINTS[0], order, active, min_fiber_degree)
-                assert np.flatnonzero(jet.c).tolist() == want
-                unsampled = np.setdiff1d(np.arange(dt.NCOEF[order]), want)
-                assert jet.c[unsampled].tobytes() == bytes(8 * unsampled.size)  # +0.0
+            want = [0] + [
+                pos
+                for pos, e in enumerate(dt._EXPONENTS[1 : dt.NCOEF[order]], start=1)
+                if all(v in active for v, m in enumerate(e) if m)
+            ]
+            jet = dt.fd_jet(fld, POINTS[0], order, active)
+            assert np.flatnonzero(jet.c).tolist() == want
+            unsampled = np.setdiff1d(np.arange(dt.NCOEF[order]), want)
+            assert jet.c[unsampled].tobytes() == bytes(8 * unsampled.size)  # +0.0
 
     def test_cold_jet_memory(self):
         # the maps of all seven slots are built in this call; they and the
@@ -717,7 +675,7 @@ class TestBatchedJet:
         dt._contour_maps.cache_clear()
         tracemalloc.start()
         try:
-            dt.fd_jet(F2_BM, POINTS[2], 4, min_fiber_degree=2)
+            dt.fd_jet(F2_BM, POINTS[2], 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,9 +707,9 @@ class TestBatchedJet:
         # a -0.0 at t and at x1: one array call, and the jet of +0.0
         calls = []
         coords = (-0.0, -0.0, 0.4, 0.3, 1.0, 1.5, 0.6)
-        jet = dt.fd_jet(_counting(F2_BM, calls), coords, 4, min_fiber_degree=2)
+        jet = dt.fd_jet(_counting(F2_BM, calls), coords, 4)
         assert len(calls) == 2
-        ref = dt.fd_jet(F2_BM, (0.0, 0.0, *coords[2:]), 4, min_fiber_degree=2)
+        ref = dt.fd_jet(F2_BM, (0.0, 0.0, *coords[2:]), 4)
         assert jet.c.tobytes() == ref.c.tobytes()
 
     def test_unvaried_signed_zero_coordinate(self):
