@@ -15,21 +15,22 @@ explicit expression; ``ClosedForms`` computes them all at one point:
     raised: S^m11_i = G111^(-2/3) ((1 - 3 delta^m_i)/3) y_m / y_i
     scalar: Sc = -((4 h11 + kappa^2)/2) G111^(-2/3)
 
-Repeated indices in these formulas are NOT summed; every component is written
-with explicit per-index loops to keep the no-sum convention visible.
+Repeated indices in these formulas are NOT summed: each component is its own
+formula, evaluated for all indices at once as an elementwise array expression
+(y_i as a column, y_j as a row), with the operations of the per-index formula
+in the same order, so every float equals the one of a loop over the indices.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
 import itertools
 
 import numpy as np
 
 from . import difftools as dt
 from .connection_engine import stack_coefficients
-from .jetspace import JetPoint, TemporalMetric
+from .jetspace import JetPoint, TemporalMetric, cached_property
 
 
 def _a_coefficients() -> np.ndarray:
@@ -48,40 +49,58 @@ def _a_coefficients() -> np.ndarray:
 A_COEFFICIENTS = _a_coefficients()
 A_COEFFICIENTS.setflags(write=False)
 
-#: The raised vertical Ricci tensor's constant factor (1 - 3 delta^m_i) / 3, [m, i].
-_S_RAISED_COEF = np.array(
-    [[(1.0 - (3.0 if m == i else 0.0)) / 3.0 for i in range(3)] for m in range(3)]
-)
+# Constant factors, [i, j], with d = 3 delta_ij: (2 - d)/9 of g_ij, 2 - d of
+# g^ij, (d - 1)/9 of S_(i)(j), and (1 - d)/3 of S^m11_i as [m, i].
+_D = 3.0 * np.eye(3)
+_LOWER_COEF = (2.0 - _D) / 9.0
+_UPPER_COEF = 2.0 - _D
+_RICCI_COEF = (_D - 1.0) / 9.0
+_S_RAISED_COEF = (1.0 - _D) / 3.0
 
 
-def _s_table(y) -> np.ndarray:
-    """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table."""
-    s = np.zeros((3, 3, 3, 3))
-    for l, i, j, k in itertools.product(range(3), repeat=4):
-        if j == k:
-            continue  # antisymmetric in (j, k)
-        if i == l and j == l:          # case 8: S^l_l(l)(k) = 0
-            v = 0.0
-        elif i == l and k == l:        # case 9: S^l_l(j)(l) = 0
-            v = 0.0
-        elif l == i:                   # case 3: i, j, k distinct
-            v = 0.0
-        elif i == j and k == l:        # case 6
-            v = 1.0 / (9.0 * y[i] * y[i])
+def _s_entries():
+    """The entries of S^{l(1)(1)}_{i(j)(k)} that are not zero, from its 9-case
+    table, as index arrays over the flat [l, i, j, k]: those of the form
+    n / (9 y_i y_b) and those of the form n y_l / (y_i y_i y_b)."""
+    over_yy, over_yyy = [], []  # rows (flat, n, i, b) and (flat, n, l, i, b)
+    for flat, (l, i, j, k) in enumerate(itertools.product(range(3), repeat=4)):
+        if j == k or i == l:  # antisymmetric in (j, k); cases 3, 8 and 9 vanish
+            continue
+        if i == j and k == l:          # case 6
+            over_yy.append((flat, 1.0, i, i))
         elif j == l and k == i:        # case 7
-            v = -1.0 / (9.0 * y[i] * y[i])
+            over_yy.append((flat, -1.0, i, i))
         elif i == j:                   # case 1: i, k, l distinct
-            v = -(1.0 / 9.0) * y[l] / (y[i] * y[i] * y[k])
+            over_yyy.append((flat, -(1.0 / 9.0), l, i, k))
         elif i == k:                   # case 2: i, j, l distinct
-            v = (1.0 / 9.0) * y[l] / (y[i] * y[i] * y[j])
+            over_yyy.append((flat, 1.0 / 9.0, l, i, j))
         elif j == l:                   # case 4: i, k, l distinct
-            v = 1.0 / (9.0 * y[i] * y[k])
+            over_yy.append((flat, 1.0, i, k))
         elif k == l:                   # case 5: i, j, l distinct
-            v = -1.0 / (9.0 * y[i] * y[j])
+            over_yy.append((flat, -1.0, i, j))
         else:
             raise AssertionError("unreachable index pattern")
-        s[l, i, j, k] = v
-    return s
+
+    def columns(rows):
+        flat, n, *slots = zip(*rows)
+        return (np.array(flat), np.array(n), *(np.array(v) for v in slots))
+
+    return columns(over_yy), columns(over_yyy)
+
+
+_S_OVER_YY, _S_OVER_YYY = _s_entries()
+
+
+def _s_table(y: np.ndarray) -> np.ndarray:
+    """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table,
+    each entry with the operations of its case: n / (9 y_i y_b) is
+    n / ((9 y_i) y_b), and n y_l / (y_i y_i y_b) is (n y_l) / ((y_i y_i) y_b)."""
+    s = np.zeros(81)
+    flat, n, i, b = _S_OVER_YY
+    s[flat] = n / (9.0 * y[i] * y[b])
+    flat, n, l, i, b = _S_OVER_YYY
+    s[flat] = n * y[l] / (y[i] * y[i] * y[b])
+    return s.reshape(3, 3, 3, 3)
 
 
 class ClosedForms(Mapping):
@@ -97,6 +116,10 @@ class ClosedForms(Mapping):
     series), ``g23inv_ser`` and the stacked S^m11_i ``s_raised_stack``.
     ``closed_form_bundle`` builds an instance.  Like ``PointContext``, an
     instance caches nothing beyond itself: make one per point.
+
+    g, g^-1, S_(i)(j), S^m11_i, C and the S table are array expressions whose
+    every entry rounds like its per-index formula (see the module docstring);
+    the series are cached in the instance on first read, without a lock.
 
     ``connection="apriori"`` uses the full formulas above.  With the canonical
     connection (N = 0) the adapted spatial frame loses its fiber correction,
@@ -114,21 +137,17 @@ class ClosedForms(Mapping):
         y = p.y
         g111 = y[0] * y[1] * y[2]
         g23 = g111 ** (2.0 / 3.0)
-        lower = np.empty((3, 3))
-        upper = np.empty((3, 3))
-        ric = np.empty((3, 3))
-        s_up = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                d = 3.0 if i == j else 0.0
-                lower[i, j] = (2.0 - d) / 9.0 * g23 / (y[i] * y[j])
-                upper[i, j] = (2.0 - d) / g23 * y[i] * y[j]
-                ric[i, j] = (d - 1.0) / 9.0 / (y[i] * y[j])
-                s_up[i, j] = (1.0 - d) / 3.0 / g23 * y[i] / y[j]
-        c = np.empty((3, 3, 3))
-        for i, j, k in itertools.product(range(3), repeat=3):
-            c[i, j, k] = A_COEFFICIENTS[i, j, k] * y[i] / (y[j] * y[k])
-        s = _s_table(y)
+        # per entry, the no-sum formula of the module docstring, operation
+        # by operation ([i, j] = y_i y_j below, [i, j, k] for C)
+        yv = np.array(y)
+        y_i, y_j = yv[:, None], yv[None, :]
+        yy = y_i * y_j
+        lower = _LOWER_COEF * g23 / yy
+        upper = _UPPER_COEF / g23 * y_i * y_j
+        ric = _RICCI_COEF / yy
+        s_up = _S_RAISED_COEF / g23 * y_i / y_j
+        c = A_COEFFICIENTS * yv[:, None, None] / yy
+        s = _s_table(yv)
         self.g23inv = g111 ** (-2.0 / 3.0)
         if connection == "apriori":
             self.kappa = kappa = tm.kappa(p.t)

@@ -37,7 +37,7 @@ from .connection_engine import NonlinearConnection, PointContext
 from .errors import ConfigError, JetFinslerError, NonFiniteOutput
 from .jetspace import CubicForm, JetPoint, TemporalMetric
 from .metric_engine import contract_cubic
-from .expressions import parse_expression
+from .expressions import is_finite_number, parse_expression
 
 SCHEMA_VERSION = 1
 
@@ -197,21 +197,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _numbers(value, length: int, what: str) -> list[float]:
     """``value`` as floats; it must be a list of ``length`` finite numbers."""
     _require(
         isinstance(value, (list, tuple))
         and len(value) == length
-        and all(_is_finite_number(v) for v in value),
+        and all(is_finite_number(v) for v in value),
         f"{what} must be a list of {length} finite numbers, got {value!r}",
     )
     return [float(v) for v in value]
@@ -263,7 +254,7 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
                 val = parse_expression(val, variables=("x1", "x2", "x3"))
             else:
                 _require(
-                    _is_finite_number(val),
+                    is_finite_number(val),
                     f"cubic entry {key!r} must be a finite number or an expression",
                 )
             parsed[key] = val
@@ -289,7 +280,7 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
             f"explicit point must have exactly t, x, y: {entry!r}",
         )
         _require(
-            _is_finite_number(entry["t"]),
+            is_finite_number(entry["t"]),
             f"explicit point t must be a finite number: {entry!r}",
         )
         x = _numbers(entry["x"], 3, "explicit point x")
@@ -332,7 +323,7 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
 
     K = doc.get("einstein_constant", 1.0)
     _require(
-        _is_finite_number(K) and K != 0,
+        is_finite_number(K) and K != 0,
         "einstein_constant must be a finite nonzero number",
     )
 
@@ -346,7 +337,7 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
     _require(not unknown, f"unknown tolerance fields: {sorted(unknown)}")
     for key, val in tol_doc.items():
         _require(
-            _is_finite_number(val) and val > 0,
+            is_finite_number(val) and val > 0,
             f"tolerance {key} must be a finite positive number",
         )
         tol[key] = float(val)

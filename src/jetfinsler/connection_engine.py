@@ -25,14 +25,20 @@ kernel; downstream algebra is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import difftools as dt
 from .errors import DegenerateMetric
-from .jetspace import CubicForm, DTensorBundle, JetPoint, TemporalMetric, check_invertible
+from .jetspace import (
+    CubicForm,
+    DTensorBundle,
+    JetPoint,
+    TemporalMetric,
+    cached_property,
+    check_invertible,
+)
 from .metric_engine import f2_slots, finsler_F_squared_field, h11_slots
 
 
@@ -180,7 +186,8 @@ class PointContext:
     ``ricci()``, so each is computed at most once per point; repeated calls
     return the same objects.  Values and first partials are read as slices
     of the stacks.  Instances are single-use and not shared
-    across threads; no cache outlives its context.
+    across threads, so the caches take no lock; no cache outlives its
+    context.
     """
 
     def __init__(
@@ -392,9 +399,10 @@ class PointContext:
 
     @cached_property
     def _torsion_set(self) -> TorsionSet:
-        frame = self.M_val, self.N_val
-        n_t, _, n_y = adapted_partials(self.N_stack, *frame)
-        _, m_x, _ = adapted_partials(self.M_stack, *frame)
+        # [k, j] with N^k_j for j < 3 and M^k at j = 3, in one call
+        both = np.concatenate((self.N_stack, self.M_stack[:, None]), axis=1)
+        d_t, d_x, d_y = adapted_partials(both, self.M_val, self.N_val)
+        n_t, n_y, m_x = d_t[:, :3], d_y[:, :3], d_x[:, 3]
         # P_mixed[k, i, j] = dN^k_i/dy^j - L^k_ji
         p_mixed = n_y - self.L_val.transpose(0, 2, 1)
         # R_time[k, j] = delta M^k/delta x^j - delta N^k_j/delta t

@@ -282,11 +282,39 @@ def as_taylor(value, order: int) -> Taylor:
     return taylor_constant(float(value), order)
 
 
+def _seed_templates():
+    """Per order, the coefficients of the seven seeds at the origin, one row
+    per coordinate: a unit first-order coefficient in its own slot."""
+    out = []
+    for k in range(MAX_ORDER + 1):
+        c = np.zeros((NVARS, NCOEF[k]))
+        if k >= 1:
+            c[np.arange(NVARS), D1_SLOTS] = 1.0
+        out.append(c)
+    return out
+
+
+_SEEDS = _seed_templates()
+_T_SEED_TAILS = [c[0, 1:].tobytes() for c in _SEEDS]
+
+
 def seed_point(coords: Sequence[float], order: int):
+    """The seeds ``taylor_variable(v, coords[v], order)`` of the seven
+    coordinates, as rows of one copy of the order's template."""
     if len(coords) != NVARS:
         raise ValueError(f"expected {NVARS} coordinates, got {len(coords)}")
-    return tuple(
-        taylor_variable(i, float(v), order) for i, v in enumerate(coords)
+    c = _SEEDS[order].copy()
+    c[:, 0] = [float(v) for v in coords]
+    return tuple([Taylor(c[v], order, 1 << v) for v in range(NVARS)])
+
+
+def is_t_seed(u: Taylor) -> bool:
+    """Whether ``u`` is ``taylor_variable("t", u.value, u.order)``: slot set,
+    dtype and every coefficient after the value, to the bit."""
+    return (
+        u.deps == 1
+        and u.c.dtype == np.float64
+        and u.c[1:].tobytes() == _T_SEED_TAILS[u.order]
     )
 
 
@@ -341,8 +369,28 @@ def compose_univariate(u: Taylor, cs: Sequence[float]) -> Taylor:
     w = u - float(u.c[0])
     out = taylor_constant(cs[-1], u.order)
     for n in range(len(cs) - 2, -1, -1):
-        out = out * w + cs[n]
+        out = out * w  # a fresh array: add cs[n] in place, as ``+`` would
+        out.c[0] += float(cs[n])
     return out
+
+
+#: Per order k, the slots of t^0, t^1, ..., t^k among the coefficients.
+_T_POWERS = [
+    np.array([_POS[(n,) + (0,) * (NVARS - 1)] for n in range(k + 1)])
+    for k in range(MAX_ORDER + 1)
+]
+
+
+def compose_t_seed(cs: Sequence[float]) -> Taylor:
+    """``compose_univariate(taylor_variable("t", v, k), cs)`` for any v, where
+    k = len(cs) - 1 >= 1 and every ``cs[n]`` is finite: the Horner products
+    with u - v, whose one nonzero coefficient is 1.0 at t, only move each
+    coefficient up one power of t, adding it to the +0.0 a sum starts from,
+    so ``cs[n]`` lands on t^n with -0.0 turned into +0.0."""
+    k = len(cs) - 1
+    c = np.zeros(NCOEF[k])
+    c[_T_POWERS[k]] = np.array(cs) + 0.0
+    return Taylor(c, k, 1)
 
 
 def univariate_coefficients(u: Taylor, var: Union[int, str], count: int):

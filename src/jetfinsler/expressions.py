@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import difftools as dt
@@ -54,8 +55,13 @@ class Expression:
 
 
 def parse_expression(source: str, variables: tuple[str, ...]) -> Expression:
-    """Parse and validate a grammar expression; raises ConfigError otherwise."""
+    """Parse and validate a grammar expression; raises ConfigError otherwise.
+    A finite number that is not a bool stands for its own literal."""
     if not isinstance(source, str):
+        if not is_number(source):
+            raise ConfigError(f"expression {source!r} is neither a string nor a number")
+        if not _finite_float(source):
+            raise ConfigError(f"number {source!r} is not finite")
         source = repr(float(source))
     names = set()
     try:
@@ -120,6 +126,16 @@ def _validate(node: ast.AST, variables: tuple[str, ...], source: str, names: set
             f"only exp/sin/cos calls with one argument are allowed in {source!r}"
         )
     raise ConfigError(f"construct {type(node).__name__} not in grammar in {source!r}")
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, finite as a float."""
+    return is_number(value) and _finite_float(value)
 
 
 def _finite_float(value) -> bool:

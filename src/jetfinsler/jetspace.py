@@ -23,12 +23,13 @@ import numpy as np
 
 from . import difftools as dt
 from .errors import (
+    ConfigError,
     DomainError,
     NonPositiveMetric,
     OrderTooHigh,
     SingularChange,
 )
-from .expressions import Expression, parse_expression
+from .expressions import Expression, is_finite_number, parse_expression
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,30 @@ class JetPoint:
 _FLOAT_BITS = struct.Struct("<d").pack  # tells -0.0 from 0.0, unlike ==
 
 
+class cached_property:
+    """``functools.cached_property`` without the lock that Python 3.11's takes
+    on every first read: the first read of the attribute stores the method's
+    result in the instance's ``__dict__``, where later reads find it."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 def _per_t(method):
     """Remember ``method(self, t, *args)`` for the most recent t (see
-    ``TemporalMetric``): keyed on t's bits for a float t, also on the order,
-    the slot set and the coefficient bytes for a ``Taylor`` t; any other t is
-    not remembered."""
+    ``TemporalMetric``): keyed on t's bits for a float t; for a ``Taylor`` t
+    also on its order, and unless it is the canonical t seed on its slot set
+    and coefficient bytes; any other t is not remembered."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -72,20 +92,22 @@ def _per_t(method):
             value, key = t, (name, *args)
         elif isinstance(t, dt.Taylor):
             value = t.value
-            key = (name, *args, t.order, t.deps, t.c.dtype.str, t.c.tobytes())
+            if dt.is_t_seed(t):
+                key = (name, *args, t.order)
+            else:
+                key = (name, *args, t.order, t.deps, t.c.dtype.str, t.c.tobytes())
         else:
             return method(self, t, *args)
-        slot = self._memo
-        bits = _FLOAT_BITS(value)
-        if slot[0] != bits:
-            slot = (bits, {})
-            self._memo = slot
-        result = slot[1].get(key)
+        memo = self._memo_at(value)
+        result = memo.get(key)
         if result is None:  # no method returns None
-            result = slot[1][key] = method(self, t, *args)
+            result = memo[key] = method(self, t, *args)
         return result
 
     return memoized
+
+
+_JET = "jet"  # memo key of (order, h11) of the highest-order finite t-seed jet
 
 
 class TemporalMetric:
@@ -97,14 +119,29 @@ class TemporalMetric:
     remember their results for the most recent t: one point's engines, closed
     forms and field theory share one evaluation per method and argument.  The
     memo is keyed on the exact bits of t, and for a ``Taylor`` argument on its
-    order, its slot set (``deps``) and its coefficient bytes too, so a hit
-    returns the object a fresh instance would compute (results are numbers
-    and ``Taylor`` values, which are never modified in place).  A t that is
-    neither a Python float nor a ``Taylor``, such as fd mode's complex array
-    of contour nodes, is evaluated every time; a call that raises stores
-    nothing.  The memo is one ``(t, dict)`` slot replaced as a whole when t
-    changes, so threads evaluating at different times can only make each
-    other recompute, never read a value of another t.
+    order, and unless it is the canonical t seed
+    (``taylor_variable("t", t, k)``) on its slot set (``deps``) and
+    coefficient bytes too, so a hit returns the object a fresh instance would
+    compute (results are numbers and ``Taylor`` values, which are never
+    modified in place).
+
+    h11's expression is evaluated on the t seed once per t, at the highest
+    order requested: ``h11_jet(t, k)`` and ``h11_eval`` of the order-k t seed,
+    k >= 1, return the truncation to order k of the highest-order jet already
+    evaluated at t, and evaluate afresh only when none of order >= k with
+    finite coefficients exists.  A finite jet's coefficients up to order k are
+    those of the order-k evaluation, bit for bit: a product sums the same
+    pairs in the same order, and the extra Horner steps of a composition add
+    only 0.0 times finite values to sums that start from +0.0.  ``kappa``,
+    ``kappa_dot`` and ``kappa_eval`` read these truncations, and
+    ``kappa_eval`` of the order-k t seed writes kappa's coefficients onto its
+    powers of t (``difftools.compose_t_seed``) instead of composing them.
+
+    A t that is neither a Python float nor a ``Taylor``, such as fd mode's
+    complex array of contour nodes, is evaluated every time; a call that
+    raises stores nothing.  The memo is one ``(t, dict)`` slot replaced as a
+    whole when t changes, so threads evaluating at different times can only
+    make each other recompute, never read a value of another t.
     """
 
     def __init__(self, h11: Union[str, float, Expression]):
@@ -116,6 +153,15 @@ class TemporalMetric:
 
     def __repr__(self) -> str:
         return f"TemporalMetric({self.expression.source!r})"
+
+    def _memo_at(self, t: float) -> dict:
+        """The results remembered at t: a new, empty slot if the last call
+        was at another t."""
+        bits = _FLOAT_BITS(t)
+        slot = self._memo
+        if slot[0] != bits:
+            slot = self._memo = (bits, {})
+        return slot[1]
 
     @property
     def names(self) -> frozenset[str]:
@@ -132,6 +178,11 @@ class TemporalMetric:
     def h11_eval(self, t_any):
         """Duck-typed evaluation; checks that the value is positive and
         finite, or every value of an array (fd mode's contour nodes) finite."""
+        if isinstance(t_any, dt.Taylor) and t_any.order >= 1 and dt.is_t_seed(t_any):
+            return self._seed_jet(t_any.value, t_any.order)
+        return self._evaluate(t_any)
+
+    def _evaluate(self, t_any):
         v = self.expression.evaluate({"t": t_any})
         if isinstance(v, np.ndarray):
             if not np.isfinite(v).all():
@@ -140,10 +191,27 @@ class TemporalMetric:
         _check_h11(v.value if isinstance(v, dt.Taylor) else float(v))
         return v
 
+    def _seed_jet(self, t: float, order: int):
+        """h11 on the order-``order`` t seed (order >= 1), from the
+        highest-order finite jet evaluated at t if its order is enough."""
+        memo = self._memo_at(t)
+        best = memo.get(_JET)
+        if best is not None and best[0] >= order:
+            jet = best[1]
+            return jet.truncate(order) if isinstance(jet, dt.Taylor) else jet
+        v = self._evaluate(dt.taylor_variable("t", t, order))
+        if not isinstance(v, dt.Taylor):  # a constant h11, the same at every order
+            memo[_JET] = (dt.MAX_ORDER, v)
+        elif (best is None or order > best[0]) and np.isfinite(v.c).all():
+            memo[_JET] = (order, v)
+        return v
+
     @_per_t
     def h11_jet(self, t: float, order: int) -> dt.Taylor:
-        seed = dt.taylor_variable("t", float(t), order)
-        return dt.as_taylor(self.h11_eval(seed), order)
+        t = float(t)
+        if order == 0:  # an order-0 composition forgets its slots: no truncation
+            return dt.as_taylor(self._evaluate(dt.taylor_variable("t", t, 0)), 0)
+        return dt.as_taylor(self._seed_jet(t, order), order)
 
     @_per_t
     def kappa(self, t: float) -> float:
@@ -171,6 +239,8 @@ class TemporalMetric:
         js = self.h11_jet(t_any.value, k + 1)
         kser = dt.deriv(js, "t") / (js.truncate(k) * 2.0)
         cs = dt.univariate_coefficients(kser, "t", k + 1)
+        if k >= 1 and dt.is_t_seed(t_any) and all(map(math.isfinite, cs)):
+            return dt.compose_t_seed(cs)
         return dt.compose_univariate(t_any, cs)
 
 
@@ -204,6 +274,10 @@ class CubicForm:
             key = tuple(sorted(int(i) for i in key))
             if len(key) != 3 or not all(1 <= i <= 3 for i in key):
                 raise ValueError(f"cubic index triple out of range: {key}")
+            if not (isinstance(val, Expression) or is_finite_number(val)):
+                raise ConfigError(
+                    f"cubic entry {key} must be an expression or a finite number, got {val!r}"
+                )
             canon[key] = val
         self._entries = canon
 
@@ -291,6 +365,15 @@ def transform_jet(p: JetPoint, A=None, rate: float = 1.0) -> JetPoint:
 _SPECIES = {"T", "S", "F"}
 
 
+@functools.lru_cache(maxsize=64)
+def _species_shape(species: tuple[str, ...]) -> tuple[int, ...]:
+    """The array shape of a species tuple, checked once per tuple."""
+    for tag in species:
+        if len(tag) != 2 or tag[0] not in _SPECIES or tag[1] not in "+-":
+            raise ValueError(f"bad species tag {tag!r}")
+    return tuple(3 for tag in species if tag[0] != "T")
+
+
 class DTensorBundle:
     """Named dense arrays tagged by index species.
 
@@ -304,16 +387,14 @@ class DTensorBundle:
         self._slots: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
 
     def add(self, name: str, array, species: tuple[str, ...]) -> None:
-        for tag in species:
-            if len(tag) != 2 or tag[0] not in _SPECIES or tag[1] not in "+-":
-                raise ValueError(f"bad species tag {tag!r}")
+        species = tuple(species)
+        expected = _species_shape(species)
         arr = np.asarray(array, dtype=float)
-        expected = tuple(3 for tag in species if tag[0] != "T")
         if arr.shape != expected:
             raise ValueError(
                 f"slot {name!r}: shape {arr.shape} does not match species {species}"
             )
-        self._slots[name] = (arr, tuple(species))
+        self._slots[name] = (arr, species)
 
     def array(self, name: str) -> np.ndarray:
         return self._slots[name][0]

@@ -1,13 +1,17 @@
 """Shared test utilities: the independent finite-difference oracle, the
-per-entry raised vertical Ricci tensor and the environment for CLI
-subprocesses."""
+per-entry raised vertical Ricci tensor, the per-index closed forms and the
+environment for CLI subprocesses."""
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 
+import numpy as np
+
 import jetfinsler
+from jetfinsler.berwald_moor import A_COEFFICIENTS
 from jetfinsler import difftools as dt
 from jetfinsler.difftools import PartialSpec
 
@@ -75,3 +79,65 @@ def s_raised(m: int, i: int, y):
     or Taylor values (0-based m, i): the reference of the stacked series."""
     d = 3.0 if m == i else 0.0
     return dt.powf(y[0] * y[1] * y[2], -2.0 / 3.0) * ((1.0 - d) / 3.0) * y[m] / y[i]
+
+
+def closed_form_loops(y) -> dict:
+    """g_lower, g_upper, ricci_S, S_raised, C and S_vv of the Berwald-Moor
+    metric at the fiber point y, entry by entry on Python floats in per-index
+    loops: the reference of ``ClosedForms``' array expressions (the no-sum
+    formulas of ``berwald_moor``'s docstring, in the same operation order)."""
+    g111 = y[0] * y[1] * y[2]
+    g23 = g111 ** (2.0 / 3.0)
+    lower = np.empty((3, 3))
+    upper = np.empty((3, 3))
+    ric = np.empty((3, 3))
+    s_up = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            d = 3.0 if i == j else 0.0
+            lower[i, j] = (2.0 - d) / 9.0 * g23 / (y[i] * y[j])
+            upper[i, j] = (2.0 - d) / g23 * y[i] * y[j]
+            ric[i, j] = (d - 1.0) / 9.0 / (y[i] * y[j])
+            s_up[i, j] = (1.0 - d) / 3.0 / g23 * y[i] / y[j]
+    c = np.empty((3, 3, 3))
+    for i, j, k in itertools.product(range(3), repeat=3):
+        c[i, j, k] = A_COEFFICIENTS[i, j, k] * y[i] / (y[j] * y[k])
+    return {
+        "g_lower": lower,
+        "g_upper": upper,
+        "ricci_S": ric,
+        "S_raised": s_up,
+        "C": c,
+        "S_vv": s_table_loops(y),
+    }
+
+
+def s_table_loops(y) -> np.ndarray:
+    """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table,
+    entry by entry."""
+    s = np.zeros((3, 3, 3, 3))
+    for l, i, j, k in itertools.product(range(3), repeat=4):
+        if j == k:
+            continue  # antisymmetric in (j, k)
+        if i == l and j == l:          # case 8: S^l_l(l)(k) = 0
+            v = 0.0
+        elif i == l and k == l:        # case 9: S^l_l(j)(l) = 0
+            v = 0.0
+        elif l == i:                   # case 3: i, j, k distinct
+            v = 0.0
+        elif i == j and k == l:        # case 6
+            v = 1.0 / (9.0 * y[i] * y[i])
+        elif j == l and k == i:        # case 7
+            v = -1.0 / (9.0 * y[i] * y[i])
+        elif i == j:                   # case 1: i, k, l distinct
+            v = -(1.0 / 9.0) * y[l] / (y[i] * y[i] * y[k])
+        elif i == k:                   # case 2: i, j, l distinct
+            v = (1.0 / 9.0) * y[l] / (y[i] * y[i] * y[j])
+        elif j == l:                   # case 4: i, k, l distinct
+            v = 1.0 / (9.0 * y[i] * y[k])
+        elif k == l:                   # case 5: i, j, l distinct
+            v = -1.0 / (9.0 * y[i] * y[j])
+        else:
+            raise AssertionError("unreachable index pattern")
+        s[l, i, j, k] = v
+    return s

@@ -10,6 +10,9 @@ from jetfinsler import difftools as dt
 from jetfinsler.errors import DomainError
 from jetfinsler.jetspace import JetPoint, TemporalMetric
 
+from conftest import sample_jet_points
+from helpers import closed_form_loops
+
 
 def flat(p):
     """The closed forms at p under the constant temporal metric h11 = 1."""
@@ -332,3 +335,24 @@ class TestClosedFormBundle:
         assert cf.s_raised_stack is stack
         assert stack[..., 0] == pytest.approx(cf["S_raised"], rel=1e-14)
         assert cf.g23inv_ser.value == pytest.approx(cf.g23inv, rel=1e-15)
+
+
+class TestArraysMatchLoops:
+    """The array-built closed forms equal the per-index loops as bytes."""
+
+    @staticmethod
+    def points():
+        pts = sample_jet_points(seed=29, count=40)
+        # fiber coordinates on the box edges 0.2 and 5, alone and mixed
+        for y in itertools.product((0.2, 5.0, 1.3), repeat=3):
+            pts.append(JetPoint.of(0.4, (0.1, -0.0, 0.0), y))
+        return pts
+
+    def test_closed_forms_equal_the_loops(self):
+        tm = TemporalMetric("exp(2*t)")
+        for p in self.points():
+            cf = ClosedForms(p, tm)
+            for name, want in closed_form_loops(p.y).items():
+                got = cf[name]
+                assert got.shape == want.shape and got.flags.c_contiguous, name
+                assert got.tobytes() == want.tobytes(), (p, name)

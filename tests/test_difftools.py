@@ -413,3 +413,33 @@ def test_f2_jet_carries_its_slots_and_matches_full_seeds(entries, slots):
     # seeds that claim every slot: every product runs over the full table
     seeds = (dt.Taylor(s.c, 4) for s in dt.seed_point(p.coords(), 4))
     assert jet.c.tobytes() == field(*seeds).c.tobytes()
+
+
+@pytest.mark.parametrize("order", range(dt.MAX_ORDER + 1))
+def test_seed_point_equals_taylor_variables(order):
+    for coords in (
+        (0.3, -0.0, 0.0, 1e120, 1.1, 0.7, 2.0),
+        (-0.0, 0.0, -0.0, -1.5, 5.0, 0.2, 1e-300),
+    ):
+        seeds = dt.seed_point(coords, order)
+        assert len(seeds) == dt.NVARS
+        for v, seed in enumerate(seeds):
+            want = dt.taylor_variable(v, coords[v], order)
+            assert (seed.order, seed.deps) == (want.order, want.deps)
+            assert seed.c.dtype == want.c.dtype and seed.c.tobytes() == want.c.tobytes()
+            assert dt.is_t_seed(seed) == (v == 0)
+    # a fresh copy per call: seeding another point leaves these seeds alone
+    dt.seed_point((1.0,) * dt.NVARS, order)
+    assert seeds[0].c.tobytes() == dt.taylor_variable(0, coords[0], order).c.tobytes()
+
+
+@given(st.data(), st.integers(1, dt.MAX_ORDER))
+@settings(max_examples=60, deadline=None)
+def test_compose_t_seed_equals_the_composition(data, order):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cs = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | finite, min_size=order + 1, max_size=order + 1))
+    value = data.draw(st.sampled_from([0.3, -0.0, 0.0, -1e200]))
+    want = dt.compose_univariate(dt.taylor_variable("t", value, order), cs)
+    got = dt.compose_t_seed(cs)
+    assert (got.order, got.deps) == (want.order, want.deps)
+    assert got.c.tobytes() == want.c.tobytes()

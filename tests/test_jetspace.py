@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
-from jetfinsler.errors import DomainError, NonPositiveMetric, SingularChange
+from jetfinsler.errors import ConfigError, DomainError, NonPositiveMetric, SingularChange
 from jetfinsler.expressions import Expression
 from jetfinsler.jetspace import (
     CubicForm,
@@ -59,6 +59,20 @@ class TestTemporalMetric:
             tm.h11(-1.0)
         with pytest.raises(NonPositiveMetric):
             tm.kappa(0.0)
+
+    def test_refuses_a_bool(self):
+        # a bool is not a number, as in the CLI's JSON checks
+        with pytest.raises(ConfigError, match="neither a string nor a number"):
+            TemporalMetric(True)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_refuses_a_non_finite_number(self, value):
+        with pytest.raises(ConfigError, match="is not finite"):
+            TemporalMetric(value)
+
+    def test_takes_a_finite_number(self):
+        assert TemporalMetric(2).h11(0.3) == 2.0
+        assert TemporalMetric(np.float64(0.5)).expression.source == "0.5"
 
     def test_kappa_eval_order_cap(self):
         # kappa needs one extra order of h11, so order-4 inputs are rejected
@@ -173,6 +187,17 @@ class TestCubicForm:
         vals = cubic.values_array(x)
         assert len(calls) == 3
         assert vals.tobytes() == ref.tobytes()
+
+    def test_refuses_a_bool_entry(self):
+        with pytest.raises(ConfigError, match="finite number"):
+            CubicForm.from_entries({"123": True})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_refuses_a_non_finite_entry(self, value):
+        with pytest.raises(ConfigError, match="finite number"):
+            CubicForm.from_entries({"123": value})
+        with pytest.raises(ConfigError, match="finite number"):
+            CubicForm({(1, 2, 3): value})
 
     def test_is_berwald_moor(self):
         assert CubicForm.berwald_moor().is_berwald_moor()

@@ -19,9 +19,9 @@ from jetfinsler.connection_engine import (
     PointContext,
     adapted_partials,
 )
-from jetfinsler.errors import NonPositiveMetric, OrderTooHigh
+from jetfinsler.errors import DomainError, JetFinslerError, NonPositiveMetric, OrderTooHigh
 from jetfinsler.expressions import Expression
-from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric
+from jetfinsler.jetspace import CubicForm, JetPoint, TemporalMetric, _check_h11
 
 from conftest import sample_jet_points
 from helpers import s_raised
@@ -180,6 +180,128 @@ class TestTemporalMemo:
             assert got[slot]
             for key, value in got[slot]:
                 assert value == want[key], key
+
+
+# -- the t-derivations against direct evaluations of h11's expression ---------
+
+REFERENCE_METRICS = METRICS + ("t", "t**-4", "1/t", "1/(1e118*t)")
+# 1e-70: the order-4 jets of t**-4 and 1/t raise; 1e-50: the order-4 jet of
+# t**-4 overflows while its order-2 jet stays finite; 1e-138: the order-4 jet
+# of 1/(1e118*t) has a NaN at t^2, where its order-2 jet is finite
+REFERENCE_TIMES = (0.3, 0.0, -0.0, -0.7, 1e-70, 1e-50, 1e-138)
+
+
+def outcome(fn):
+    """A call's result as bytes, or its error's type and message."""
+    try:
+        return as_bytes(fn())
+    except (JetFinslerError, ArithmeticError) as exc:  # 1/t at t = 0.0 divides by zero
+        return ("error", type(exc).__name__, str(exc))
+
+
+def direct(source, t):
+    """Every t-derivation at t from fresh evaluations of h11's expression on
+    the order-k t seed, followed by the defining formulas and compositions."""
+    expr = TemporalMetric(source).expression
+
+    def h11_on_seed(k):
+        v = expr.evaluate({"t": dt.taylor_variable("t", t, k)})
+        _check_h11(v.value if isinstance(v, dt.Taylor) else float(v))
+        return v
+
+    def jet(k):
+        return dt.as_taylor(h11_on_seed(k), k)
+
+    def kappa():
+        js = jet(1)
+        return float(dt.deriv(js, "t").value / (2.0 * js.value))
+
+    def kappa_dot():
+        js = jet(2)
+        h, hp = js.value, dt.deriv(js, "t").value
+        hpp = dt.deriv(dt.deriv(js, "t"), "t").value
+        return float((hpp * h - hp * hp) / (2.0 * h * h))
+
+    def kappa_on(u):
+        js = jet(u.order + 1)
+        kser = dt.deriv(js, "t") / (js.truncate(u.order) * 2.0)
+        cs = dt.univariate_coefficients(kser, "t", u.order + 1)
+        return dt.compose_univariate(u, cs)
+
+    return {
+        "h11_on_seed": h11_on_seed,
+        "jet": jet,
+        "kappa": kappa,
+        "kappa_dot": kappa_dot,
+        "kappa_on": kappa_on,
+    }
+
+
+def derivations(t):
+    """(name, call on a TemporalMetric, the same from the ``direct`` functions)."""
+    seed1 = dt.taylor_variable("t", t, 1)
+    full = dt.Taylor(dt.taylor_variable("t", t, 2).c, 2)  # claims every slot
+    out = []
+    for k in range(4):
+        seed = dt.taylor_variable("t", t, k)
+        out.append((f"h11_jet{k}", lambda tm, k=k: tm.h11_jet(t, k), lambda d, k=k: d["jet"](k)))
+        out.append((f"h11_eval{k}", lambda tm, s=seed: tm.h11_eval(s), lambda d, k=k: d["h11_on_seed"](k)))
+    out += [
+        ("kappa", lambda tm: tm.kappa(t), lambda d: d["kappa"]()),
+        ("kappa_dot", lambda tm: tm.kappa_dot(t), lambda d: d["kappa_dot"]()),
+        ("kappa_eval", lambda tm: tm.kappa_eval(t), lambda d: d["kappa"]()),
+        ("kappa_eval1", lambda tm: tm.kappa_eval(seed1), lambda d: d["kappa_on"](seed1)),
+        ("kappa_eval_all_slots", lambda tm: tm.kappa_eval(full), lambda d: d["kappa_on"](full)),
+    ]
+    return out
+
+
+def engine_calls(t, mode):
+    """The calls one point makes in this order: exact mode's F^2 jet reads h11
+    on the order-4 seed and the context the order-4 jet; fd mode reads the
+    float first; then the connection, the closed forms and the field theory."""
+    seed1 = dt.taylor_variable("t", t, 1)
+    first = (
+        [lambda tm: tm.h11_eval(dt.taylor_variable("t", t, 4)), lambda tm: tm.h11_jet(t, 4)]
+        if mode == "exact"
+        else [lambda tm: tm.h11_eval(t)]
+    )
+    return first + [
+        lambda tm: tm.kappa_eval(seed1),
+        lambda tm: tm.kappa(t),
+        lambda tm: tm.h11(t),
+        lambda tm: tm.kappa_dot(t),
+        lambda tm: tm.h11_eval(seed1),
+        lambda tm: tm.h11_jet(t, 2),
+    ]
+
+
+class TestTDerivationsReference:
+    @pytest.mark.parametrize("mode", ("exact", "fd"))
+    @pytest.mark.parametrize("source", REFERENCE_METRICS)
+    def test_match_direct_evaluation(self, source, mode):
+        with np.errstate(all="ignore"):  # the series of t**-4 at 1e-50 overflow
+            for t in REFERENCE_TIMES:
+                ref = direct(source, t)
+                tm = TemporalMetric(source)
+                for call in engine_calls(t, mode):
+                    outcome(lambda: call(tm))
+                for name, got, want in derivations(t):
+                    assert outcome(lambda: got(tm)) == outcome(lambda: want(ref)), (t, name)
+
+    def test_times_reach_the_fallbacks(self):
+        with np.errstate(all="ignore"):
+            h11_on_seed = direct("t**-4", 1e-50)["h11_on_seed"]
+            assert not np.isfinite(h11_on_seed(4).c).all()
+            assert np.isfinite(h11_on_seed(2).c).all()
+            with pytest.raises(DomainError):
+                direct("1/t", 1e-70)["h11_on_seed"](4)
+            # a jet that passes the value check but whose truncation is not
+            # the lower-order jet: the finite-coefficient rule is needed
+            h11_on_seed = direct("1/(1e118*t)", 1e-138)["h11_on_seed"]
+            jet4, jet2 = h11_on_seed(4), h11_on_seed(2)
+            assert np.isfinite(jet2.c).all() and 0.0 < jet4.value < np.inf
+            assert jet4.truncate(2).c.tobytes() != jet2.c.tobytes()
 
 
 class TestRaisedS:
