@@ -18,19 +18,21 @@ explicit expression; ``ClosedForms`` computes them all at one point:
 Repeated indices in these formulas are NOT summed: each component is its own
 formula, evaluated for all indices at once as an elementwise array expression
 (y_i as a column, y_j as a row), with the operations of the per-index formula
-in the same order, so every float equals the one of a loop over the indices.
+in the same order, so every float equals the one of a loop over the indices;
+the S table alone is filled entry by entry from its case table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 import itertools
 
 import numpy as np
 
 from . import difftools as dt
 from .connection_engine import stack_coefficients
-from .jetspace import JetPoint, TemporalMetric, cached_property
+from .jetspace import JetPoint, TemporalMetric
 
 
 def _a_coefficients() -> np.ndarray:
@@ -58,49 +60,34 @@ _RICCI_COEF = (_D - 1.0) / 9.0
 _S_RAISED_COEF = (1.0 - _D) / 3.0
 
 
-def _s_entries():
-    """The entries of S^{l(1)(1)}_{i(j)(k)} that are not zero, from its 9-case
-    table, as index arrays over the flat [l, i, j, k]: those of the form
-    n / (9 y_i y_b) and those of the form n y_l / (y_i y_i y_b)."""
-    over_yy, over_yyy = [], []  # rows (flat, n, i, b) and (flat, n, l, i, b)
-    for flat, (l, i, j, k) in enumerate(itertools.product(range(3), repeat=4)):
-        if j == k or i == l:  # antisymmetric in (j, k); cases 3, 8 and 9 vanish
-            continue
-        if i == j and k == l:          # case 6
-            over_yy.append((flat, 1.0, i, i))
+def _s_table(y) -> np.ndarray:
+    """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table."""
+    s = np.zeros((3, 3, 3, 3))
+    for l, i, j, k in itertools.product(range(3), repeat=4):
+        if j == k:
+            continue  # antisymmetric in (j, k)
+        if i == l and j == l:          # case 8: S^l_l(l)(k) = 0
+            v = 0.0
+        elif i == l and k == l:        # case 9: S^l_l(j)(l) = 0
+            v = 0.0
+        elif l == i:                   # case 3: i, j, k distinct
+            v = 0.0
+        elif i == j and k == l:        # case 6
+            v = 1.0 / (9.0 * y[i] * y[i])
         elif j == l and k == i:        # case 7
-            over_yy.append((flat, -1.0, i, i))
+            v = -1.0 / (9.0 * y[i] * y[i])
         elif i == j:                   # case 1: i, k, l distinct
-            over_yyy.append((flat, -(1.0 / 9.0), l, i, k))
+            v = -(1.0 / 9.0) * y[l] / (y[i] * y[i] * y[k])
         elif i == k:                   # case 2: i, j, l distinct
-            over_yyy.append((flat, 1.0 / 9.0, l, i, j))
+            v = (1.0 / 9.0) * y[l] / (y[i] * y[i] * y[j])
         elif j == l:                   # case 4: i, k, l distinct
-            over_yy.append((flat, 1.0, i, k))
+            v = 1.0 / (9.0 * y[i] * y[k])
         elif k == l:                   # case 5: i, j, l distinct
-            over_yy.append((flat, -1.0, i, j))
+            v = -1.0 / (9.0 * y[i] * y[j])
         else:
             raise AssertionError("unreachable index pattern")
-
-    def columns(rows):
-        flat, n, *slots = zip(*rows)
-        return (np.array(flat), np.array(n), *(np.array(v) for v in slots))
-
-    return columns(over_yy), columns(over_yyy)
-
-
-_S_OVER_YY, _S_OVER_YYY = _s_entries()
-
-
-def _s_table(y: np.ndarray) -> np.ndarray:
-    """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table,
-    each entry with the operations of its case: n / (9 y_i y_b) is
-    n / ((9 y_i) y_b), and n y_l / (y_i y_i y_b) is (n y_l) / ((y_i y_i) y_b)."""
-    s = np.zeros(81)
-    flat, n, i, b = _S_OVER_YY
-    s[flat] = n / (9.0 * y[i] * y[b])
-    flat, n, l, i, b = _S_OVER_YYY
-    s[flat] = n * y[l] / (y[i] * y[i] * y[b])
-    return s.reshape(3, 3, 3, 3)
+        s[l, i, j, k] = v
+    return s
 
 
 class ClosedForms(Mapping):
@@ -117,9 +104,8 @@ class ClosedForms(Mapping):
     ``closed_form_bundle`` builds an instance.  Like ``PointContext``, an
     instance caches nothing beyond itself: make one per point.
 
-    g, g^-1, S_(i)(j), S^m11_i, C and the S table are array expressions whose
-    every entry rounds like its per-index formula (see the module docstring);
-    the series are cached in the instance on first read, without a lock.
+    g, g^-1, S_(i)(j), S^m11_i and C are array expressions whose every entry
+    rounds like its per-index formula (see the module docstring).
 
     ``connection="apriori"`` uses the full formulas above.  With the canonical
     connection (N = 0) the adapted spatial frame loses its fiber correction,
@@ -147,7 +133,7 @@ class ClosedForms(Mapping):
         ric = _RICCI_COEF / yy
         s_up = _S_RAISED_COEF / g23 * y_i / y_j
         c = A_COEFFICIENTS * yv[:, None, None] / yy
-        s = _s_table(yv)
+        s = _s_table(y)
         self.g23inv = g111 ** (-2.0 / 3.0)
         if connection == "apriori":
             self.kappa = kappa = tm.kappa(p.t)

@@ -25,20 +25,14 @@ kernel; downstream algebra is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import difftools as dt
 from .errors import DegenerateMetric
-from .jetspace import (
-    CubicForm,
-    DTensorBundle,
-    JetPoint,
-    TemporalMetric,
-    cached_property,
-    check_invertible,
-)
+from .jetspace import CubicForm, DTensorBundle, JetPoint, TemporalMetric, check_invertible
 from .metric_engine import f2_slots, finsler_F_squared_field, h11_slots
 
 
@@ -186,8 +180,7 @@ class PointContext:
     ``ricci()``, so each is computed at most once per point; repeated calls
     return the same objects.  Values and first partials are read as slices
     of the stacks.  Instances are single-use and not shared
-    across threads, so the caches take no lock; no cache outlives its
-    context.
+    across threads; no cache outlives its context.
     """
 
     def __init__(

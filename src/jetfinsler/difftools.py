@@ -382,11 +382,12 @@ _T_POWERS = [
 
 
 def compose_t_seed(cs: Sequence[float]) -> Taylor:
-    """``compose_univariate(taylor_variable("t", v, k), cs)`` for any v, where
-    k = len(cs) - 1 >= 1 and every ``cs[n]`` is finite: the Horner products
-    with u - v, whose one nonzero coefficient is 1.0 at t, only move each
-    coefficient up one power of t, adding it to the +0.0 a sum starts from,
-    so ``cs[n]`` lands on t^n with -0.0 turned into +0.0."""
+    """``compose_univariate(taylor_variable("t", v, k), cs)`` for a finite v,
+    where k = len(cs) - 1 >= 1 and every ``cs[n]`` is finite: the Horner
+    products with u - v, whose one nonzero coefficient is 1.0 at t, only move
+    each coefficient up one power of t, adding it to the +0.0 a sum starts
+    from, so ``cs[n]`` lands on t^n with -0.0 turned into +0.0.  (At an
+    infinite or NaN v, u - v has a NaN value and so has the composition.)"""
     k = len(cs) - 1
     c = np.zeros(NCOEF[k])
     c[_T_POWERS[k]] = np.array(cs) + 0.0

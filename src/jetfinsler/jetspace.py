@@ -60,30 +60,11 @@ class JetPoint:
 _FLOAT_BITS = struct.Struct("<d").pack  # tells -0.0 from 0.0, unlike ==
 
 
-class cached_property:
-    """``functools.cached_property`` without the lock that Python 3.11's takes
-    on every first read: the first read of the attribute stores the method's
-    result in the instance's ``__dict__``, where later reads find it."""
-
-    def __init__(self, method):
-        self.method = method
-        self.__doc__ = method.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
-
-
 def _per_t(method):
     """Remember ``method(self, t, *args)`` for the most recent t (see
-    ``TemporalMetric``): keyed on t's bits for a float t; for a ``Taylor`` t
-    also on its order, and unless it is the canonical t seed on its slot set
-    and coefficient bytes; any other t is not remembered."""
+    ``TemporalMetric``): keyed on t's bits for a float t, also on the order,
+    the slot set and the coefficient bytes for a ``Taylor`` t; any other t is
+    not remembered."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -92,10 +73,7 @@ def _per_t(method):
             value, key = t, (name, *args)
         elif isinstance(t, dt.Taylor):
             value = t.value
-            if dt.is_t_seed(t):
-                key = (name, *args, t.order)
-            else:
-                key = (name, *args, t.order, t.deps, t.c.dtype.str, t.c.tobytes())
+            key = (name, *args, t.order, t.deps, t.c.dtype.str, t.c.tobytes())
         else:
             return method(self, t, *args)
         memo = self._memo_at(value)
@@ -119,11 +97,9 @@ class TemporalMetric:
     remember their results for the most recent t: one point's engines, closed
     forms and field theory share one evaluation per method and argument.  The
     memo is keyed on the exact bits of t, and for a ``Taylor`` argument on its
-    order, and unless it is the canonical t seed
-    (``taylor_variable("t", t, k)``) on its slot set (``deps``) and
-    coefficient bytes too, so a hit returns the object a fresh instance would
-    compute (results are numbers and ``Taylor`` values, which are never
-    modified in place).
+    order, its slot set (``deps``) and its coefficient bytes too, so a hit
+    returns the object a fresh instance would compute (results are numbers
+    and ``Taylor`` values, which are never modified in place).
 
     h11's expression is evaluated on the t seed once per t, at the highest
     order requested: ``h11_jet(t, k)`` and ``h11_eval`` of the order-k t seed,
@@ -134,8 +110,9 @@ class TemporalMetric:
     pairs in the same order, and the extra Horner steps of a composition add
     only 0.0 times finite values to sums that start from +0.0.  ``kappa``,
     ``kappa_dot`` and ``kappa_eval`` read these truncations, and
-    ``kappa_eval`` of the order-k t seed writes kappa's coefficients onto its
-    powers of t (``difftools.compose_t_seed``) instead of composing them.
+    ``kappa_eval`` of the order-k t seed at a finite t writes kappa's
+    coefficients onto its powers of t (``difftools.compose_t_seed``) instead
+    of composing them.
 
     A t that is neither a Python float nor a ``Taylor``, such as fd mode's
     complex array of contour nodes, is evaluated every time; a call that
@@ -202,7 +179,7 @@ class TemporalMetric:
         v = self._evaluate(dt.taylor_variable("t", t, order))
         if not isinstance(v, dt.Taylor):  # a constant h11, the same at every order
             memo[_JET] = (dt.MAX_ORDER, v)
-        elif (best is None or order > best[0]) and np.isfinite(v.c).all():
+        elif np.isfinite(v.c).all():
             memo[_JET] = (order, v)
         return v
 
@@ -239,7 +216,12 @@ class TemporalMetric:
         js = self.h11_jet(t_any.value, k + 1)
         kser = dt.deriv(js, "t") / (js.truncate(k) * 2.0)
         cs = dt.univariate_coefficients(kser, "t", k + 1)
-        if k >= 1 and dt.is_t_seed(t_any) and all(map(math.isfinite, cs)):
+        if (
+            k >= 1
+            and math.isfinite(t_any.value)
+            and dt.is_t_seed(t_any)
+            and all(map(math.isfinite, cs))
+        ):
             return dt.compose_t_seed(cs)
         return dt.compose_univariate(t_any, cs)
 

@@ -82,7 +82,7 @@ def s_raised(m: int, i: int, y):
 
 
 def closed_form_loops(y) -> dict:
-    """g_lower, g_upper, ricci_S, S_raised, C and S_vv of the Berwald-Moor
+    """g_lower, g_upper, ricci_S, S_raised and C of the Berwald-Moor
     metric at the fiber point y, entry by entry on Python floats in per-index
     loops: the reference of ``ClosedForms``' array expressions (the no-sum
     formulas of ``berwald_moor``'s docstring, in the same operation order)."""
@@ -108,36 +108,5 @@ def closed_form_loops(y) -> dict:
         "ricci_S": ric,
         "S_raised": s_up,
         "C": c,
-        "S_vv": s_table_loops(y),
     }
 
-
-def s_table_loops(y) -> np.ndarray:
-    """The vertical curvature S^{l(1)(1)}_{i(j)(k)} from its 9-case table,
-    entry by entry."""
-    s = np.zeros((3, 3, 3, 3))
-    for l, i, j, k in itertools.product(range(3), repeat=4):
-        if j == k:
-            continue  # antisymmetric in (j, k)
-        if i == l and j == l:          # case 8: S^l_l(l)(k) = 0
-            v = 0.0
-        elif i == l and k == l:        # case 9: S^l_l(j)(l) = 0
-            v = 0.0
-        elif l == i:                   # case 3: i, j, k distinct
-            v = 0.0
-        elif i == j and k == l:        # case 6
-            v = 1.0 / (9.0 * y[i] * y[i])
-        elif j == l and k == i:        # case 7
-            v = -1.0 / (9.0 * y[i] * y[i])
-        elif i == j:                   # case 1: i, k, l distinct
-            v = -(1.0 / 9.0) * y[l] / (y[i] * y[i] * y[k])
-        elif i == k:                   # case 2: i, j, l distinct
-            v = (1.0 / 9.0) * y[l] / (y[i] * y[i] * y[j])
-        elif j == l:                   # case 4: i, k, l distinct
-            v = 1.0 / (9.0 * y[i] * y[k])
-        elif k == l:                   # case 5: i, j, l distinct
-            v = -1.0 / (9.0 * y[i] * y[j])
-        else:
-            raise AssertionError("unreachable index pattern")
-        s[l, i, j, k] = v
-    return s

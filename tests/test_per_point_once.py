@@ -3,6 +3,7 @@ stacked raised vertical Ricci tensor, the EM blocks as ordered array sums and
 one closed-form context per point.  Every result is compared as bytes with
 the computation it replaces."""
 
+import math
 import struct
 import sys
 import threading
@@ -187,15 +188,17 @@ class TestTemporalMemo:
 REFERENCE_METRICS = METRICS + ("t", "t**-4", "1/t", "1/(1e118*t)")
 # 1e-70: the order-4 jets of t**-4 and 1/t raise; 1e-50: the order-4 jet of
 # t**-4 overflows while its order-2 jet stays finite; 1e-138: the order-4 jet
-# of 1/(1e118*t) has a NaN at t^2, where its order-2 jet is finite
-REFERENCE_TIMES = (0.3, 0.0, -0.0, -0.7, 1e-70, 1e-50, 1e-138)
+# of 1/(1e118*t) has a NaN at t^2, where its order-2 jet is finite; inf and
+# nan: a constant h11 is finite there, but a composition with the t seed is NaN
+REFERENCE_TIMES = (0.3, 0.0, -0.0, -0.7, 1e-70, 1e-50, 1e-138, math.inf, -math.inf, math.nan)
 
 
 def outcome(fn):
     """A call's result as bytes, or its error's type and message."""
     try:
         return as_bytes(fn())
-    except (JetFinslerError, ArithmeticError) as exc:  # 1/t at t = 0.0 divides by zero
+    # 1/t at t = 0.0 divides by zero; sin at t = inf is a math domain error
+    except (JetFinslerError, ArithmeticError, ValueError) as exc:
         return ("error", type(exc).__name__, str(exc))
 
 
