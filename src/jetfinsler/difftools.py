@@ -374,26 +374,6 @@ def compose_univariate(u: Taylor, cs: Sequence[float]) -> Taylor:
     return out
 
 
-#: Per order k, the slots of t^0, t^1, ..., t^k among the coefficients.
-_T_POWERS = [
-    np.array([_POS[(n,) + (0,) * (NVARS - 1)] for n in range(k + 1)])
-    for k in range(MAX_ORDER + 1)
-]
-
-
-def compose_t_seed(cs: Sequence[float]) -> Taylor:
-    """``compose_univariate(taylor_variable("t", v, k), cs)`` for a finite v,
-    where k = len(cs) - 1 >= 1 and every ``cs[n]`` is finite: the Horner
-    products with u - v, whose one nonzero coefficient is 1.0 at t, only move
-    each coefficient up one power of t, adding it to the +0.0 a sum starts
-    from, so ``cs[n]`` lands on t^n with -0.0 turned into +0.0.  (At an
-    infinite or NaN v, u - v has a NaN value and so has the composition.)"""
-    k = len(cs) - 1
-    c = np.zeros(NCOEF[k])
-    c[_T_POWERS[k]] = np.array(cs) + 0.0
-    return Taylor(c, k, 1)
-
-
 def univariate_coefficients(u: Taylor, var: Union[int, str], count: int):
     """Coefficients of the pure powers of one variable: [c_{var^0}, ...]."""
     idx = var if isinstance(var, int) else _COORD_INDEX[var]
@@ -437,26 +417,34 @@ def log(u):
     return math.log(u)
 
 
+def _angle(u0, name: str):
+    """``u0``, or ``DomainError`` if it is infinite, where ``math``'s sin and
+    cos raise ``ValueError``."""
+    if math.isinf(u0):
+        raise DomainError(f"{name} of an infinite value")
+    return u0
+
+
 def sin(u):
     if isinstance(u, Taylor):
-        u0 = float(u.c[0])
+        u0 = _angle(float(u.c[0]), "sin")
         cycle = (math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0))
         cs = [cycle[n % 4] / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
         return np.sin(u)
-    return math.sin(u)
+    return math.sin(_angle(u, "sin"))
 
 
 def cos(u):
     if isinstance(u, Taylor):
-        u0 = float(u.c[0])
+        u0 = _angle(float(u.c[0]), "cos")
         cycle = (math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0))
         cs = [cycle[n % 4] / math.factorial(n) for n in range(u.order + 1)]
         return compose_univariate(u, cs)
     if isinstance(u, np.ndarray):
         return np.cos(u)
-    return math.cos(u)
+    return math.cos(_angle(u, "cos"))
 
 
 def powf(u, alpha: float):

@@ -52,6 +52,8 @@ class Expression:
             ) from None
         except OverflowError as exc:  # e.g. exp of a large argument
             raise DomainError(f"{self.source!r} overflows: {exc}") from None
+        except ZeroDivisionError:  # 1/0.0 or 0.0**-1, as a series reciprocal says
+            raise DomainError("division by a field whose value is zero") from None
 
 
 def parse_expression(source: str, variables: tuple[str, ...]) -> Expression:

@@ -246,10 +246,7 @@ def conservation_residuals(
             law1 += st[r] * L[m][r][m]
             law1 += ft[r] * C[m][r][m]
 
-    h2 = tm.h11_jet(p.t, 2)
-    h = h2.value
-    hp = dt.deriv(h2, "t").value
-    hpp = dt.deriv(dt.deriv(h2, "t"), "t").value
+    h, hp, hpp = tm.h11_derivatives(p.t)
     law1_rhs = (
         (1.0 / h) ** 2 / (16.0 * K) * hp * (2.0 * hpp - 3.0 / h * hp * hp) * cf.g23inv
     )

@@ -61,22 +61,16 @@ _FLOAT_BITS = struct.Struct("<d").pack  # tells -0.0 from 0.0, unlike ==
 
 
 def _per_t(method):
-    """Remember ``method(self, t, *args)`` for the most recent t (see
-    ``TemporalMetric``): keyed on t's bits for a float t, also on the order,
-    the slot set and the coefficient bytes for a ``Taylor`` t; any other t is
-    not remembered."""
+    """Remember ``method(self, t, *args)`` for the most recent t if t is a
+    Python float (see ``TemporalMetric``); any other t is not remembered."""
     name = method.__name__
 
     @functools.wraps(method)
     def memoized(self, t, *args):
-        if type(t) is float:
-            value, key = t, (name, *args)
-        elif isinstance(t, dt.Taylor):
-            value = t.value
-            key = (name, *args, t.order, t.deps, t.c.dtype.str, t.c.tobytes())
-        else:
+        if type(t) is not float:
             return method(self, t, *args)
-        memo = self._memo_at(value)
+        memo = self._memo_at(t)
+        key = (name, *args)
         result = memo.get(key)
         if result is None:  # no method returns None
             result = memo[key] = method(self, t, *args)
@@ -92,33 +86,25 @@ class TemporalMetric:
     """The positive 1-d metric h11(t), its inverse, and its Christoffel symbol
     kappa = (h^11 / 2) dh11/dt.
 
-    Every object of the geometry reads t only through these, so ``h11``,
-    ``h11_eval``, ``h11_jet``, ``kappa``, ``kappa_dot`` and ``kappa_eval``
-    remember their results for the most recent t: one point's engines, closed
-    forms and field theory share one evaluation per method and argument.  The
-    memo is keyed on the exact bits of t, and for a ``Taylor`` argument on its
-    order, its slot set (``deps``) and its coefficient bytes too, so a hit
-    returns the object a fresh instance would compute (results are numbers
-    and ``Taylor`` values, which are never modified in place).
+    Every object of the geometry reads t only through these, so their results
+    at a Python float t are remembered for the most recent t, keyed on t's
+    exact bits: one point's engines, closed forms and field theory share
+    them.  h11's expression is evaluated once on the float t (``h11_eval``,
+    which ``h11`` reads) and once on the t seed, at the highest order
+    requested: ``h11_jet(t, k)`` and ``h11_eval`` of the order-k t seed,
+    k >= 1, return the truncation to order k of the highest-order jet with
+    finite coefficients already evaluated at t.  It equals the order-k
+    evaluation bit for bit: a product sums the same pairs in the same order,
+    and the extra Horner steps of a composition add only 0.0 times finite
+    values to sums that start from +0.0.  ``kappa_eval`` of a series
+    composes kappa's remembered coefficients at the series' value, as ``exp``
+    does.
 
-    h11's expression is evaluated on the t seed once per t, at the highest
-    order requested: ``h11_jet(t, k)`` and ``h11_eval`` of the order-k t seed,
-    k >= 1, return the truncation to order k of the highest-order jet already
-    evaluated at t, and evaluate afresh only when none of order >= k with
-    finite coefficients exists.  A finite jet's coefficients up to order k are
-    those of the order-k evaluation, bit for bit: a product sums the same
-    pairs in the same order, and the extra Horner steps of a composition add
-    only 0.0 times finite values to sums that start from +0.0.  ``kappa``,
-    ``kappa_dot`` and ``kappa_eval`` read these truncations, and
-    ``kappa_eval`` of the order-k t seed at a finite t writes kappa's
-    coefficients onto its powers of t (``difftools.compose_t_seed``) instead
-    of composing them.
-
-    A t that is neither a Python float nor a ``Taylor``, such as fd mode's
-    complex array of contour nodes, is evaluated every time; a call that
-    raises stores nothing.  The memo is one ``(t, dict)`` slot replaced as a
-    whole when t changes, so threads evaluating at different times can only
-    make each other recompute, never read a value of another t.
+    Any other series, and an array such as fd mode's complex contour nodes,
+    is evaluated every time; a call that raises stores nothing.  The memo is
+    one ``(t, dict)`` slot replaced as a whole when t changes, so threads
+    evaluating at different times can only make each other recompute, never
+    read a value of another t.
     """
 
     def __init__(self, h11: Union[str, float, Expression]):
@@ -145,11 +131,8 @@ class TemporalMetric:
         """The variables h11 uses: {"t"}, or none for a constant."""
         return self.expression.names
 
-    @_per_t
     def h11(self, t: float) -> float:
-        v = float(self.expression.evaluate({"t": float(t)}))
-        _check_h11(v, f"h11({t})")
-        return v
+        return float(self.h11_eval(float(t)))
 
     @_per_t
     def h11_eval(self, t_any):
@@ -185,27 +168,33 @@ class TemporalMetric:
 
     @_per_t
     def h11_jet(self, t: float, order: int) -> dt.Taylor:
+        if order > dt.MAX_ORDER:
+            raise OrderTooHigh(f"order {order} exceeds the maximum {dt.MAX_ORDER}")
+        if order < 0:
+            raise ValueError(f"order {order} is negative")
         t = float(t)
         if order == 0:  # an order-0 composition forgets its slots: no truncation
             return dt.as_taylor(self._evaluate(dt.taylor_variable("t", t, 0)), 0)
         return dt.as_taylor(self._seed_jet(t, order), order)
 
     @_per_t
+    def h11_derivatives(self, t: float) -> tuple[float, float, float]:
+        """h11, dh11/dt and d^2h11/dt^2 at t, read off the order-2 jet."""
+        js = self.h11_jet(t, 2)
+        d1 = dt.deriv(js, "t")
+        return js.value, d1.value, dt.deriv(d1, "t").value
+
+    @_per_t
     def kappa(self, t: float) -> float:
         js = self.h11_jet(t, 1)
         return float(dt.deriv(js, "t").value / (2.0 * js.value))
 
-    @_per_t
     def kappa_dot(self, t: float) -> float:
-        js = self.h11_jet(t, 2)
-        h = js.value
-        hp = dt.deriv(js, "t").value
-        hpp = dt.deriv(dt.deriv(js, "t"), "t").value
-        return float((hpp * h - hp * hp) / (2.0 * h * h))
+        h, hp, hpp = self.h11_derivatives(t)
+        return (hpp * h - hp * hp) / (2.0 * h * h)
 
-    @_per_t
     def kappa_eval(self, t_any):
-        """kappa on a float or a Taylor value (univariate composition)."""
+        """kappa on a float, or composed with a Taylor value as ``exp`` is."""
         if not isinstance(t_any, dt.Taylor):
             return self.kappa(t_any)
         k = t_any.order
@@ -213,24 +202,21 @@ class TemporalMetric:
             raise OrderTooHigh(
                 f"kappa supports differentiation up to order {dt.MAX_ORDER - 1}"
             )
-        js = self.h11_jet(t_any.value, k + 1)
-        kser = dt.deriv(js, "t") / (js.truncate(k) * 2.0)
-        cs = dt.univariate_coefficients(kser, "t", k + 1)
-        if (
-            k >= 1
-            and math.isfinite(t_any.value)
-            and dt.is_t_seed(t_any)
-            and all(map(math.isfinite, cs))
-        ):
-            return dt.compose_t_seed(cs)
-        return dt.compose_univariate(t_any, cs)
+        return dt.compose_univariate(t_any, self._kappa_coefficients(t_any.value, k))
+
+    @_per_t
+    def _kappa_coefficients(self, t: float, order: int) -> list[float]:
+        """kappa's Taylor coefficients in t at t, up to ``order``."""
+        js = self.h11_jet(t, order + 1)
+        kser = dt.deriv(js, "t") / (js.truncate(order) * 2.0)
+        return dt.univariate_coefficients(kser, "t", order + 1)
 
 
-def _check_h11(v: float, name: str = "h11") -> None:
+def _check_h11(v: float) -> None:
     if v <= 0.0:
-        raise NonPositiveMetric(f"{name} = {v} is not positive")
+        raise NonPositiveMetric(f"h11 = {v} is not positive")
     if not math.isfinite(v):
-        raise DomainError(f"{name} = {v} is not finite")
+        raise DomainError(f"h11 = {v} is not finite")
 
 
 def _multiplicity(key: tuple[int, int, int]) -> int:

@@ -283,6 +283,79 @@ class TestRunScenario:
         assert report["summary"]["points_failed"] == 0  # comparisons were skipped
         assert not ok  # but a run that evaluated no point cannot pass
 
+    @staticmethod
+    def point_errors(metric, ts, mode, cubic="berwald_moor", x=(0.0, 0.0, 0.0)):
+        doc = base_scenario()
+        doc.update(temporal_metric=metric, cubic=cubic, derivative_mode=mode)
+        doc["points"] = {"explicit": [{"t": t, "x": list(x), "y": [1, 2, 3]} for t in ts]}
+        report, ok = run_scenario(parse_scenario(doc))
+        assert not ok
+        return [p["error"] for p in report["points"]]
+
+    @pytest.mark.parametrize("mode", ("exact", "fd"))
+    @pytest.mark.parametrize(
+        "metric, ts, exact, fd",
+        [
+            ("t", (0.0, -0.0, -0.5), [f"NonPositiveMetric: h11 = {t} is not positive" for t in (0.0, -0.0, -0.5)], None),
+            ("1/t", (0.0,), ["DomainError: division by a field whose value is zero"], None),
+            ("t**-4", (0.0,), ["DomainError: division by a field whose value is zero"], None),
+            (
+                "1/t", (1e-70,),
+                ["DomainError: the reciprocal series of 1e-70 overflows"],
+                ["DomainError: no contour radius keeps the field near its value 3.301927248894626e-70"],
+            ),
+            (
+                "t**-4", (1e-70, 1e-50),
+                [
+                    "DomainError: the reciprocal series of 1e-70 overflows",
+                    "DomainError: the reciprocal series of 1.0000000000000005e+200 overflows",
+                ],
+                [
+                    "DomainError: no contour radius keeps the field near its value 3.301927248894626e-280",
+                    "DomainError: no contour radius keeps the field near its value 3.3019272488946267e-200",
+                ],
+            ),
+            (
+                "1/(1e118*t)", (1e-138,),
+                ["NonFiniteOutput: conservation values are not finite (Einstein constant out of range?)"],
+                ["DomainError: no contour radius keeps the field near its value 3.3019272488946266e-20"],
+            ),
+            (
+                "exp(1000*t)", (1.0, -1.0, 0.5),
+                [
+                    "DomainError: 'exp(1000*t)' overflows: math range error",
+                    "NonPositiveMetric: h11 = 0.0 is not positive",
+                    "DomainError: the reciprocal series of 1.4035922178528375e+217 overflows",
+                ],
+                [
+                    "DomainError: 'exp(1000*t)' overflows: math range error",
+                    "NonPositiveMetric: h11 = 0.0 is not positive",
+                    "DomainError: the reciprocal series of 2.807184435705675e+217 overflows",
+                ],
+            ),
+        ],
+        ids=["t_at_0_or_less", "recip_t_at_0", "t_pow_-4_at_0", "recip_t_at_1e-70", "t_pow_-4_tiny", "recip_1e118_t", "exp_1000_t"],
+    )
+    def test_time_layer_errors_recorded_on_points(self, metric, ts, exact, fd, mode):
+        # where fd is None, both modes record the same error
+        want = fd if mode == "fd" and fd is not None else exact
+        assert self.point_errors(metric, ts, mode) == want
+
+    @pytest.mark.parametrize("mode", ("exact", "fd"))
+    @pytest.mark.parametrize(
+        "metric, cubic, t, x1, error",
+        [
+            ("2 + cos(1e308*10)", "berwald_moor", 0.3, 0.0, "cos"),
+            ("exp(2*t)", {"entries": {"123": "1/6 + 0*sin(1e308*x1*10)"}}, 0.3, 0.5, "sin"),
+            ("2 + sin(1e300*t*t)", "berwald_moor", 1e10, 0.0, "sin"),
+        ],
+        ids=["constant_h11", "cubic", "h11_at_t"],
+    )
+    def test_infinite_angle_recorded_on_points(self, metric, cubic, t, x1, error, mode):
+        # math.sin and math.cos raise ValueError at +-inf
+        got = self.point_errors(metric, (t,), mode, cubic, (x1, 0.2, 0.3))
+        assert got == [f"DomainError: {error} of an infinite value"]
+
     def test_duplicated_points_keep_earliest_worst_row(self):
         doc = base_scenario()
         point = {"t": 0.3, "x": [0.1, 0.2, 0.3], "y": [0.7, 1.9, 2.6]}

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetfinsler import difftools as dt
-from jetfinsler.errors import ConfigError, DomainError, NonPositiveMetric, SingularChange
+from jetfinsler.errors import (
+    ConfigError,
+    DomainError,
+    NonPositiveMetric,
+    OrderTooHigh,
+    SingularChange,
+)
 from jetfinsler.expressions import Expression
 from jetfinsler.jetspace import (
     CubicForm,
@@ -74,10 +80,21 @@ class TestTemporalMetric:
         assert TemporalMetric(2).h11(0.3) == 2.0
         assert TemporalMetric(np.float64(0.5)).expression.source == "0.5"
 
+    def test_h11_jet_order_cap(self):
+        with pytest.raises(OrderTooHigh):
+            TemporalMetric("t**2 + 1").h11_jet(0.3, dt.MAX_ORDER + 1)
+
+    def test_h11_jet_refuses_a_negative_order(self):
+        with pytest.raises(ValueError, match="order -1 is negative"):
+            TemporalMetric("t**2 + 1").h11_jet(0.3, -1)
+
+    def test_division_by_zero_is_a_domain_error(self):
+        # the message a series' reciprocal gives at a zero value
+        with pytest.raises(DomainError, match="^division by a field whose value is zero$"):
+            TemporalMetric("1/t").h11(0.0)
+
     def test_kappa_eval_order_cap(self):
         # kappa needs one extra order of h11, so order-4 inputs are rejected
-        from jetfinsler.errors import OrderTooHigh
-
         tm = TemporalMetric("t**2 + 1")
         with pytest.raises(OrderTooHigh):
             tm.kappa_eval(dt.taylor_variable("t", 0.0, 4))

@@ -164,6 +164,7 @@ def _runnable_scenarios(draw):
 
 @given(doc=_runnable_scenarios())
 @example(doc=_with(("points", "sampler", "t_range"), [-1e308, 1e308]))
+@example(doc=_with(("temporal_metric",), "2 + cos(1e308*10)"))  # cos of inf
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_run_scenario_records_point_errors(doc):
     try:
