@@ -11,9 +11,10 @@ The process exits 0 only if every recorded deviation is within tolerance
 their source locations.
 
 Reports are deterministic: two runs of the same scenario are byte-identical
-except for the ``wall_time_seconds`` field.  Point sampling uses numpy's
-seeded PCG64 generator with a fixed draw order, documented in the report
-header.
+except for the ``wall_time_seconds`` field.  Point sampling draws numpy's
+seeded PCG64 ``Generator.uniform`` stream bit for bit, with a fixed draw
+order documented in the report header.  The package computes that stream
+itself (``_pcg64``), so a run does not import ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import __version__, _backend
 from . import berwald_moor as bm
 from . import difftools as dt
 from . import field_theory as ft
+from ._pcg64 import uniforms
 from .connection_engine import NonlinearConnection, PointContext
 from .errors import ConfigError, JetFinslerError, NonFiniteOutput
 from .jetspace import CubicForm, JetPoint, TemporalMetric
@@ -424,12 +426,21 @@ def sample_points(scenario: Scenario) -> list[JetPoint]:
     ]
     s = scenario.sampler
     if s is not None:
-        rng = np.random.Generator(np.random.PCG64(s["seed"]))
+        stream = uniforms(s["seed"])
         n = s["count"]
-        ts = rng.uniform(s["t_range"][0], s["t_range"][1], n)
-        xs = rng.uniform(s["x_range"][0], s["x_range"][1], (n, 3))
-        ys = rng.uniform(s["y_box"][0], s["y_box"][1], (n, 3))
-        points.extend(JetPoint.of(ts[i], xs[i], ys[i]) for i in range(n))
+
+        def uniform(lo_hi, size):
+            lo, hi = lo_hi
+            width = hi - lo
+            return [lo + width * u for u in itertools.islice(stream, size)]
+
+        ts = uniform(s["t_range"], n)
+        xs = uniform(s["x_range"], 3 * n)
+        ys = uniform(s["y_box"], 3 * n)
+        points.extend(
+            JetPoint.of(ts[i], xs[3 * i : 3 * i + 3], ys[3 * i : 3 * i + 3])
+            for i in range(n)
+        )
     return points
 
 

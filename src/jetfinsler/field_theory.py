@@ -29,7 +29,7 @@ import numpy as np
 from . import difftools as dt
 from .berwald_moor import ClosedForms
 from .connection_engine import NonlinearConnection, PointContext, adapted_partials
-from .errors import NonFiniteOutput, ZeroEinsteinConstant
+from .errors import DomainError, NonFiniteOutput, ZeroEinsteinConstant
 
 
 @dataclass(frozen=True)
@@ -247,9 +247,11 @@ def conservation_residuals(
             law1 += ft[r] * C[m][r][m]
 
     h, hp, hpp = tm.h11_derivatives(p.t)
-    law1_rhs = (
-        (1.0 / h) ** 2 / (16.0 * K) * hp * (2.0 * hpp - 3.0 / h * hp * hp) * cf.g23inv
-    )
+    try:
+        h_inv_sq = (1.0 / h) ** 2  # float ** raises where float * gives inf
+    except OverflowError:
+        raise DomainError(f"the square of 1/h11 overflows at h11 = {h!r}") from None
+    law1_rhs = h_inv_sq / (16.0 * K) * hp * (2.0 * hpp - 3.0 / h * hp * hp) * cf.g23inv
 
     def divergence(acc, i, s_x, f_y, s, f):
         """``acc`` plus T^m_i|m + T^(m)_(1)i |^(1)_(m) for the spatial and

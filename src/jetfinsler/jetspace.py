@@ -191,7 +191,10 @@ class TemporalMetric:
 
     def kappa_dot(self, t: float) -> float:
         h, hp, hpp = self.h11_derivatives(t)
-        return (hpp * h - hp * hp) / (2.0 * h * h)
+        two_h_sq = 2.0 * h * h
+        if two_h_sq == 0.0:
+            raise DomainError(f"2 h11^2 underflows to zero at h11 = {h!r}")
+        return (hpp * h - hp * hp) / two_h_sq
 
     def kappa_eval(self, t_any):
         """kappa on a float, or composed with a Taylor value as ``exp`` is."""

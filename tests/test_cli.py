@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -240,6 +240,44 @@ class TestSampling:
             assert all(0.2 <= v <= 5.0 for v in p.y)
             assert -1.0 <= p.t <= 1.0
 
+    @staticmethod
+    def as_bytes(values) -> bytes:
+        return struct.pack(f"<{len(values)}d", *values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**300),
+        count=st.integers(1, 50),
+        ranges=st.lists(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_subnormal=False), min_size=2, max_size=2
+            ).map(sorted),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    @example(seed=0, count=1, ranges=[[-1.0, 1.0], [-1.0, 1.0], [0.2, 5.0]])
+    @example(seed=2**32 - 1, count=7, ranges=[[-1.0, 1.0], [-1.0, 1.0], [0.2, 5.0]])
+    @example(seed=2**32, count=50, ranges=[[0.0, 0.0], [-3.5, 2.0], [1.0, 1e6]])
+    @example(seed=2**64 + 5, count=13, ranges=[[-1e6, 1e6], [-0.0, 0.0], [0.2, 5.0]])
+    @example(seed=10**40, count=31, ranges=[[-2.0, -1.0], [5.0, 9.0], [0.1, 0.3]])
+    def test_draws_numpy_pcg64_stream(self, seed, count, ranges):
+        # numpy's Generator is the oracle the package's own PCG64 must match
+        # bit for bit, in the documented order t[count], x[count,3], y[count,3]
+        t_range, x_range, y_box = ranges
+        if y_box[0] <= 0.0 or y_box[0] == y_box[1]:
+            y_box = [0.2, 5.0]
+        doc = base_scenario(count=count, seed=seed)
+        doc["points"]["sampler"].update(t_range=t_range, x_range=x_range, y_box=y_box)
+        points = sample_points(parse_scenario(doc))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ts = rng.uniform(*t_range, count)
+        xs = rng.uniform(*x_range, (count, 3))
+        ys = rng.uniform(*y_box, (count, 3))
+        assert self.as_bytes([p.t for p in points]) == ts.astype("<f8").tobytes()
+        assert self.as_bytes([v for p in points for v in p.x]) == xs.astype("<f8").tobytes()
+        assert self.as_bytes([v for p in points for v in p.y]) == ys.astype("<f8").tobytes()
+
 
 class TestRunScenario:
     def test_all_pass_and_structure(self):
@@ -333,8 +371,18 @@ class TestRunScenario:
                     "DomainError: the reciprocal series of 2.807184435705675e+217 overflows",
                 ],
             ),
+            # below h11 ~ 1e-154 (1/h11)**2 of the law-1 right-hand side
+            # overflows; near 1e-162 2 h11^2 of the closed forms' kappa_dot
+            # underflows to 0; below ~3e-163 the reciprocal series overflows
+            (
+                "1e-160", (0.3, -0.5),
+                ["DomainError: the square of 1/h11 overflows at h11 = 1e-160"] * 2,
+                None,
+            ),
+            ("1e-162", (0.3,), ["DomainError: 2 h11^2 underflows to zero at h11 = 1e-162"], None),
+            ("1e-200", (0.3,), ["DomainError: the reciprocal series of 2e-200 overflows"], None),
         ],
-        ids=["t_at_0_or_less", "recip_t_at_0", "t_pow_-4_at_0", "recip_t_at_1e-70", "t_pow_-4_tiny", "recip_1e118_t", "exp_1000_t"],
+        ids=["t_at_0_or_less", "recip_t_at_0", "t_pow_-4_at_0", "recip_t_at_1e-70", "t_pow_-4_tiny", "recip_1e118_t", "exp_1000_t", "constant_1e-160", "constant_1e-162", "constant_1e-200"],
     )
     def test_time_layer_errors_recorded_on_points(self, metric, ts, exact, fd, mode):
         # where fd is None, both modes record the same error
@@ -408,6 +456,27 @@ class TestCliProcess:
         assert proc.returncode == 0, proc.stderr
         assert "RESULT: PASS" in proc.stdout
         assert json.loads(out.read_text())["summary"]["all_pass"]
+
+    def test_sampled_run_does_not_import_numpy_random(self, tmp_path):
+        # the package draws the PCG64 sample itself; numpy.random only costs
+        # the process memory and set-up time
+        path = write_scenario(tmp_path, base_scenario(count=2, seed=3))
+        out = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "from jetfinsler.cli import main\n"
+            f"code = main(['run', {str(path)!r}, '--out', {str(out)!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert len(json.loads(out.read_text())["points"]) == 2
 
     def test_exit_two_on_config_error(self, tmp_path):
         doc = base_scenario()

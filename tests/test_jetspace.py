@@ -93,6 +93,15 @@ class TestTemporalMetric:
         with pytest.raises(DomainError, match="^division by a field whose value is zero$"):
             TemporalMetric("1/t").h11(0.0)
 
+    def test_kappa_dot_of_an_underflowing_h11_is_a_domain_error(self):
+        # 2 h11^2 underflows to 0 below h11 ~ 1e-162
+        with pytest.raises(DomainError, match="^2 h11\\^2 underflows to zero at h11 = 1e-170$"):
+            TemporalMetric("t").kappa_dot(1e-170)
+        with pytest.raises(DomainError, match="underflows to zero"):
+            TemporalMetric("1e-200").kappa_dot(0.3)
+        # where 2 h11^2 is still a (subnormal) number, kappa_dot returns
+        assert TemporalMetric("1e-160").kappa_dot(0.3) == 0.0
+
     def test_kappa_eval_order_cap(self):
         # kappa needs one extra order of h11, so order-4 inputs are rejected
         tm = TemporalMetric("t**2 + 1")
