@@ -15,6 +15,12 @@ except for the ``wall_time_seconds`` field.  Point sampling draws numpy's
 seeded PCG64 ``Generator.uniform`` stream bit for bit, with a fixed draw
 order documented in the report header.  The package computes that stream
 itself (``_pcg64``), so a run does not import ``numpy.random``.
+
+A point's record keeps the arrays and floats the engines and the field theory
+return; the report's one write (``default=np.ndarray.tolist``) is the only
+place an array becomes a JSON list, so a Berwald-Moor point with every output
+holds ~29 KB until then.  The report file is opened before the run, so an
+unwritable ``--out`` exits 2 before any point is evaluated.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .connection_engine import NonlinearConnection, PointContext
 from .errors import ConfigError, JetFinslerError, NonFiniteOutput
 from .jetspace import CubicForm, JetPoint, TemporalMetric
 from .metric_engine import contract_cubic
-from .expressions import is_finite_number, parse_expression
+from .expressions import is_finite_number
 
 SCHEMA_VERSION = 1
 
@@ -240,28 +246,8 @@ def parse_scenario(doc: dict, seed_override=None, ad_override=None) -> Scenario:
             isinstance(entries, dict) and entries,
             "cubic.entries must be a non-empty mapping",
         )
-        components, parsed = {}, {}
-        for key, val in entries.items():
-            digits = [ch for ch in str(key) if ch.isdigit()]
-            _require(
-                len(digits) == 3 and all(ch in "123" for ch in digits),
-                f"cubic entry key {key!r} must name three indices in 1..3",
-            )
-            other = components.setdefault(tuple(sorted(digits)), key)
-            _require(
-                other == key,
-                f"cubic entry keys {other!r} and {key!r} name the same component",
-            )
-            if isinstance(val, str):
-                val = parse_expression(val, variables=("x1", "x2", "x3"))
-            else:
-                _require(
-                    is_finite_number(val),
-                    f"cubic entry {key!r} must be a finite number or an expression",
-                )
-            parsed[key] = val
-        cubic = CubicForm.from_entries(parsed)
-        cubic_spec = {"entries": {str(k): v for k, v in entries.items()}}
+        cubic = CubicForm.from_entries(entries)
+        cubic_spec = {"entries": entries}
     else:
         raise ConfigError("cubic must be 'berwald_moor' or {'entries': {...}}")
 
@@ -444,14 +430,6 @@ def sample_points(scenario: Scenario) -> list[JetPoint]:
     return points
 
 
-def _listify(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
-
-
 def _s_raised_divergence_dev(cf: bm.ClosedForms) -> float:
     """sum_m d S^m11_i / dy_m against (2/3)(1/y_i) G111^(-2/3), via the kernel."""
     d_y = cf.s_raised_stack[..., dt.D1_SLOTS[4:]].tolist()  # [m][i][k]
@@ -493,8 +471,8 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
     record = {
         "index": None,
         "point": {"t": p.t, "x": list(p.x), "y": list(p.y)},
-        "generic": {n: _listify(generic[n]) for n in requested},
-        "closed_form": {n: _listify(closed[n]) for n in requested} if closed else None,
+        "generic": {n: generic[n] for n in requested},
+        "closed_form": {n: closed[n] for n in requested} if closed else None,
         "comparisons": {},
         "identities": {},
         "error": None,
@@ -549,12 +527,8 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
 
     if is_bm and "einstein" in scenario.outputs:
         record["einstein"] = {
-            "xi11": blocks.xi11,
-            "T_11": blocks.T_11,
-            "T_ij": _listify(blocks.T_ij),
-            "T_fiber": _listify(blocks.T_fiber),
-            "t_spatial_fiber": _listify(blocks.t_spatial_fiber),
-            "t_fiber_spatial": _listify(blocks.t_fiber_spatial),
+            n: getattr(blocks, n)
+            for n in ("xi11", "T_11", "T_ij", "T_fiber", "t_spatial_fiber", "t_fiber_spatial")
         }
         sym = [
             (blocks.T_ij - blocks.T_ij.T, blocks.T_ij),
@@ -573,23 +547,12 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
                 for name in ("tt", "st", "ft", "ts", "ss", "fs", "tf", "sf", "ff")
             ]
         ])
-        record["stress_energy"] = {
-            "tt": se.tt,
-            "ss": _listify(se.ss),
-            "fs": _listify(se.fs),
-            "sf": _listify(se.sf),
-            "ff": _listify(se.ff),
-        }
+        record["stress_energy"] = {n: getattr(se, n) for n in ("tt", "ss", "fs", "sf", "ff")}
         identity("stress_two_path", two_path, TWO_PATH_TOL)
 
     if is_bm and "conservation" in scenario.outputs:
         cons = ft.conservation_residuals(se, closed, scenario.einstein_constant)
-        record["conservation"] = {
-            "law1_lhs": cons.law1_lhs,
-            "law1_rhs": cons.law1_rhs,
-            "law2_lhs": _listify(cons.law2_lhs),
-            "law3_lhs": _listify(cons.law3_lhs),
-        }
+        record["conservation"] = vars(cons)
         identity(
             "conservation_law1",
             abs(cons.law1_lhs - cons.law1_rhs) / max(abs(cons.law1_rhs), 1.0),
@@ -600,12 +563,7 @@ def evaluate_point(scenario: Scenario, p: JetPoint, nlc: NonlinearConnection) ->
 
     if "em" in scenario.outputs:
         em = ft.em_two_form(ctx)
-        record["em"] = {
-            "F_em": _listify(em.F_em),
-            "D_bar": _listify(em.D_bar),
-            "D": _listify(em.D),
-            "d_em": _listify(em.d_em),
-        }
+        record["em"] = vars(em)
         identity("em_antisymmetry", [(em.F_em + em.F_em.T, em.d_em)], tol_jet_id)
         if is_bm:
             identity("em_triviality", [(em.F_em, 1.0)], tol_jet_id)
@@ -880,7 +838,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    report, all_pass = run_scenario(scenario)
     out_path = args.out
     if out_path is None:
         base = args.scenario
@@ -888,8 +845,12 @@ def main(argv=None) -> int:
             base = base[: -len(".json")]
         out_path = base + ".report.json"
     try:
+        # opened before the run, so an unwritable path fails before any point
+        # is evaluated; the run itself does no I/O
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            report, all_pass = run_scenario(scenario)
+            # records hold the engines' arrays; this is where they become lists
+            json.dump(report, fh, indent=2, default=np.ndarray.tolist)
             fh.write("\n")
     except OSError as exc:
         print(f"cannot write report {out_path}: {exc}", file=sys.stderr)

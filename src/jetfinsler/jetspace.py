@@ -194,7 +194,10 @@ class TemporalMetric:
         two_h_sq = 2.0 * h * h
         if two_h_sq == 0.0:
             raise DomainError(f"2 h11^2 underflows to zero at h11 = {h!r}")
-        return (hpp * h - hp * hp) / two_h_sq
+        out = (hpp * h - hp * hp) / two_h_sq
+        if not math.isfinite(out) and all(map(math.isfinite, (h, hp, hpp))):
+            raise DomainError(f"kappa_dot = {out!r} is not finite at h11 = {h!r}")
+        return out
 
     def kappa_eval(self, t_any):
         """kappa on a float, or composed with a Taylor value as ``exp`` is."""
@@ -231,6 +234,16 @@ def _multiplicity(key: tuple[int, int, int]) -> int:
     return 6
 
 
+def _index_triple(key):
+    """The sorted index triple that a cubic entry key names, or None."""
+    if isinstance(key, str):
+        key = [ch for ch in key if ch.isdigit()]
+    elif not isinstance(key, tuple):
+        return None
+    triple = tuple(sorted(int(i) for i in key if i in ("1", "2", "3", 1, 2, 3)))
+    return triple if len(triple) == len(key) == 3 else None
+
+
 class CubicForm:
     """Totally symmetric spatial (0,3) tensor G_pqr(x), stored for p<=q<=r.
 
@@ -239,17 +252,29 @@ class CubicForm:
     triples of distinct indices and 0 otherwise.
     """
 
-    def __init__(self, entries: Mapping[tuple[int, int, int], Union[float, Expression]]):
+    def __init__(self, entries: Mapping):
+        """``entries`` maps keys to finite numbers or expressions in x1..x3
+        (``Expression`` or string).  A key is a string whose digits are three
+        of 1..3 (``"123"``, ``"1,2,3"``) or a tuple of three ints in 1..3; two
+        keys that name the same component are refused (``ConfigError``)."""
         canon: dict[tuple[int, int, int], Union[float, Expression]] = {}
+        first = {}
         for key, val in entries.items():
-            key = tuple(sorted(int(i) for i in key))
-            if len(key) != 3 or not all(1 <= i <= 3 for i in key):
-                raise ValueError(f"cubic index triple out of range: {key}")
-            if not (isinstance(val, Expression) or is_finite_number(val)):
+            triple = _index_triple(key)
+            if triple is None:
+                raise ConfigError(f"cubic entry key {key!r} must name three indices in 1..3")
+            if triple in first:
                 raise ConfigError(
-                    f"cubic entry {key} must be an expression or a finite number, got {val!r}"
+                    f"cubic entry keys {first[triple]!r} and {key!r} name the same component"
                 )
-            canon[key] = val
+            first[triple] = key
+            if isinstance(val, str):
+                val = parse_expression(val, variables=("x1", "x2", "x3"))
+            elif not (isinstance(val, Expression) or is_finite_number(val)):
+                raise ConfigError(
+                    f"cubic entry {key!r} must be a finite number or an expression"
+                )
+            canon[triple] = val
         self._entries = canon
 
     @classmethod
@@ -258,14 +283,8 @@ class CubicForm:
 
     @classmethod
     def from_entries(cls, mapping: Mapping) -> "CubicForm":
-        entries = {}
-        for key, val in mapping.items():
-            if isinstance(key, str):
-                key = tuple(int(ch) for ch in key if ch.isdigit())
-            if isinstance(val, str):
-                val = parse_expression(val, variables=("x1", "x2", "x3"))
-            entries[tuple(key)] = val
-        return cls(entries)
+        """The cubic of ``mapping``, as ``CubicForm(mapping)``."""
+        return cls(mapping)
 
     @property
     def names(self) -> frozenset[str]:

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jetfinsler import cli
 from jetfinsler import difftools as dt
 from jetfinsler import field_theory as ft
 from jetfinsler.berwald_moor import ClosedForms
@@ -355,7 +357,7 @@ class TestRunScenario:
             ),
             (
                 "1/(1e118*t)", (1e-138,),
-                ["NonFiniteOutput: conservation values are not finite (Einstein constant out of range?)"],
+                ["DomainError: kappa_dot = nan is not finite at h11 = 9.999999999999998e+19"],
                 ["DomainError: no contour radius keeps the field near its value 3.3019272488946266e-20"],
             ),
             (
@@ -511,6 +513,31 @@ class TestCliProcess:
         assert proc.stderr.startswith(f"cannot write report {out}: ")
         assert "Traceback" not in proc.stderr
         assert not out.parent.exists()
+
+    def test_unwritable_out_evaluates_no_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        evaluate_point = cli.evaluate_point
+        monkeypatch.setattr(
+            cli, "evaluate_point", lambda *args: calls.append(1) or evaluate_point(*args)
+        )
+        path = write_scenario(tmp_path, base_scenario(count=3, seed=3))
+        out = tmp_path / "missing" / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write report {out}: ")
+        assert captured.out == ""
+        assert calls == [] and not out.parent.exists()
+        # a writable path evaluates every point
+        assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+        assert len(calls) == 3
+
+    def test_scenario_error_leaves_out_untouched(self, tmp_path, capsys):
+        doc = base_scenario()
+        doc["points"]["sampler"]["y_box"] = [-1.0, 5.0]
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
+        assert not out.exists()
 
     def test_exit_one_when_tolerance_impossible(self, tmp_path):
         path = write_scenario(tmp_path, base_scenario(count=2, seed=3))
@@ -712,7 +739,9 @@ class TestDeterminism:
         report, ok = run_scenario(sc)
         assert ok
         golden = json.loads((DATA / "golden_report.json").read_text())
-        assert json.dumps(strip_volatile(report)) == json.dumps(strip_volatile(golden))
+        assert json.dumps(strip_volatile(report), default=np.ndarray.tolist) == json.dumps(
+            strip_volatile(golden)
+        )
 
     def test_golden_generic_report(self):
         # a position-dependent cubic, t**2 + 1: pins the generic connection
@@ -720,9 +749,23 @@ class TestDeterminism:
         sc = load_scenario(str(DATA / "golden_generic_scenario.json"))
         report, _ = run_scenario(sc)
         golden = json.loads((DATA / "golden_generic_report.json").read_text())
-        assert json.dumps(strip_volatile(report)) == json.dumps(strip_volatile(golden))
+        assert json.dumps(strip_volatile(report), default=np.ndarray.tolist) == json.dumps(
+            strip_volatile(golden)
+        )
         assert report["summary"]["points_errored"] == 1
         assert max(abs(v) for row in report["points"][0]["em"]["F_em"] for v in row) > 0.1
+
+    def test_golden_canonical_report(self, tmp_path):
+        # canonical closed forms put one zero array under two names (L and
+        # P_mixed, R_hh and P_hv), so the write serializes it twice; the
+        # written file is compared byte for byte
+        out = tmp_path / "report.json"
+        assert main(["run", str(DATA / "golden_canonical_scenario.json"), "--out", str(out)]) == 0
+        volatile = re.compile(r'^  "wall_time_seconds": .*\n|^    "backend": .*\n', re.M)
+        got, want = (
+            volatile.sub("", path.read_text()) for path in (out, DATA / "golden_canonical_report.json")
+        )
+        assert got == want
 
     # Identity rows that read the base jets; fd mode gates them at fd_rel.
     JET_ROWS = {
@@ -736,7 +779,9 @@ class TestDeterminism:
         sc = load_scenario(str(DATA / f"{name}_scenario.json"))
         report, ok = run_scenario(sc)
         golden = json.loads((DATA / f"{name}_report.json").read_text())
-        assert json.dumps(strip_volatile(report)) == json.dumps(strip_volatile(golden))
+        assert json.dumps(strip_volatile(report), default=np.ndarray.tolist) == json.dumps(
+            strip_volatile(golden)
+        )
         assert ok and report["summary"]["points_failed"] == 0
         for got, old in zip(report["points"], golden["points"]):
             for row, entry in got["identities"].items():
@@ -746,6 +791,25 @@ class TestDeterminism:
                     else old["identities"][row]["tolerance"]
                 )
                 assert entry["tolerance"] == expected, row
+
+
+class TestReportMemory:
+    def test_memory_per_point(self):
+        # a record keeps the engines' arrays until the write: ~29 KB per
+        # Berwald-Moor point with every output
+        run_scenario(parse_scenario(base_scenario(count=2)))  # first-call costs
+        traced = {}
+        for count in (20, 80):
+            scenario = parse_scenario(base_scenario(count=count))
+            tracemalloc.start()
+            try:
+                report, _ = run_scenario(scenario)
+                traced[count] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert report["summary"]["points_total"] == count
+            del report
+        assert (traced[80] - traced[20]) / 60 < 45_000
 
 
 class TestFormulaTable:

@@ -538,7 +538,9 @@ class TestErrorParity:
             report, ok = _report(doc)
             assert ok and report["summary"]["points_errored"] == 0
             records[zero] = [{k: v for k, v in r.items() if k != "point"} for r in report["points"]]
-        assert json.dumps(records[-0.0]) == json.dumps(records[0.0])
+        assert json.dumps(records[-0.0], default=np.ndarray.tolist) == json.dumps(
+            records[0.0], default=np.ndarray.tolist
+        )
 
 
 F2_BM = finsler_F_squared_field(CubicForm.berwald_moor(), TemporalMetric("exp(2*t)"))

@@ -102,6 +102,17 @@ class TestTemporalMetric:
         # where 2 h11^2 is still a (subnormal) number, kappa_dot returns
         assert TemporalMetric("1e-160").kappa_dot(0.3) == 0.0
 
+    def test_kappa_dot_that_is_not_finite_is_a_domain_error(self):
+        # 2 h11^2 = 2e-320 is subnormal: -1 over it is -inf
+        with pytest.raises(DomainError, match="^kappa_dot = -inf is not finite at h11 = 1e-160$"):
+            TemporalMetric("t").kappa_dot(1e-160)
+        # h11'' h11 and h11'^2 both overflow: inf - inf
+        with pytest.raises(DomainError, match="^kappa_dot = nan is not finite"):
+            TemporalMetric("t**-4").kappa_dot(1e-50)
+        # finite values are unchanged
+        assert TemporalMetric("t").kappa_dot(1e-150) == -1.0 / (2.0 * 1e-150 * 1e-150)
+        assert TemporalMetric("t**2 + 1").kappa_dot(0.5) == (2.0 * 1.25 - 1.0) / (2.0 * 1.25 * 1.25)
+
     def test_kappa_eval_order_cap(self):
         # kappa needs one extra order of h11, so order-4 inputs are rejected
         tm = TemporalMetric("t**2 + 1")
@@ -213,6 +224,25 @@ class TestCubicForm:
         vals = cubic.values_array(x)
         assert len(calls) == 3
         assert vals.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"123": 0.1, "321": 0.2}, "cubic entry keys '123' and '321' name the same component"),
+            ({"1,1,2": 0.1, "211": 0.2}, "cubic entry keys '1,1,2' and '211' name the same component"),
+            ({(1, 2, 3): 0.1, (3, 2, 1): 0.2}, r"cubic entry keys \(1, 2, 3\) and \(3, 2, 1\) name the same component"),
+            ({"12": 0.1}, "cubic entry key '12' must name three indices in 1..3"),
+            ({"124": 0.1}, "cubic entry key '124' must name three indices in 1..3"),
+            ({(1, 2): 0.1}, r"cubic entry key \(1, 2\) must name three indices in 1..3"),
+        ],
+        ids=["same_component", "same_component_spelled", "same_component_tuples", "two_indices", "index_4", "tuple_two_indices"],
+    )
+    def test_refuses_keys_the_cli_refuses(self, entries, message):
+        # one validator for the library and the CLI: no entry is dropped
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            CubicForm.from_entries(entries)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            CubicForm(entries)
 
     def test_refuses_a_bool_entry(self):
         with pytest.raises(ConfigError, match="finite number"):

@@ -227,7 +227,10 @@ def direct(source, t):
         js = jet(2)
         h, hp = js.value, dt.deriv(js, "t").value
         hpp = dt.deriv(dt.deriv(js, "t"), "t").value
-        return float((hpp * h - hp * hp) / (2.0 * h * h))
+        value = float((hpp * h - hp * hp) / (2.0 * h * h))
+        if not math.isfinite(value) and all(map(math.isfinite, (h, hp, hpp))):
+            raise DomainError(f"kappa_dot = {value!r} is not finite at h11 = {h!r}")
+        return value
 
     def kappa_on(u):
         js = jet(u.order + 1)
